@@ -61,8 +61,13 @@ def parse_config(text: str) -> dict:
     return cfg
 
 
+# where the artifacts go and how many workers make them leave the results unchanged
+_UNHASHED_KEYS = ("out", "workers")
+
+
 def config_hash(cfg: dict) -> str:
-    canon = "".join(f"{k} = {cfg[k]}\n" for k in sorted(cfg))
+    """Hash of the config keys that determine the results."""
+    canon = "".join(f"{k} = {cfg[k]}\n" for k in sorted(cfg) if k not in _UNHASHED_KEYS)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

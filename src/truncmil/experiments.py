@@ -14,6 +14,7 @@ count or chunking.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -176,15 +177,27 @@ def _rate_chunk(spec: RateExperimentSpec, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _path_error_samples(spec: RateExperimentSpec, n_paths: int, n_workers: int) -> np.ndarray:
-    bounds = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+def _worker_pool(n_workers: int):
+    """A process pool for n_workers > 1, else a null context: chunks run in-process."""
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(_rate_chunk, [spec] * len(bounds),
-                                  [b[0] for b in bounds], [b[1] for b in bounds]))
-    else:
-        parts = [_rate_chunk(spec, lo, hi) for lo, hi in bounds]
-    return np.vstack(parts)
+        return ProcessPoolExecutor(max_workers=n_workers)
+    return contextlib.nullcontext()
+
+
+def _chunk_map(fn, arg_tuples: Sequence[tuple], pool) -> list:
+    """fn(*args) for each argument tuple, returned in input (path-index) order."""
+    if pool is None:
+        return [fn(*args) for args in arg_tuples]
+    return list(pool.map(fn, *zip(*arg_tuples)))
+
+
+def _path_error_samples(spec: RateExperimentSpec, lo: int, hi: int, pool) -> np.ndarray:
+    args = [(spec, a, min(a + _CHUNK, hi)) for a in range(lo, hi, _CHUNK)]
+    return np.vstack(_chunk_map(_rate_chunk, args, pool))
+
+
+# the benchmark's tracer (bench/tracing.py) wraps this name too
+_path_error_samples_range = _path_error_samples
 
 
 def run_rate_experiment(spec: RateExperimentSpec, n_workers: int = 1,
@@ -197,33 +210,18 @@ def run_rate_experiment(spec: RateExperimentSpec, n_workers: int = 1,
     that fraction of its error estimate or `max_paths` is reached.
     """
     n = spec.n_paths
-    samples = _path_error_samples(spec, n, n_workers)
-    if target_rel_se is not None:
-        cap = max_paths or 16 * spec.n_paths
-        while n < cap:
-            err = samples.mean(axis=0)
-            se = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
-            if np.all(se <= target_rel_se * err):
+    cap = (max_paths or 16 * n) if target_rel_se is not None else n
+    with _worker_pool(n_workers) as pool:
+        samples = _path_error_samples(spec, 0, n, pool)
+        while True:
+            errors = samples.mean(axis=0)
+            ses = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+            if n >= cap or np.all(ses <= target_rel_se * errors):
                 break
             grow = min(n, cap - n)
-            extra = _path_error_samples_range(spec, n, n + grow, n_workers)
-            samples = np.vstack([samples, extra])
+            samples = np.vstack([samples, _path_error_samples(spec, n, n + grow, pool)])
             n += grow
-    errors = samples.mean(axis=0)
-    ses = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
     return fit_rate(spec.test_deltas, errors, spec.q, standard_errors=ses, n_paths=n)
-
-
-def _path_error_samples_range(spec: RateExperimentSpec, lo: int, hi: int,
-                              n_workers: int) -> np.ndarray:
-    bounds = [(a, min(a + _CHUNK, hi)) for a in range(lo, hi, _CHUNK)]
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(_rate_chunk, [spec] * len(bounds),
-                                  [b[0] for b in bounds], [b[1] for b in bounds]))
-    else:
-        parts = [_rate_chunk(spec, a, b) for a, b in bounds]
-    return np.vstack(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +260,6 @@ class StabilityReport:
     delta_1: float
     radius_at_one: float              # omega^{-1}(h(1))
     argmax_norm: float                # |x| where the drift/k ratio peaks
-    ratio_cap_ok: bool
     paper_H: Optional[float] = None
     paper_delta_1: Optional[float] = None
     paper_discrepancy: bool = False
@@ -314,23 +311,31 @@ def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
     radius1 = cfg.radius(1.0)
     dirs = _directions(model.d)
 
-    def ratio(u: float) -> float:
-        best = 0.0
-        for e in dirs:
-            mu = np.atleast_1d(np.asarray(model.drift(u * e), dtype=float))
-            best = max(best, float(np.dot(mu, mu)))
-        return best / float(k_fn(u))
+    def ratio(u: np.ndarray) -> np.ndarray:
+        # max over directions e of |mu(u e)|^2 / k(u) for every radius in u; scalar
+        # drift acts elementwise, so it takes one call per direction for all radii
+        if model.is_scalar:
+            best = np.zeros_like(u)
+            for e in dirs[:, 0]:
+                mu = np.asarray(model.drift(u * e), dtype=float)
+                best = np.maximum(best, mu * mu)
+        else:
+            best = np.empty_like(u)
+            for j, x in enumerate(u):
+                mus = [np.asarray(model.drift(x * e), dtype=float) for e in dirs]
+                best[j] = max(float(np.dot(mu, mu)) for mu in mus)
+        return best / k_fn(u)
 
     grid = np.logspace(-6, math.log10(radius1), n_grid)
     grid[-1] = radius1
-    vals = np.array([ratio(u) for u in grid])
+    vals = ratio(grid)
     if not np.all(np.isfinite(vals)) or np.max(vals) > ratio_cap:
         raise ValueError("drift/k ratio exceeds cap; the small-state boundedness "
                          "condition appears violated")
     i = int(np.argmax(vals))
     if 0 < i < len(grid) - 1:
-        u_star = _golden_max(ratio, grid[i - 1], grid[i + 1])
-        H = max(ratio(u_star), float(vals[i]))
+        u_star = _golden_max(lambda u: float(ratio(np.array([u]))[0]), grid[i - 1], grid[i + 1])
+        H = max(float(ratio(np.array([u_star]))[0]), float(vals[i]))
     else:
         u_star = float(grid[i])
         H = float(vals[i])
@@ -343,8 +348,7 @@ def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
         discrepancy = (abs(H - paper_H) > 1e-2 * paper_H
                        or abs(delta_1 - paper_d1) > 1e-2 * paper_d1)
     return StabilityReport(H=H, delta_1=delta_1, radius_at_one=radius1,
-                           argmax_norm=u_star, ratio_cap_ok=True,
-                           paper_H=paper_H, paper_delta_1=paper_d1,
+                           argmax_norm=u_star, paper_H=paper_H, paper_delta_1=paper_d1,
                            paper_discrepancy=discrepancy)
 
 
@@ -382,20 +386,15 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
     if constants is not None and delta > constants.delta_1:
         warnings.warn(f"step size {delta} exceeds the computed stability ceiling "
                       f"{constants.delta_1:.6g}; decay is not guaranteed", stacklevel=2)
-    bounds = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    args = [(model.name, cfg, delta, horizon_steps, tol_stab, master_seed, lo, hi, record_paths)
-            for lo, hi in bounds]
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(_stability_chunk, *zip(*args)))
-    else:
-        parts = [_stability_chunk(*a) for a in args]
+    args = [(model.name, cfg, delta, horizon_steps, tol_stab, master_seed, lo,
+             min(lo + _CHUNK, n_paths), record_paths) for lo in range(0, n_paths, _CHUNK)]
+    with _worker_pool(n_workers) as pool:
+        parts = _chunk_map(_stability_chunk, args, pool)
     flags = np.concatenate([p[0] for p in parts])
     recorded = [p[1] for p in parts if p[1] is not None]
     recorded_m = np.vstack(recorded) if recorded else None
     base = constants if constants is not None else StabilityReport(
-        H=math.nan, delta_1=math.nan, radius_at_one=cfg.radius(1.0),
-        argmax_norm=math.nan, ratio_cap_ok=True)
+        H=math.nan, delta_1=math.nan, radius_at_one=cfg.radius(1.0), argmax_norm=math.nan)
     return replace(base, decay_flags=flags, decay_fraction=float(np.mean(flags)),
                    tol_stab=tol_stab, delta=delta, horizon_steps=horizon_steps,
                    recorded_magnitudes=recorded_m)

@@ -77,8 +77,7 @@ def test_conditions_run(tmp_path):
     assert len(payload["config_hash"]) == 16
 
 
-def test_rate_run_writes_artifacts(tmp_path):
-    cfg_text = """
+RATE_CFG = """
 kind = rate
 model = cubic_quintic
 omega.coeff = 4
@@ -91,7 +90,10 @@ delta_ref = 0.005
 steps = 0.02, 0.04, 0.08
 paths = 64
 """
-    path = write_config(tmp_path, cfg_text)
+
+
+def test_rate_run_writes_artifacts(tmp_path):
+    path = write_config(tmp_path, RATE_CFG)
     out = tmp_path / "out"
     assert cli.run(path, seed=1, out=str(out)) == 0
     lines = (out / "rates.csv").read_text().splitlines()
@@ -191,3 +193,14 @@ def test_seed_override_changes_hash(tmp_path):
     ha = json.loads((out_a / "fit.json").read_text())["config_hash"]
     hb = json.loads((out_b / "fit.json").read_text())["config_hash"]
     assert ha != hb
+
+
+def test_hash_ignores_workers_and_out_dir(tmp_path):
+    # neither setting changes the results, so neither changes the provenance header
+    path = write_config(tmp_path, RATE_CFG)
+    headers = set()
+    for workers, out in ((1, "a"), (4, "b"), (1, "c")):
+        assert cli.run(path, seed=1, workers=workers, out=str(tmp_path / out)) == 0
+        lines = (tmp_path / out / "rates.csv").read_text().splitlines()
+        headers.add(next(ln for ln in lines if ln.startswith("# config_hash")))
+    assert len(headers) == 1

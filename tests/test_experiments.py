@@ -1,12 +1,14 @@
 """Rate fits, condition comparison, stability constants and decay ensembles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import truncmil as tm
-from truncmil.experiments import RateExperimentSpec
+from conftest import config_for
+from truncmil.experiments import RateExperimentSpec, _directions, _golden_max
 from truncmil.model import register_model
 
 
@@ -182,6 +184,80 @@ def test_stability_ratio_cap_violation():
     cfg = tm.TruncationConfig(1.0, 1.0, 1.0, 0.1, 1.0)
     with pytest.raises(ValueError, match="cap"):
         tm.compute_stability_constants(model, cfg, tm.KFunction(1.0, 2.0), n_grid=2000)
+
+
+def _per_point_constants(model, cfg, k_fn, n_grid):
+    """(H, delta_1, argmax_norm) from a search that evaluates one radius at a time."""
+    radius1 = cfg.radius(1.0)
+    dirs = _directions(model.d)
+
+    def ratio(u):
+        best = 0.0
+        for e in dirs:
+            mu = np.atleast_1d(np.asarray(model.drift(u * e), dtype=float))
+            best = max(best, float(np.dot(mu, mu)))
+        return best / float(k_fn(u))
+
+    grid = np.logspace(-6, math.log10(radius1), n_grid)
+    grid[-1] = radius1
+    vals = np.array([ratio(u) for u in grid])
+    i = int(np.argmax(vals))
+    if 0 < i < len(grid) - 1:
+        u_star = _golden_max(ratio, grid[i - 1], grid[i + 1])
+        H = max(ratio(u_star), float(vals[i]))
+    else:
+        u_star, H = float(grid[i]), float(vals[i])
+    delta_1 = min(1.0, 0.5 / H if H > 0 else 1.0, 0.25 * float(k_fn(radius1)) ** 2)
+    return H, delta_1, u_star
+
+
+_UNIT_RADIUS_CFG = tm.TruncationConfig(1.0, 1.0, 1.0, 0.1, 1.0)    # radius(1) = 1
+# (u^3 - 4u^5)^2 / u^2 peaks at u = 1/sqrt(8), inside this radius-0.4 ball, so
+# cubic_quintic with k(u) = u^2 runs the golden-section refinement
+_INTERIOR_MAX_CFG = tm.TruncationConfig(2.5, 1.0, 1.0, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("name, cfg, k_fn", [
+    ("stable_quintic", config_for("stable_quintic"), tm.KFunction(2.0, 2.0)),
+    ("cubic_quintic", config_for("cubic_quintic"), tm.KFunction(1.0, 2.0)),
+    ("cubic_quintic", _INTERIOR_MAX_CFG, tm.KFunction(1.0, 2.0)),
+    ("strongly_damped_cubic", config_for("strongly_damped_cubic"), tm.KFunction(1.0, 2.0)),
+    ("linear_decay", _UNIT_RADIUS_CFG, tm.KFunction(1.0, 2.0)),
+])
+def test_stability_constants_match_per_point_search(name, cfg, k_fn):
+    model = _linear_decay_model() if name == "linear_decay" else tm.builtin_model(name)
+    rep = tm.compute_stability_constants(model, cfg, k_fn, n_grid=10_000)
+    assert (rep.H, rep.delta_1, rep.argmax_norm) == _per_point_constants(model, cfg, k_fn, 10_000)
+
+
+def test_stability_constants_scalar_drift_calls():
+    # one call per direction for the whole grid, then two per refinement step
+    base = tm.builtin_model("cubic_quintic")
+    calls = []
+
+    def drift(x):
+        calls.append(np.shape(x))
+        return base.drift(x)
+
+    rep = tm.compute_stability_constants(replace(base, drift=drift), _INTERIOR_MAX_CFG,
+                                         tm.KFunction(1.0, 2.0))
+    assert calls[:2] == [(100_000,), (100_000,)]
+    assert set(calls[2:]) == {(1,)}
+    assert len(calls) <= 100
+    assert rep.argmax_norm == pytest.approx(8.0 ** -0.5, rel=1e-6)
+    assert rep.H == pytest.approx(1.0 / 256.0, rel=1e-9)
+
+
+def test_stability_constants_vector_model():
+    # |mu(x)|^2 = 4 x1^2 + x2^2 against k(u) = u^2: the ratio peaks at 4 along x1
+    model = tm.SdeModel(d=2, m=1, drift=lambda x: np.array([-2.0, -1.0]) * x,
+                        diffusion_col=lambda x, j: 0.0 * x,
+                        initial_value=np.array([1.0, 1.0]), polynomial_degree_r=0.0)
+    k_fn = tm.KFunction(1.0, 2.0)
+    rep = tm.compute_stability_constants(model, _UNIT_RADIUS_CFG, k_fn, n_grid=200)
+    assert (rep.H, rep.delta_1, rep.argmax_norm) == _per_point_constants(
+        model, _UNIT_RADIUS_CFG, k_fn, 200)
+    assert rep.H == pytest.approx(4.0, rel=1e-3)
 
 
 def test_stability_ensemble_deterministic_contraction():
