@@ -4,9 +4,11 @@ Each (master_seed, path_index) pair keys an independent Philox counter-based
 stream, so ensemble members can be generated in any order, on any worker, and
 regenerate bit-exactly.  Gaussians come from the inverse normal CDF applied to
 64-bit uniforms: the sample count per coordinate is fixed, so streams never
-desynchronise.  Coarse grids are exact block sums of the fine increments,
-which is what lets strong-error experiments couple coarse and fine solutions
-on the same underlying path.
+desynchronise.  A stream is one fixed sequence, so the n-step grid of a path
+is a prefix of every longer grid of the same path up to the sqrt(dt) scale;
+step ladders draw the longest grid once and slice it.  Coarse grids are exact
+block sums of the fine increments, which is what lets strong-error
+experiments couple coarse and fine solutions on the same underlying path.
 """
 
 from __future__ import annotations
@@ -32,20 +34,61 @@ class BrownianGrid:
             raise ValueError("increment array shape does not match (n_fine, m)")
 
 
-def generate(master_seed: int, path_index: int, m: int, t_final: float, n_fine: int) -> BrownianGrid:
-    """Fill an (n_fine, m) increment grid from the (seed, path) keyed stream."""
+# raw draws per block of paths, which bounds the uint64 scratch array
+_BLOCK_DRAWS = 1 << 16
+
+
+def standard_normals(master_seed: int, path_indices, m: int, n: int) -> np.ndarray:
+    """The first n*m draws of each path's stream as N(0, 1), shape (n_paths, n, m).
+
+    One Philox bit generator is reset to the key (master_seed mod 2^64,
+    path_index) with a zero counter for each path, which is the stream a fresh
+    Philox(key=...) produces, without the seed-sequence set-up it would
+    discard.
+    """
+    if n < 1:
+        raise ValueError("n_fine must be >= 1")
+    paths = [int(p) for p in path_indices]
+    if any(p < 0 for p in paths):
+        raise ValueError("path_index must be nonnegative")
+    draws = n * m
+    z = np.empty((len(paths), n, m))
+    flat = z.reshape(len(paths), draws)
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state            # zero counter, empty buffer; the setter copies it
+    key = state["state"]["key"]
+    key[0] = master_seed & (2**64 - 1)
+    per_block = max(1, _BLOCK_DRAWS // draws)
+    for lo in range(0, len(paths), per_block):
+        block = paths[lo:lo + per_block]
+        raw = np.empty((len(block), draws), dtype=np.uint64)
+        for row, p in zip(raw, block):
+            key[1] = p
+            bitgen.state = state
+            row[:] = bitgen.random_raw(draws)
+        # map to the open interval (0, 1) with a fixed 53-bit mantissa
+        raw >>= np.uint64(11)
+        u = flat[lo:lo + len(block)]
+        u[:] = raw
+        u += 0.5
+        u *= 2.0**-53
+        ndtri(u, out=u)
+    return z
+
+
+def _step(t_final: float, n_fine: int) -> float:
     if n_fine < 1:
         raise ValueError("n_fine must be >= 1")
     if not t_final > 0:
         raise ValueError("t_final must be positive")
-    if path_index < 0:
-        raise ValueError("path_index must be nonnegative")
-    dt = t_final / n_fine
-    rng = np.random.Generator(np.random.Philox(key=[master_seed & (2**64 - 1), path_index]))
-    raw = rng.integers(0, 2**64, size=(n_fine, m), dtype=np.uint64)
-    # map to the open interval (0, 1) with a fixed 53-bit mantissa
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    increments = ndtri(u) * np.sqrt(dt)
+    return t_final / n_fine
+
+
+def generate(master_seed: int, path_index: int, m: int, t_final: float, n_fine: int) -> BrownianGrid:
+    """Fill an (n_fine, m) increment grid from the (seed, path) keyed stream."""
+    dt = _step(t_final, n_fine)
+    increments = standard_normals(master_seed, (path_index,), m, n_fine)[0]
+    increments *= np.sqrt(dt)
     increments.setflags(write=False)
     return BrownianGrid(m=m, t_final=t_final, n_fine=n_fine, dt_fine=dt,
                         increments=increments, master_seed=master_seed, path_index=path_index)
@@ -89,6 +132,8 @@ def total_increment(grid: BrownianGrid) -> np.ndarray:
 
 
 def generate_batch(master_seed: int, path_indices, m: int, t_final: float, n_fine: int) -> np.ndarray:
-    """Stack per-path increment grids into shape (n_paths, n_fine, m)."""
-    return np.stack([generate(master_seed, int(p), m, t_final, n_fine).increments
-                     for p in path_indices])
+    """Per-path increment grids of shape (n_paths, n_fine, m), N(0, t_final/n_fine) each."""
+    dt = _step(t_final, n_fine)
+    z = standard_normals(master_seed, path_indices, m, n_fine)
+    z *= np.sqrt(dt)
+    return z

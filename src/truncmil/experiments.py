@@ -25,7 +25,7 @@ import numpy as np
 
 from . import brownian
 from .model import KFunction, SdeModel, resolve_model
-from .scheme import SchemeId, simulate, simulate_scalar_ensemble
+from .scheme import SchemeId, _scalar_step, simulate, simulate_scalar_ensemble
 from .truncation import TruncationConfig, dominant_rate, old_condition_threshold
 
 _CHUNK = 256
@@ -404,6 +404,24 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
 # interpolant-gap and moment probes
 
 
+def _ladder_increments(master_seed: int, n_paths: int, t_final: float, ns: Sequence[int]):
+    """Yield (i, increments) for a rung of ns[i] steps on [0, t_final], finest last.
+
+    Every rung is a prefix of one draw of standard normals for the finest rung,
+    scaled by its sqrt(step); the finest rung, the draw's last use, scales it
+    in place, so no second full-size array is held beside it.
+    """
+    z = brownian.standard_normals(master_seed, range(n_paths), 1, max(ns, default=1))[:, :, 0]
+    order = sorted(range(len(ns)), key=lambda i: ns[i])
+    for i in order:
+        inc = z[:, :ns[i]]
+        if i == order[-1]:
+            inc *= np.sqrt(t_final / ns[i])
+        else:
+            inc = inc * np.sqrt(t_final / ns[i])
+        yield i, inc
+
+
 @dataclass(frozen=True)
 class GapProbe:
     deltas: np.ndarray
@@ -419,24 +437,26 @@ def interpolant_gap_probe(model: SdeModel, cfg, deltas: Sequence[float],
 
     Each half step reuses the first half of the refined noise for its knot, so
     the statistic measures the within-step fluctuation of the interpolant.
+    Every rung's refined grid is a prefix of one draw for the finest rung.
     """
     if not model.is_scalar:
         raise ValueError("gap probe is implemented for scalar models")
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
+    ns = []
+    for delta in deltas:
+        n = t_final / delta
+        if abs(n - round(n)) > 1e-9 or round(n) < 1:
+            raise ValueError(f"t_final must be a multiple of delta={delta}")
+        ns.append(int(round(n)))
     gaps = np.empty(len(deltas))
     x0 = float(model.initial_value[0])
-    for idx, delta in enumerate(deltas):
-        n = t_final / delta
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError(f"t_final must be a multiple of delta={delta}")
-        n = int(round(n))
-        inc = brownian.generate_batch(master_seed, range(n_paths), 1, t_final, 2 * n)[:, :, 0]
+    for idx, inc in _ladder_increments(master_seed, n_paths, t_final, [2 * n for n in ns]):
+        delta, n = deltas[idx], ns[idx]
         coarse = _batch_block_sums(inc, 2)
         res = simulate_scalar_ensemble(SchemeId.truncated_milstein, model, cfg,
                                        coarse, delta, x0, record=True)
         knots = res.states[:, :n]
         half = inc[:, 0::2]
-        from .scheme import _scalar_step
         stepped = _scalar_step(SchemeId.truncated_milstein, model, cfg, delta / 2.0, knots, half)
         gaps[idx] = float(np.mean((stepped - knots) ** 2))
     h2 = np.array([cfg.h(d) ** 2 for d in deltas])
@@ -452,15 +472,18 @@ def terminal_moment_probe(model: SdeModel, cfg, deltas: Sequence[float],
                           n_paths: int, t_final: float = 1.0, power: float = 4.0,
                           master_seed: int = 0,
                           scheme: SchemeId = SchemeId.truncated_milstein) -> np.ndarray:
-    """Monte-Carlo E|Y_N|^power at each step size (moment-boundedness probe)."""
-    out = np.empty(len(deltas))
-    x0 = float(model.initial_value[0])
-    for i, delta in enumerate(deltas):
-        n = int(round(t_final / delta))
+    """Monte-Carlo E|Y_N|^power at each step size (moment-boundedness probe).
+
+    Every rung's increments are a prefix of one draw for the finest rung.
+    """
+    ns = [int(round(t_final / delta)) for delta in deltas]
+    for n, delta in zip(ns, deltas):
         if abs(n * delta - t_final) > 1e-9:
             raise ValueError(f"t_final must be a multiple of delta={delta}")
-        inc = brownian.generate_batch(master_seed, range(n_paths), 1, t_final, n)[:, :, 0]
-        res = simulate_scalar_ensemble(scheme, model, cfg, inc, delta, x0)
+    out = np.empty(len(deltas))
+    x0 = float(model.initial_value[0])
+    for i, inc in _ladder_increments(master_seed, n_paths, t_final, ns):
+        res = simulate_scalar_ensemble(scheme, model, cfg, inc, deltas[i], x0)
         if not np.all(res.alive):
             raise RuntimeError("blow-up during moment probe")
         out[i] = float(np.mean(np.abs(res.finals) ** power))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 
 class EvaluationError(RuntimeError):
@@ -190,6 +189,7 @@ class AssumptionReport:
 
 def _halton_ball(dim: int, n: int, radius: float) -> np.ndarray:
     """n quasi-random points inside the ball of given radius (Halton, unscrambled)."""
+    from scipy.stats import qmc   # imported here: scipy.stats is most of the package's import time
     sampler = qmc.Halton(d=dim, scramble=False)
     pts = np.empty((0, dim))
     while len(pts) < n:

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import truncmil as tm
-from truncmil.brownian import block_sums, generate_batch, total_increment
+from truncmil.brownian import block_sums, generate_batch, standard_normals, total_increment
 
 
 def test_regeneration_is_bit_exact():
@@ -114,3 +115,57 @@ def test_generate_batch_matches_single_paths():
     for p in range(4):
         single = tm.generate(55, p, 2, 1.0, 16)
         assert np.array_equal(batch[p], single.increments)
+
+
+def _reference_increments(seed, path_indices, m, t_final, n_fine):
+    """The determinism contract, one freshly keyed Philox generator per path."""
+    grids = []
+    for p in path_indices:
+        key = np.array([seed & (2**64 - 1), p], dtype=np.uint64)
+        raw = np.random.Generator(np.random.Philox(key=key)).integers(
+            0, 2**64, size=(n_fine, m), dtype=np.uint64)
+        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        grids.append(ndtri(u) * np.sqrt(t_final / n_fine))
+    return np.stack(grids)
+
+
+@pytest.mark.parametrize("seed, paths, m, n_fine", [
+    (55, [0, 1, 2, 3], 1, 16),
+    (55, [0, 1, 2, 3], 2, 16),
+    (7, [0, 5, 2], 1, 1),
+    (2026, [9, 3, 7, 40], 2, 33),
+    (2**63 + 5, [1, 0], 2, 8),
+    (2**64 - 1, [2], 1, 8),
+    (-3, [4, 1], 2, 8),
+    (11, range(100), 1, 1000),      # more than one block of paths
+])
+def test_generate_matches_reference_stream(seed, paths, m, n_fine):
+    ref = _reference_increments(seed, paths, m, 0.7, n_fine)
+    assert np.array_equal(generate_batch(seed, paths, m, 0.7, n_fine), ref)
+    for row, p in enumerate(paths):
+        assert np.array_equal(tm.generate(seed, p, m, 0.7, n_fine).increments, ref[row])
+
+
+def test_large_and_negative_seeds_keep_every_key_bit():
+    # -1 wraps to 2**64 - 1, which must not collapse onto seed 0
+    a, b, c, d = (tm.generate(s, 0, 1, 1.0, 8).increments
+                  for s in (0, -1, 2**63, 2**63 + 1))
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(c, d)
+
+
+def test_normals_are_prefix_consistent():
+    z = standard_normals(3, [4, 0], 2, 64)
+    assert z.shape == (2, 64, 2)
+    for n in (1, 5, 32):
+        assert np.array_equal(standard_normals(3, [4, 0], 2, n), z[:, :n])
+        assert np.array_equal(generate_batch(3, [4, 0], 2, 1.0, n), z[:, :n] * np.sqrt(1.0 / n))
+
+
+def test_generate_batch_validation():
+    with pytest.raises(ValueError):
+        generate_batch(1, [0, -1], 1, 1.0, 8)
+    with pytest.raises(ValueError):
+        generate_batch(1, [0], 1, 1.0, 0)
+    with pytest.raises(ValueError):
+        generate_batch(1, [0], 1, -1.0, 8)

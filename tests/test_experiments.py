@@ -8,8 +8,10 @@ import pytest
 
 import truncmil as tm
 from conftest import config_for
-from truncmil.experiments import RateExperimentSpec, _directions, _golden_max
+from truncmil.brownian import generate_batch
+from truncmil.experiments import RateExperimentSpec, _batch_block_sums, _directions, _golden_max
 from truncmil.model import register_model
+from truncmil.scheme import _scalar_step
 
 
 def test_fit_rate_synthetic_slope_one():
@@ -336,3 +338,53 @@ def test_terminal_moment_probe_bounded(cubic_cfg):
     moments = tm.terminal_moment_probe(tm.builtin_model("cubic_quintic"), cubic_cfg,
                                        deltas, n_paths=2000, master_seed=3)
     assert np.all(moments < 10.0)
+
+
+def _per_rung_moments(model, cfg, deltas, n_paths, t_final, power, seed):
+    """Reference: every rung regenerates its own increment grid."""
+    out = []
+    for delta in deltas:
+        n = int(round(t_final / delta))
+        inc = generate_batch(seed, range(n_paths), 1, t_final, n)[:, :, 0]
+        res = tm.simulate_scalar_ensemble(tm.SchemeId.truncated_milstein, model, cfg, inc,
+                                          delta, float(model.initial_value[0]))
+        out.append(float(np.mean(np.abs(res.finals) ** power)))
+    return np.array(out)
+
+
+def _per_rung_gaps(model, cfg, deltas, n_paths, t_final, seed):
+    out = []
+    for delta in sorted(deltas, reverse=True):
+        n = int(round(t_final / delta))
+        inc = generate_batch(seed, range(n_paths), 1, t_final, 2 * n)[:, :, 0]
+        res = tm.simulate_scalar_ensemble(tm.SchemeId.truncated_milstein, model, cfg,
+                                          _batch_block_sums(inc, 2), delta,
+                                          float(model.initial_value[0]), record=True)
+        knots = res.states[:, :n]
+        stepped = _scalar_step(tm.SchemeId.truncated_milstein, model, cfg, delta / 2.0,
+                               knots, inc[:, 0::2])
+        out.append(float(np.mean((stepped - knots) ** 2)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("deltas", [
+    [2.0 ** -k for k in range(2, 7)],
+    [0.25, 0.2, 0.1],            # n = 4, 5, 10: step counts not nested
+    [0.1, 0.25, 0.0625, 0.2],    # unsorted
+])
+def test_probes_match_per_rung_regeneration(cubic_cfg, deltas):
+    model = tm.builtin_model("cubic_quintic")
+    moments = tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=64, master_seed=7)
+    assert np.array_equal(moments, _per_rung_moments(model, cubic_cfg, deltas, 64, 1.0, 4.0, 7))
+    probe = tm.interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=64, master_seed=7)
+    assert np.array_equal(probe.mean_square_gaps,
+                          _per_rung_gaps(model, cubic_cfg, deltas, 64, 1.0, 7))
+
+
+@pytest.mark.parametrize("deltas", [[0.3], [0.25, 0.3]])
+def test_probes_reject_step_not_dividing_horizon(cubic_cfg, deltas):
+    model = tm.builtin_model("cubic_quintic")
+    with pytest.raises(ValueError, match="multiple of delta"):
+        tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=4)
+    with pytest.raises(ValueError, match="multiple of delta"):
+        tm.interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=4)

@@ -1,5 +1,9 @@
 """Model definitions, the diffusion operator, and the assumption falsifiers."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -189,3 +193,11 @@ def test_probe_spec_validation():
         ProbeSpec(n_points=0)
     with pytest.raises(ValueError):
         ProbeSpec(radius=-1.0)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time; only the Halton falsifiers load it
+    code = "import sys, truncmil; assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
