@@ -94,24 +94,26 @@ def generate(master_seed: int, path_index: int, m: int, t_final: float, n_fine: 
                         increments=increments, master_seed=master_seed, path_index=path_index)
 
 
-def block_sums(increments: np.ndarray, factor: int) -> np.ndarray:
-    """Sum adjacent blocks of `factor` rows with a fixed reduction order.
+def block_sums(x: np.ndarray, factor: int, axis: int = 0) -> np.ndarray:
+    """Sum adjacent blocks of `factor` entries along `axis` with a fixed
+    reduction order.
 
     Power-of-two factors reduce by repeated pairwise halving, so coarsening by
     2 then 2 is bit-identical to coarsening by 4 directly; any odd residual
     factor is folded left to right.
     """
-    n = increments.shape[0]
+    n = x.shape[axis]
     if factor < 1 or n % factor:
         raise ValueError(f"factor {factor} does not divide {n} fine steps")
-    out = increments.reshape(n // factor, factor, -1)
+    out = x.reshape(x.shape[:axis] + (n // factor, factor) + x.shape[axis + 1:])
+    out = np.moveaxis(out, axis + 1, 0)     # entry i of every block is out[i]
     f = factor
     while f % 2 == 0:
-        out = out[:, 0::2, :] + out[:, 1::2, :]
+        out = out[0::2] + out[1::2]
         f //= 2
-    acc = out[:, 0, :].copy()
+    acc = out[0].copy()
     for i in range(1, f):
-        acc += out[:, i, :]
+        acc += out[i]
     return acc
 
 

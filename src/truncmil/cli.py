@@ -157,14 +157,12 @@ def _write_summary(path: str, cfg: dict, seed: int, payload: dict) -> None:
     payload["artifact_version"] = __version__
     payload["config_hash"] = config_hash(cfg)
     payload["seed"] = seed
-    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _run_rate(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
     trunc = _truncation(cfg)
-    model_name = _get(cfg, "model", str, required=True)
-    if model_name not in BUILTIN_MODEL_NAMES:
-        raise ValidationError(f"field 'model': unknown model {model_name!r}")
+    model_name = _model(cfg).name
     steps = _float_list(cfg, "steps")
     if not steps:
         raise ValidationError("field 'steps': rate runs need a nonempty step ladder")
@@ -224,29 +222,29 @@ def _run_stability(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
     record = _get(cfg, "record_paths", int, default=10)
     try:
         constants = compute_stability_constants(model, trunc, k_fn)
-        report = run_stability_ensemble(model, trunc, delta, n_paths, horizon, tol,
-                                        master_seed=seed, n_workers=workers,
-                                        record_paths=record, constants=constants)
+        decay = run_stability_ensemble(model, trunc, delta, n_paths, horizon, tol,
+                                       master_seed=seed, n_workers=workers,
+                                       record_paths=record, constants=constants)
     except ValueError as exc:
         raise ValidationError(str(exc))
     rows = []
-    if report.recorded_magnitudes is not None:
-        for p_idx, series in enumerate(report.recorded_magnitudes):
+    if decay.recorded_magnitudes is not None:
+        for p_idx, series in enumerate(decay.recorded_magnitudes):
             for k, mag in enumerate(series):
                 rows.append((p_idx, k, mag))
     _write_csv(os.path.join(out_dir, "stability.csv"), cfg, seed,
                ["path", "k", "abs_y"], rows)
     _write_summary(os.path.join(out_dir, "fit.json"), cfg, seed, {
-        "H": report.H, "delta_1": report.delta_1,
-        "radius_at_one": report.radius_at_one,
-        "paper_H": report.paper_H, "paper_delta_1": report.paper_delta_1,
-        "paper_discrepancy": report.paper_discrepancy,
-        "decay_fraction": report.decay_fraction,
-        "tol_stab": report.tol_stab, "delta": delta,
+        "H": constants.H, "delta_1": constants.delta_1,
+        "radius_at_one": constants.radius_at_one,
+        "paper_H": constants.paper_H, "paper_delta_1": constants.paper_delta_1,
+        "paper_discrepancy": constants.paper_discrepancy,
+        "decay_fraction": decay.decay_fraction,
+        "tol_stab": decay.tol_stab, "delta": delta,
         "horizon_steps": horizon, "n_paths": n_paths,
     })
-    return (f"H = {report.H:.4f}, delta_1 = {report.delta_1:.6g}, "
-            f"decay fraction = {report.decay_fraction:.3f}")
+    return (f"H = {constants.H:.4f}, delta_1 = {constants.delta_1:.6g}, "
+            f"decay fraction = {decay.decay_fraction:.3f}")
 
 
 _CHECK_SET = (Assumption.A2_1_polyLipschitz, Assumption.A2_2_khasminskii,

@@ -15,10 +15,11 @@ count or chunking.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,20 +32,8 @@ from .truncation import TruncationConfig, dominant_rate, old_condition_threshold
 _CHUNK = 256
 
 
-def _batch_block_sums(inc: np.ndarray, factor: int) -> np.ndarray:
-    """Row-wise block sums of (n_paths, n_steps) with the brownian reduction order."""
-    n_paths, n = inc.shape
-    if n % factor:
-        raise ValueError(f"factor {factor} does not divide {n} steps")
-    out = inc.reshape(n_paths, n // factor, factor)
-    f = factor
-    while f % 2 == 0:
-        out = out[:, :, 0::2] + out[:, :, 1::2]
-        f //= 2
-    acc = out[:, :, 0].copy()
-    for i in range(1, f):
-        acc += out[:, :, i]
-    return acc
+# bench/tracing.py wraps this name too; a partial, not an alias, so block sums count once
+_batch_block_sums = functools.partial(brownian.block_sums, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +103,10 @@ def fit_rate(deltas: Sequence[float], errors: Sequence[float], q: float,
     errors = np.asarray(errors, dtype=float)
     if len(deltas) < 3:
         raise ValueError("rate fit needs at least 3 step sizes")
+    bad = ~np.isfinite(errors)
+    if np.any(bad):
+        raise ValueError("paths blew up, so no rate fit: non-finite error at step(s) "
+                         + ", ".join(f"{d:g}" for d in deltas[bad]))
     if np.any(errors <= 0):
         raise ValueError("errors must be positive for a log-log fit")
     norm_errors = errors ** (1.0 / (2.0 * q))
@@ -151,7 +144,7 @@ def _rate_chunk(spec: RateExperimentSpec, lo: int, hi: int) -> np.ndarray:
                                "scheme used as reference")
         out = np.empty((hi - lo, len(factors)))
         for i, f in enumerate(factors):
-            cinc = _batch_block_sums(inc, f)
+            cinc = brownian.block_sums(inc, f, axis=1)
             run = simulate_scalar_ensemble(spec.scheme, model, spec.cfg, cinc,
                                            spec.delta_ref * f, x0, record=record)
             if spec.error_at == "terminal":
@@ -237,13 +230,9 @@ class StepConditionComparison:
 
 def compare_step_conditions(cfg: TruncationConfig, q: float, p: float, r: float) -> StepConditionComparison:
     """Legacy step-size ceiling next to the relaxed result (any step in (0,1])."""
-    if not p > (1.0 + r) * q:
-        raise ValueError(f"need p > (1+r)q, got p={p}, q={q}, r={r}")
-    return StepConditionComparison(
-        old_threshold=old_condition_threshold(cfg, q, p),
-        new_threshold=1.0,
-        dominant_rate=dominant_rate(cfg, q, p, r),
-    )
+    rate = dominant_rate(cfg, q, p, r)      # checks p > (1+r)q first
+    return StepConditionComparison(old_threshold=old_condition_threshold(cfg, q, p),
+                                   new_threshold=1.0, dominant_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +244,7 @@ PAPER_STABILITY_DELTA1 = 0.04
 
 
 @dataclass(frozen=True)
-class StabilityReport:
+class StabilityConstants:
     H: float
     delta_1: float
     radius_at_one: float              # omega^{-1}(h(1))
@@ -263,12 +252,16 @@ class StabilityReport:
     paper_H: Optional[float] = None
     paper_delta_1: Optional[float] = None
     paper_discrepancy: bool = False
-    decay_flags: Optional[np.ndarray] = None
-    decay_fraction: Optional[float] = None
-    tol_stab: Optional[float] = None
-    delta: Optional[float] = None
-    horizon_steps: Optional[int] = None
-    recorded_magnitudes: Optional[np.ndarray] = None   # (record_paths, horizon+1)
+
+
+@dataclass(frozen=True)
+class DecayEnsemble:
+    decay_flags: np.ndarray           # (n_paths,) bool, True where the path decayed
+    decay_fraction: float
+    tol_stab: float
+    delta: float
+    horizon_steps: int
+    recorded_magnitudes: Optional[np.ndarray]   # (record_paths, horizon+1)
 
 
 def _directions(d: int) -> np.ndarray:
@@ -301,7 +294,7 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
 
 
 def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
-                                n_grid: int = 100_000, ratio_cap: float = 1e12) -> StabilityReport:
+                                n_grid: int = 100_000, ratio_cap: float = 1e12) -> StabilityConstants:
     """Grid-plus-golden search for H = sup |mu(x)|^2 / k(|x|) on the radius-one
     ball of the method, and the step ceiling derived from it.
 
@@ -347,9 +340,9 @@ def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
         paper_H, paper_d1 = PAPER_STABILITY_H, PAPER_STABILITY_DELTA1
         discrepancy = (abs(H - paper_H) > 1e-2 * paper_H
                        or abs(delta_1 - paper_d1) > 1e-2 * paper_d1)
-    return StabilityReport(H=H, delta_1=delta_1, radius_at_one=radius1,
-                           argmax_norm=u_star, paper_H=paper_H, paper_delta_1=paper_d1,
-                           paper_discrepancy=discrepancy)
+    return StabilityConstants(H=H, delta_1=delta_1, radius_at_one=radius1,
+                              argmax_norm=u_star, paper_H=paper_H, paper_delta_1=paper_d1,
+                              paper_discrepancy=discrepancy)
 
 
 def _stability_chunk(model_name: str, cfg, delta: float, horizon_steps: int,
@@ -372,12 +365,13 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
                            horizon_steps: int, tol_stab: float,
                            master_seed: int = 0, n_workers: int = 1,
                            record_paths: int = 10,
-                           constants: Optional[StabilityReport] = None) -> StabilityReport:
+                           constants: Optional[StabilityConstants] = None) -> DecayEnsemble:
     """Simulate truncated-Milstein paths and report the threshold-tail decay
     fraction, the finite-horizon surrogate for almost-sure convergence to 0.
 
     A path counts as decayed when |Y_k| stays below tol_stab over the last
-    tenth of the horizon.
+    tenth of the horizon.  `constants`, when given, only sets the step
+    ceiling above which a warning is issued.
     """
     if not tol_stab > 0:
         raise ValueError("tol_stab must be positive")
@@ -393,15 +387,22 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
     flags = np.concatenate([p[0] for p in parts])
     recorded = [p[1] for p in parts if p[1] is not None]
     recorded_m = np.vstack(recorded) if recorded else None
-    base = constants if constants is not None else StabilityReport(
-        H=math.nan, delta_1=math.nan, radius_at_one=cfg.radius(1.0), argmax_norm=math.nan)
-    return replace(base, decay_flags=flags, decay_fraction=float(np.mean(flags)),
-                   tol_stab=tol_stab, delta=delta, horizon_steps=horizon_steps,
-                   recorded_magnitudes=recorded_m)
+    return DecayEnsemble(decay_flags=flags, decay_fraction=float(np.mean(flags)),
+                         tol_stab=tol_stab, delta=delta, horizon_steps=horizon_steps,
+                         recorded_magnitudes=recorded_m)
 
 
 # ---------------------------------------------------------------------------
 # interpolant-gap and moment probes
+
+
+def _rung_steps(t_final: float, deltas: Sequence[float]) -> list:
+    """Steps per rung, t_final / delta, each a positive integer."""
+    ns = [int(round(t_final / delta)) for delta in deltas]
+    for n, delta in zip(ns, deltas):
+        if n < 1 or abs(n * delta - t_final) > 1e-9:
+            raise ValueError(f"t_final must be a multiple of delta={delta}")
+    return ns
 
 
 def _ladder_increments(master_seed: int, n_paths: int, t_final: float, ns: Sequence[int]):
@@ -442,17 +443,12 @@ def interpolant_gap_probe(model: SdeModel, cfg, deltas: Sequence[float],
     if not model.is_scalar:
         raise ValueError("gap probe is implemented for scalar models")
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
-    ns = []
-    for delta in deltas:
-        n = t_final / delta
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
-            raise ValueError(f"t_final must be a multiple of delta={delta}")
-        ns.append(int(round(n)))
+    ns = _rung_steps(t_final, deltas)
     gaps = np.empty(len(deltas))
     x0 = float(model.initial_value[0])
     for idx, inc in _ladder_increments(master_seed, n_paths, t_final, [2 * n for n in ns]):
         delta, n = deltas[idx], ns[idx]
-        coarse = _batch_block_sums(inc, 2)
+        coarse = brownian.block_sums(inc, 2, axis=1)
         res = simulate_scalar_ensemble(SchemeId.truncated_milstein, model, cfg,
                                        coarse, delta, x0, record=True)
         knots = res.states[:, :n]
@@ -476,10 +472,7 @@ def terminal_moment_probe(model: SdeModel, cfg, deltas: Sequence[float],
 
     Every rung's increments are a prefix of one draw for the finest rung.
     """
-    ns = [int(round(t_final / delta)) for delta in deltas]
-    for n, delta in zip(ns, deltas):
-        if abs(n * delta - t_final) > 1e-9:
-            raise ValueError(f"t_final must be a multiple of delta={delta}")
+    ns = _rung_steps(t_final, deltas)
     out = np.empty(len(deltas))
     x0 = float(model.initial_value[0])
     for i, inc in _ladder_increments(master_seed, n_paths, t_final, ns):

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .brownian import BrownianGrid, coarsen
-from .model import SdeModel, eval_l_op, scalar_l_op
-from .truncation import project, project_scalar_batch
+from .model import EvaluationError, SdeModel, eval_l_op, scalar_l_op
+from .truncation import _check_delta, project, project_scalar_batch
 
 
 class SchemeId(str, enum.Enum):
@@ -93,8 +93,7 @@ def step(scheme: SchemeId, model: SdeModel, cfg, delta: float, y, dB) -> np.ndar
     callers treat that as a blow-up signal, not an error.
     """
     scheme = SchemeId(scheme)
-    if not 0 < delta <= 1:
-        raise ValueError(f"step size must lie in (0, 1], got {delta}")
+    _check_delta(delta)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     dB = np.atleast_1d(np.asarray(dB, dtype=float))
     if dB.shape != (model.m,):
@@ -102,15 +101,6 @@ def step(scheme: SchemeId, model: SdeModel, cfg, delta: float, y, dB) -> np.ndar
     if model.is_scalar:
         return _scalar_step(scheme, model, cfg, delta, y, dB)
     return _general_step(scheme, model, cfg, delta, y, dB)
-
-
-def step_truncated_milstein(model: SdeModel, cfg, delta: float, y, dB) -> np.ndarray:
-    out = step(SchemeId.truncated_milstein, model, cfg, delta, y, dB)
-    if not np.all(np.isfinite(out)):
-        raise AssertionError(
-            "truncated Milstein produced a non-finite state from finite input; "
-            "this indicates a bug in the coefficients or configuration")
-    return out
 
 
 def simulate(scheme: SchemeId, model: SdeModel, cfg, grid: BrownianGrid,
@@ -128,7 +118,12 @@ def simulate(scheme: SchemeId, model: SdeModel, cfg, grid: BrownianGrid,
     k_last = g.n_fine
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(g.n_fine):
-            y = step(scheme, model, cfg, delta, y, g.increments[k])
+            try:
+                y = step(scheme, model, cfg, delta, y, g.increments[k])
+            except EvaluationError:
+                if scheme.truncates:    # classical ones may overflow a coefficient first
+                    raise
+                y = np.full(model.d, np.nan)
             if not np.all(np.isfinite(y)):
                 blew_up = True
                 k_last = k
@@ -183,8 +178,3 @@ def simulate_scalar_ensemble(scheme: SchemeId, model: SdeModel, cfg,
     finals = np.where(alive, y, np.nan)
     return EnsembleResult(finals=finals, alive=alive, blowup_step=blowup_step, states=states)
 
-
-def trajectory_csv_rows(traj: Trajectory):
-    """Yield (t, state components...) rows for CSV export."""
-    for t, s in zip(traj.times, traj.states):
-        yield (t, *s)

@@ -2,10 +2,9 @@
 step-size condition calculators.
 
 omega bounds coefficient magnitude on balls, h sets the per-step coefficient
-budget, and the truncation radius is omega^{-1}(h(delta)).  The default
-configuration restricts both to power laws, which have exact closed-form
-inverses and let the old-condition threshold be solved in log space; a generic
-monotone variant with a bisection inverse sits behind the same interface.
+budget, and the truncation radius is omega^{-1}(h(delta)).  Both are power
+laws, which have exact closed-form inverses and let the old-condition
+threshold be solved in log space.
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import SdeModel, eval_l_op, sigma_matrix
 
@@ -65,43 +63,6 @@ class TruncationConfig:
         return float(self.omega_inv(self.h(delta)))
 
 
-class MonotoneTruncation:
-    """Generic (omega, h) pair with a bisection inverse for omega.
-
-    Same evaluation interface as :class:`TruncationConfig`; used when the
-    coefficient bound is not a power law.  omega must be strictly increasing
-    and unbounded, h strictly decreasing on (0, 1].
-    """
-
-    def __init__(self, omega: Callable[[float], float], h: Callable[[float], float],
-                 h_bar: float = 1.0) -> None:
-        if not h_bar >= 1:
-            raise ValueError("h_bar must be >= 1")
-        self._omega = omega
-        self._h = h
-        self.h_bar = h_bar
-
-    def omega(self, u: float) -> float:
-        return float(self._omega(u))
-
-    def h(self, delta: float) -> float:
-        return float(self._h(delta))
-
-    def omega_inv(self, v: float) -> float:
-        hi = 1.0
-        while self.omega(hi) < v:
-            hi *= 2.0
-            if hi > 1e200:
-                raise ValueError("omega appears bounded; cannot invert")
-        if self.omega(0.0) > v:
-            raise ValueError(f"value {v} below omega(0)")
-        return float(brentq(lambda u: self.omega(u) - v, 0.0, hi, xtol=1e-12 * max(1.0, hi)))
-
-    def radius(self, delta: float) -> float:
-        _check_delta(delta)
-        return self.omega_inv(self.h(delta))
-
-
 def _check_delta(delta: float) -> None:
     if not 0 < delta <= 1:
         raise ValueError(f"step size must lie in (0, 1], got {delta}")
@@ -114,9 +75,9 @@ def project(cfg, delta: float, x) -> np.ndarray:
     never exceeds the radius, so the projection is exactly idempotent.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    r = cfg.radius(delta)
     if x.shape == (1,):
-        return np.where(np.abs(x) <= r, x, np.copysign(r, x))
+        return project_scalar_batch(cfg, delta, x)
+    r = cfg.radius(delta)
     n = float(np.linalg.norm(x))
     if n <= r or n == 0.0:
         return x
@@ -169,48 +130,23 @@ def _power_law_condition(cfg: TruncationConfig, q: float, p: float):
     return log_c, a
 
 
-def old_condition_threshold(cfg, q: float, p: float) -> float:
+def old_condition_threshold(cfg: TruncationConfig, q: float, p: float) -> float:
     """Largest step size in (0, 1] below which the legacy restriction holds.
 
-    Solved in closed form (log space) for power-law configs; by log-space
-    bisection for :class:`MonotoneTruncation`.  Returns 0 when the condition
-    fails for all arbitrarily small steps, 1 when it never binds.
+    Solved in closed form (log space).  Returns 0 when the condition fails for
+    all arbitrarily small steps, 1 when it never binds.
     """
     if not (q >= 1 and p > q):
         raise ValueError(f"need q >= 1 and p > q, got q={q}, p={p}")
-    if isinstance(cfg, TruncationConfig):
-        log_c, a = _power_law_condition(cfg, q, p)
-        if a > 0:
-            if log_c >= 0:
-                return 1.0
-            return math.exp(log_c / a)
-        if a == 0:
-            return 1.0 if log_c >= 0 else 0.0
-        # RHS grows without bound as delta -> 0: never holds on a full interval
-        return 0.0
-    return _bisect_threshold(cfg, q, p)
-
-
-def _condition_holds(cfg, q: float, p: float, log_delta: float) -> bool:
-    delta = math.exp(log_delta)
-    h = cfg.h(delta)
-    inner = (delta**q * h ** (2.0 * q)) ** (-1.0 / (p - q))
-    return h >= cfg.omega(inner)
-
-
-def _bisect_threshold(cfg, q: float, p: float, log_floor: float = math.log(1e-120)) -> float:
-    if _condition_holds(cfg, q, p, 0.0) and _condition_holds(cfg, q, p, log_floor):
-        return 1.0
-    if not _condition_holds(cfg, q, p, log_floor):
-        return 0.0
-    lo, hi = log_floor, 0.0  # holds at lo, fails somewhere above
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _condition_holds(cfg, q, p, mid):
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(lo)
+    log_c, a = _power_law_condition(cfg, q, p)
+    if a > 0:
+        if log_c >= 0:
+            return 1.0
+        return math.exp(log_c / a)
+    if a == 0:
+        return 1.0 if log_c >= 0 else 0.0
+    # RHS grows without bound as delta -> 0: never holds on a full interval
+    return 0.0
 
 
 def new_error_bound(cfg, q: float, p: float, r: float, delta: float) -> float:

@@ -109,6 +109,19 @@ def test_block_sums_odd_factor_left_to_right():
     assert np.array_equal(got, expected)
 
 
+def test_block_sums_along_axis_one_match_rows():
+    # the (n_paths, n_steps) batches of the experiments reduce each path's row
+    # in the same order as that path's own (n_steps, 1) grid
+    x = generate_batch(8, range(5), 1, 1.0, 48)[:, :, 0]
+    for factor in (1, 2, 3, 6, 8, 12):
+        got = block_sums(x, factor, axis=1)
+        assert got.shape == (5, 48 // factor)
+        for row, out in zip(x, got):
+            assert np.array_equal(out, block_sums(row[:, None], factor)[:, 0])
+    with pytest.raises(ValueError, match="does not divide"):
+        block_sums(x, 5, axis=1)
+
+
 def test_generate_batch_matches_single_paths():
     batch = generate_batch(55, range(4), 2, 1.0, 16)
     assert batch.shape == (4, 16, 2)

@@ -108,6 +108,31 @@ def test_rate_run_writes_artifacts(tmp_path):
     assert fit["scheme"] == "truncated_milstein"
 
 
+def test_rate_run_refuses_blown_up_rungs(tmp_path, capsys):
+    # classical EM diverges on the criterion-3 ladder: no NaN may reach an artifact
+    cfg_text = """
+kind = rate
+model = cubic_quintic
+scheme = classical_em
+omega.coeff = 4
+omega.power = 5
+h.coeff = 4
+h.power = 0.1
+h_bar = 4
+t_final = 1.28
+delta_ref = 0.00125
+steps = 0.02, 0.04, 0.08, 0.16, 0.32, 0.64
+paths = 200
+"""
+    path = write_config(tmp_path, cfg_text)
+    out = tmp_path / "out"
+    assert cli.run(path, seed=2026, out=str(out)) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "non-finite error at step(s) 0.08, 0.16" in err
+    assert not (out / "fit.json").exists()
+    assert not (out / "rates.csv").exists()
+
+
 def test_rate_run_requires_steps(tmp_path, capsys):
     cfg_text = CONDITIONS_CFG.replace("kind = conditions", "kind = rate") + "model = cubic_quintic\n"
     path = write_config(tmp_path, cfg_text)

@@ -8,8 +8,8 @@ import pytest
 
 import truncmil as tm
 from conftest import config_for
-from truncmil.brownian import generate_batch
-from truncmil.experiments import RateExperimentSpec, _batch_block_sums, _directions, _golden_max
+from truncmil.brownian import block_sums, generate_batch
+from truncmil.experiments import RateExperimentSpec, _directions, _golden_max
 from truncmil.model import register_model
 from truncmil.scheme import _scalar_step
 
@@ -37,6 +37,8 @@ def test_fit_rate_validation():
         tm.fit_rate([0.1, 0.2], [1.0, 2.0], q=1.0)
     with pytest.raises(ValueError, match="positive"):
         tm.fit_rate([0.1, 0.2, 0.4], [1.0, 0.0, 2.0], q=1.0)
+    with pytest.raises(ValueError, match="non-finite error at step.s. 0.2, 0.4$"):
+        tm.fit_rate([0.1, 0.2, 0.4], [1.0, math.nan, math.inf], q=1.0)
 
 
 def test_spec_validation(cubic_cfg):
@@ -358,7 +360,7 @@ def _per_rung_gaps(model, cfg, deltas, n_paths, t_final, seed):
         n = int(round(t_final / delta))
         inc = generate_batch(seed, range(n_paths), 1, t_final, 2 * n)[:, :, 0]
         res = tm.simulate_scalar_ensemble(tm.SchemeId.truncated_milstein, model, cfg,
-                                          _batch_block_sums(inc, 2), delta,
+                                          block_sums(inc, 2, axis=1), delta,
                                           float(model.initial_value[0]), record=True)
         knots = res.states[:, :n]
         stepped = _scalar_step(tm.SchemeId.truncated_milstein, model, cfg, delta / 2.0,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import truncmil as tm
-from truncmil.scheme import trajectory_csv_rows
 from truncmil.truncation import truncated_coeffs
 
 
@@ -66,13 +65,6 @@ def test_step_validation(cubic_cfg):
         tm.step(tm.SchemeId.truncated_milstein, model, cubic_cfg, 2.0, [1.0], [0.0])
     with pytest.raises(ValueError, match="increments"):
         tm.step(tm.SchemeId.truncated_milstein, model, cubic_cfg, 0.1, [1.0], [0.0, 0.0])
-
-
-def test_step_truncated_milstein_wrapper(cubic_cfg):
-    model = tm.builtin_model("cubic_quintic")
-    a = tm.step_truncated_milstein(model, cubic_cfg, 0.01, [1.0], [0.1])
-    b = tm.step(tm.SchemeId.truncated_milstein, model, cubic_cfg, 0.01, [1.0], [0.1])
-    assert a[0] == b[0]
 
 
 def test_general_step_matches_scalar_on_product_model(cubic_cfg):
@@ -138,6 +130,28 @@ def test_classical_em_blowup_flagged(cubic_cfg):
     assert len(traj.states) < 33
 
 
+def _diagonal_quintic_2d():
+    # each coordinate follows the cubic_quintic drift with its own driver
+    def diffusion_col(x, j):
+        col = np.zeros(2)
+        col[j - 1] = x[j - 1] ** 2
+        return col
+    return tm.SdeModel(d=2, m=2, drift=lambda x: x**3 - 4.0 * x**5,
+                       diffusion_col=diffusion_col, initial_value=np.array([2.0, 2.0]),
+                       polynomial_degree_r=4.0)
+
+
+@pytest.mark.parametrize("scheme", ["classical_em", "classical_milstein"])
+def test_classical_blowup_flagged_for_vector_model(cubic_cfg, scheme):
+    # the finite-difference L-operator overflows before the state does; that
+    # is the same blow-up, so it is flagged rather than raised
+    grid = tm.generate(0, 1, 2, 8.0, 32)    # step 0.25
+    traj = tm.simulate(scheme, _diagonal_quintic_2d(), cubic_cfg, grid)
+    assert traj.blew_up
+    assert np.all(np.isfinite(traj.states))
+    assert len(traj.states) < 33
+
+
 def test_truncated_milstein_never_blows_up(cubic_cfg, damped_cfg, quintic_cfg):
     configs = {"cubic_quintic": cubic_cfg, "strongly_damped_cubic": damped_cfg,
                "stable_quintic": quintic_cfg}
@@ -185,11 +199,3 @@ def test_ensemble_rejects_vector_model(cubic_cfg):
         tm.simulate_scalar_ensemble(tm.SchemeId.truncated_em, model, cubic_cfg,
                                     np.zeros((2, 4)), 0.1, 1.0)
 
-
-def test_trajectory_csv_rows(cubic_cfg):
-    model = tm.builtin_model("cubic_quintic")
-    grid = tm.generate(4, 0, 1, 0.5, 2)
-    traj = tm.simulate(tm.SchemeId.truncated_milstein, model, cubic_cfg, grid)
-    rows = list(trajectory_csv_rows(traj))
-    assert len(rows) == 3
-    assert rows[0] == (0.0, 1.0)

@@ -44,18 +44,6 @@ def test_omega_inverse_roundtrip(cubic_cfg):
         assert cubic_cfg.omega(cubic_cfg.omega_inv(v)) == pytest.approx(v, rel=1e-12)
 
 
-def test_monotone_truncation_matches_power_law(damped_cfg):
-    generic = tm.MonotoneTruncation(lambda u: 83.0 * u**3, lambda d: d**-0.1, h_bar=1.0)
-    for delta in [1.0, 0.3, 0.01]:
-        assert generic.radius(delta) == pytest.approx(damped_cfg.radius(delta), rel=1e-9)
-
-
-def test_monotone_truncation_bounded_omega_error():
-    generic = tm.MonotoneTruncation(lambda u: min(u, 2.0), lambda d: d**-0.1)
-    with pytest.raises(ValueError, match="bounded"):
-        generic.omega_inv(5.0)
-
-
 def test_project_zero_and_inside(cubic_cfg):
     assert tm.project(cubic_cfg, 0.01, [0.0]) == pytest.approx([0.0])
     r = cubic_cfg.radius(0.01)
@@ -126,13 +114,6 @@ def test_old_threshold_degenerate_exponent():
     fails = tm.TruncationConfig(2.0, 1.0, 1.0, 0.1, 1.0)
     assert tm.old_condition_threshold(holds, q=1.0, p=9.0) == 1.0
     assert tm.old_condition_threshold(fails, q=1.0, p=9.0) == 0.0
-
-
-def test_old_threshold_bisection_matches_closed_form(damped_cfg):
-    generic = tm.MonotoneTruncation(lambda u: 83.0 * u**3, lambda d: d**-0.1, h_bar=1.0)
-    got = tm.old_condition_threshold(generic, q=1.0, p=42.0)
-    closed = tm.old_condition_threshold(damped_cfg, q=1.0, p=42.0)
-    assert got == pytest.approx(closed, rel=1e-6)
 
 
 def test_old_threshold_validation(damped_cfg):
