@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -129,6 +130,36 @@ def eval_l_op(model: SdeModel, x, j1: int, j2: int) -> np.ndarray:
     return _finite(finite_difference_l_op(model, x, j1, j2), "L-operator", x)
 
 
+def l_op_terms(model: SdeModel, x, sig: np.ndarray) -> np.ndarray:
+    """L^{j1} sigma_{j2}(x) for every driver pair, shape (m, m, d), [j1-1, j2-1].
+
+    ``sig`` is the d x m diffusion matrix at x.  The finite-difference fallback
+    differences each column once per coordinate (2 m d diffusion calls) in
+    `finite_difference_l_op`'s operation order, so each slice equals its value.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d, m = model.d, model.m
+    out = np.zeros((m, m, d))
+    if model.l_op is not None:
+        for j1, j2 in product(range(m), repeat=2):
+            out[j1, j2] = model.l_op(x, j1 + 1, j2 + 1)
+        return _finite(out, "L-operator", x)
+    sig = _finite(sig, "diffusion", x)
+    delta = _fd_step(x)
+    e = delta * np.eye(d)
+    pts = np.stack([x + e, x - e], axis=1)      # pts[l] = (x + delta e_l, x - delta e_l)
+    nb = np.empty((m, d, 2, d))
+    for j, l, s in product(range(m), range(d), range(2)):
+        nb[j, l, s] = model.diffusion_col(pts[l, s], j + 1)
+    bad = np.argwhere(~np.all(np.isfinite(nb), axis=-1))
+    if len(bad):
+        raise EvaluationError("non-finite diffusion", pts[bad[0, 1], bad[0, 2]])
+    diff = nb[:, :, 0] - nb[:, :, 1]
+    for l in range(d):
+        out += sig[l][:, None, None] * diff[:, l] / (2.0 * delta)
+    return _finite(out, "L-operator", x)
+
+
 def scalar_l_op(model: SdeModel, z: np.ndarray) -> np.ndarray:
     """Elementwise L^1 sigma_1 for scalar models; z may have any shape."""
     if model.l_op is not None:
@@ -218,14 +249,6 @@ def _component_derivs(fn: Callable, x: np.ndarray, d: int) -> tuple:
     return float(np.linalg.norm(grad)), float(np.linalg.norm(hess))
 
 
-def _l_op_double_sum(model: SdeModel, x: np.ndarray) -> np.ndarray:
-    out = np.zeros(model.d)
-    for j1 in range(1, model.m + 1):
-        for j2 in range(1, model.m + 1):
-            out += eval_l_op(model, x, j1, j2)
-    return out
-
-
 def check_assumption(model: SdeModel, assumption: Assumption, spec: ProbeSpec) -> AssumptionReport:
     """Probe one standing inequality and report the most-violating margin.
 
@@ -243,13 +266,13 @@ def check_assumption(model: SdeModel, assumption: Assumption, spec: ProbeSpec) -
         ys = spec.radius * pairs[:, model.d:]
         for x, y in zip(xs, ys):
             dmu = np.linalg.norm(_finite(model.drift(x), "drift", x) - _finite(model.drift(y), "drift", y))
-            dsig = np.linalg.norm(sigma_matrix(model, x) - sigma_matrix(model, y))
+            sx, sy = sigma_matrix(model, x), sigma_matrix(model, y)
+            dsig = np.linalg.norm(sx - sy)
             if assumption is Assumption.A2_1_polyLipschitz:
                 K1 = float(c.get("K1", 100.0))
-                dl = max(
-                    float(np.linalg.norm(eval_l_op(model, x, j1, j2) - eval_l_op(model, y, j1, j2)))
-                    for j1 in range(1, model.m + 1) for j2 in range(1, model.m + 1)
-                )
+                lx = l_op_terms(model, x, sx).reshape(-1, model.d)
+                ly = l_op_terms(model, y, sy).reshape(-1, model.d)
+                dl = max(float(np.linalg.norm(a - b)) for a, b in zip(lx, ly))
                 lhs = max(dmu, dsig, dl)
                 rhs = K1 * (1.0 + np.linalg.norm(x) ** r + np.linalg.norm(y) ** r) * np.linalg.norm(x - y)
                 margins.append(lhs - rhs)
@@ -288,9 +311,13 @@ def check_assumption(model: SdeModel, assumption: Assumption, spec: ProbeSpec) -
             raise ValueError("Eq4_2 check needs constants['delta']")
         for x in xs:
             mu = _finite(np.atleast_1d(model.drift(x)), "drift", x)
-            lhs = 2.0 * float(np.dot(x, mu)) + float(np.sum(sigma_matrix(model, x) ** 2))
+            sig = sigma_matrix(model, x)
+            lhs = 2.0 * float(np.dot(x, mu)) + float(np.sum(sig ** 2))
             if assumption is Assumption.Eq4_2_milsteinDissipative:
-                lhs += 0.5 * float(np.dot(_l_op_double_sum(model, x), _l_op_double_sum(model, x))) * delta
+                l_sum = np.zeros(model.d)
+                for term in l_op_terms(model, x, sig).reshape(-1, model.d):
+                    l_sum += term
+                lhs += 0.5 * float(np.dot(l_sum, l_sum)) * delta
             margins.append(lhs + float(spec.k_fn(np.linalg.norm(x))))
         used = {"k_c": spec.k_fn.c, "k_gamma": spec.k_fn.gamma}
         if assumption is Assumption.Eq4_2_milsteinDissipative:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .brownian import BrownianGrid, coarsen
-from .model import EvaluationError, SdeModel, eval_l_op, scalar_l_op
+from .model import EvaluationError, SdeModel, l_op_terms, scalar_l_op
 from .truncation import _check_delta, project, project_scalar_batch
 
 
@@ -75,14 +75,16 @@ def _general_step(scheme: SchemeId, model: SdeModel, cfg, delta: float,
     z = project(cfg, delta, y) if scheme.truncates else y
     mu = np.broadcast_to(np.asarray(model.drift(z), dtype=float), (model.d,))
     incr = mu * delta
-    for j in range(1, model.m + 1):
-        col = np.broadcast_to(np.asarray(model.diffusion_col(z, j), dtype=float), (model.d,))
-        incr = incr + col * dB[j - 1]
+    sig = np.empty((model.d, model.m))
+    for j in range(model.m):
+        sig[:, j] = model.diffusion_col(z, j + 1)
+        incr = incr + sig[:, j] * dB[j]
     if scheme.has_milstein_term:
-        for j1 in range(1, model.m + 1):
-            for j2 in range(1, model.m + 1):
-                w = dB[j1 - 1] * dB[j2 - 1] - (delta if j1 == j2 else 0.0)
-                incr = incr + 0.5 * eval_l_op(model, z, j1, j2) * w
+        l_terms = l_op_terms(model, z, sig)
+        for j1 in range(model.m):
+            for j2 in range(model.m):
+                w = dB[j1] * dB[j2] - (delta if j1 == j2 else 0.0)
+                incr = incr + 0.5 * l_terms[j1, j2] * w
     return y + incr
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import SdeModel, eval_l_op, sigma_matrix
+from .model import SdeModel, l_op_terms, sigma_matrix
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,8 @@ def truncated_coeffs(model: SdeModel, cfg, delta: float, x) -> TruncatedCoeffs:
     z = project(cfg, delta, x)
     mu = np.broadcast_to(np.asarray(model.drift(z), dtype=float), (model.d,))
     sigma = sigma_matrix(model, z)
-    l_terms = np.empty((model.m, model.m, model.d))
-    for j1 in range(1, model.m + 1):
-        for j2 in range(1, model.m + 1):
-            l_terms[j1 - 1, j2 - 1] = eval_l_op(model, z, j1, j2)
-    return TruncatedCoeffs(point=z, mu=np.array(mu), sigma=sigma, l_terms=l_terms)
+    return TruncatedCoeffs(point=z, mu=np.array(mu), sigma=sigma,
+                           l_terms=l_op_terms(model, z, sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Shared fixtures: the truncation configurations used by the builtin models."""
+"""Shared fixtures: the truncation configurations used by the builtin models
+and vector models that take the finite-difference L-operator."""
 
+import numpy as np
 import pytest
 
 import truncmil as tm
@@ -35,3 +37,32 @@ def quintic_cfg():
 def wide_cfg():
     # radius ~ 1e6 for every step size, so truncation never activates
     return tm.TruncationConfig(1.0, 1.0, 1e6, 0.1, 1e6)
+
+
+def _diagonal_col(x, j):
+    # sigma_j(x) = x_j^2 e_j, the benchmark's 2-d diagonal noise
+    col = np.zeros(2)
+    col[j - 1] = x[j - 1] * x[j - 1]
+    return col
+
+
+def _coupled_col(x, j):
+    return np.array([0.3 * x[1] + 0.1 * j * x[0] ** 2, 0.2 * x[0] * x[1] - 0.1 * j])
+
+
+def _three_state_col(x, j):
+    return 0.2 * np.array([x[1] * x[2], x[j - 1] ** 2, j * np.sin(x[0])])
+
+
+@pytest.fixture
+def fd_models():
+    """Vector models without an analytic L-operator: diagonal 2-d, coupled
+    2-d (non-diagonal noise) and 3-d with two drivers (d != m)."""
+    return (
+        tm.SdeModel(d=2, m=2, drift=lambda x: x**3 - 4.0 * x**5, diffusion_col=_diagonal_col,
+                    initial_value=np.array([1.0, 1.0]), polynomial_degree_r=4.0),
+        tm.SdeModel(d=2, m=2, drift=lambda x: -x - x**3, diffusion_col=_coupled_col,
+                    initial_value=np.array([0.7, -0.4]), polynomial_degree_r=2.0),
+        tm.SdeModel(d=3, m=2, drift=lambda x: -x - x**3, diffusion_col=_three_state_col,
+                    initial_value=np.array([0.5, -0.3, 0.8]), polynomial_degree_r=2.0),
+    )

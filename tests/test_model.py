@@ -3,13 +3,15 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import truncmil as tm
-from truncmil.model import (ProbeSpec, finite_difference_l_op, lipschitz_control_model,
-                            register_model, resolve_model, scalar_l_op, sigma_matrix)
+from truncmil.model import (ProbeSpec, finite_difference_l_op, l_op_terms,
+                            lipschitz_control_model, register_model, resolve_model,
+                            scalar_l_op, sigma_matrix)
 
 
 def test_builtin_names():
@@ -79,6 +81,36 @@ def test_analytic_l_op_agrees_with_finite_difference():
             analytic = tm.eval_l_op(model, [x], 1, 1)[0]
             fd = finite_difference_l_op(model, [x], 1, 1)[0]
             assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-9)
+
+
+def test_l_op_terms_equal_per_pair_finite_differences(fd_models):
+    for model in fd_models:
+        for scale in (0.3, 1.0, -2.5):
+            x = scale * model.initial_value + 0.1
+            terms = l_op_terms(model, x, sigma_matrix(model, x))
+            assert terms.shape == (model.m, model.m, model.d)
+            for j1 in range(1, model.m + 1):
+                for j2 in range(1, model.m + 1):
+                    assert np.array_equal(terms[j1 - 1, j2 - 1],
+                                          finite_difference_l_op(model, x, j1, j2))
+
+
+def test_l_op_terms_equal_analytic_l_op(fd_models):
+    # sigma_j = x_j^2 e_j gives L^{j1} sigma_{j2} = [j1 == j2] 2 x_j^3 e_j
+    def l_op(x, j1, j2):
+        out = np.zeros(2)
+        if j1 == j2:
+            out[j1 - 1] = 2.0 * x[j1 - 1] ** 3
+        return out
+    fd = fd_models[0]
+    analytic = replace(fd, l_op=l_op)
+    for x in (np.array([0.4, -1.3]), np.array([2.0, 0.7])):
+        sig = sigma_matrix(analytic, x)
+        terms = l_op_terms(analytic, x, sig)
+        for j1 in (1, 2):
+            for j2 in (1, 2):
+                assert np.array_equal(terms[j1 - 1, j2 - 1], tm.eval_l_op(analytic, x, j1, j2))
+        assert l_op_terms(fd, x, sig) == pytest.approx(terms, rel=1e-6, abs=1e-9)
 
 
 def test_scalar_l_op_batches():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import truncmil as tm
-from truncmil.truncation import truncated_coeffs
+from truncmil.brownian import coarsen, total_increment
+from truncmil.truncation import project, truncated_coeffs
 
 
 def _geometric_like_model():
@@ -199,3 +200,119 @@ def test_ensemble_rejects_vector_model(cubic_cfg):
         tm.simulate_scalar_ensemble(tm.SchemeId.truncated_em, model, cubic_cfg,
                                     np.zeros((2, 4)), 0.1, 1.0)
 
+
+
+def _reference_general_step(scheme, model, cfg, delta, y, dB):
+    # the general step with one eval_l_op call per driver pair, each
+    # re-evaluating sigma_{j1} and re-differencing sigma_{j2}
+    scheme = tm.SchemeId(scheme)
+    z = project(cfg, delta, y) if scheme.truncates else y
+    mu = np.broadcast_to(np.asarray(model.drift(z), dtype=float), (model.d,))
+    incr = mu * delta
+    for j in range(1, model.m + 1):
+        col = np.broadcast_to(np.asarray(model.diffusion_col(z, j), dtype=float), (model.d,))
+        incr = incr + col * dB[j - 1]
+    if scheme.has_milstein_term:
+        for j1 in range(1, model.m + 1):
+            for j2 in range(1, model.m + 1):
+                w = dB[j1 - 1] * dB[j2 - 1] - (delta if j1 == j2 else 0.0)
+                incr = incr + 0.5 * tm.eval_l_op(model, z, j1, j2) * w
+    return y + incr
+
+
+@pytest.mark.parametrize("scheme", ["truncated_milstein", "classical_milstein"])
+def test_general_path_matches_per_pair_reference_bitwise(cubic_cfg, fd_models, scheme):
+    for model in fd_models:
+        grid = tm.generate(2026, 3, model.m, 0.32, 64)
+        for factor in (1, 4):
+            g = coarsen(grid, factor)
+            delta = g.t_final / g.n_fine
+            ref = [model.initial_value]
+            for dB in g.increments:
+                ref.append(_reference_general_step(scheme, model, cubic_cfg, delta, ref[-1], dB))
+            traj = tm.simulate(scheme, model, cubic_cfg, grid, coarsen_factor=factor)
+            assert not traj.blew_up
+            assert np.array_equal(traj.states, np.array(ref))
+
+
+@pytest.mark.parametrize("scheme", list(tm.SchemeId))
+def test_general_step_coefficient_call_budget(wide_cfg, scheme):
+    calls = {"drift": 0, "diffusion": 0}
+
+    def drift(x):
+        calls["drift"] += 1
+        return -x
+
+    def diffusion_col(x, j):
+        calls["diffusion"] += 1
+        return np.array([x[0] * x[1], j * x[j - 1] ** 2])
+
+    model = tm.SdeModel(d=2, m=2, drift=drift, diffusion_col=diffusion_col,
+                        initial_value=np.array([0.3, -0.2]), polynomial_degree_r=2.0)
+    tm.step(scheme, model, wide_cfg, 0.01, [0.3, -0.2], [0.05, -0.01])
+    # m columns for the increment, plus 2 m d neighbours for the L-operator
+    assert calls == {"drift": 1,
+                     "diffusion": 2 + 2 * 2 * 2 if tm.SchemeId(scheme).has_milstein_term else 2}
+
+
+def _edge_model():
+    # x_1 climbs by exactly 0.125 per step of 0.125 and the diffusion is
+    # non-finite beyond x_1 = 1, so at x_1 = 1 the state is fine but the
+    # central-difference neighbour x + delta e_1 is not
+    def diffusion_col(x, j):
+        if x[0] > 1.0:
+            return np.full(2, np.inf)
+        return np.array([0.0, 0.1 * j * x[1]])
+    return tm.SdeModel(d=2, m=2, drift=lambda x: np.array([1.0, -x[1]]),
+                       diffusion_col=diffusion_col, initial_value=np.array([0.5, 0.5]),
+                       polynomial_degree_r=1.0)
+
+
+def test_non_finite_neighbour_raises_for_truncated_milstein(wide_cfg):
+    grid = tm.generate(0, 1, 2, 1.0, 8)     # step 0.125
+    with pytest.raises(tm.EvaluationError) as exc:
+        tm.simulate(tm.SchemeId.truncated_milstein, _edge_model(), wide_cfg, grid)
+    assert exc.value.x.shape == (2,)
+    assert exc.value.x[0] > 1.0
+
+
+def test_non_finite_neighbour_is_classical_blowup(wide_cfg):
+    grid = tm.generate(0, 1, 2, 1.0, 8)
+    traj = tm.simulate(tm.SchemeId.classical_milstein, _edge_model(), wide_cfg, grid)
+    assert traj.blew_up
+    assert np.all(np.isfinite(traj.states))
+    assert np.array_equal(traj.states[:, 0], [0.5, 0.625, 0.75, 0.875, 1.0])
+
+
+GBM_S = 0.8
+
+
+def _gbm_col(x, j):
+    col = np.zeros(2)
+    col[j - 1] = GBM_S * x[j - 1]
+    return col
+
+
+@pytest.mark.parametrize("scheme,window", [("truncated_milstein", (0.85, 1.15)),
+                                           ("classical_milstein", (0.85, 1.15)),
+                                           ("truncated_em", (0.35, 0.65)),
+                                           ("classical_em", (0.35, 0.65))])
+def test_strong_order_against_exact_gbm_solution(scheme, window):
+    # dX_i = -X_i dt + s X_i dB_i has X_T = x0 exp((-1 - s^2/2) T + s B_T);
+    # omega(u) = u with h = 100 delta^(-1/4) never projects, so the fitted
+    # slope is the scheme's own strong order on the finite-difference path
+    model = tm.SdeModel(d=2, m=2, drift=lambda x: -x, diffusion_col=_gbm_col,
+                        initial_value=np.array([1.0, 1.0]), polynomial_degree_r=0.0)
+    cfg = tm.TruncationConfig(1.0, 1.0, 100.0, 0.25, 100.0)
+    t_final, n_fine, factors = 1.28, 256, (1, 2, 4, 8, 16)
+    errors = np.zeros(len(factors))
+    for p in range(48):
+        grid = tm.generate(2026, p, 2, t_final, n_fine)
+        exact = model.initial_value * np.exp((-1.0 - GBM_S**2 / 2) * t_final
+                                             + GBM_S * total_increment(grid))
+        for i, f in enumerate(factors):
+            traj = tm.simulate(scheme, model, cfg, grid, coarsen_factor=f)
+            errors[i] += np.linalg.norm(traj.terminal - exact) / 48
+    deltas = t_final / n_fine * np.array(factors)
+    slope = np.polyfit(np.log(deltas), np.log(errors), 1)[0]
+    assert window[0] <= slope <= window[1]
