@@ -9,6 +9,9 @@ is a prefix of every longer grid of the same path up to the sqrt(dt) scale;
 step ladders draw the longest grid once and slice it.  Coarse grids are exact
 block sums of the fine increments, which is what lets strong-error
 experiments couple coarse and fine solutions on the same underlying path.
+Batches are step-major in memory: the draws of one step across all paths are
+contiguous, which is the row an ensemble step reads, and block sums keep that
+layout.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ def standard_normals(master_seed: int, path_indices, m: int, n: int) -> np.ndarr
     One Philox bit generator is reset to the key (master_seed mod 2^64,
     path_index) with a zero counter for each path, which is the stream a fresh
     Philox(key=...) produces, without the seed-sequence set-up it would
-    discard.
+    discard.  The result is a transposed view of step-major (n, n_paths, m)
+    memory, so `z[:, k]`, the draws of step k across paths, is contiguous.
     """
     if n < 1:
         raise ValueError("n_fine must be >= 1")
@@ -52,28 +56,29 @@ def standard_normals(master_seed: int, path_indices, m: int, n: int) -> np.ndarr
     if any(p < 0 for p in paths):
         raise ValueError("path_index must be nonnegative")
     draws = n * m
-    z = np.empty((len(paths), n, m))
-    flat = z.reshape(len(paths), draws)
+    z = np.empty((n, len(paths), m))
     bitgen = np.random.Philox(key=0)
     state = bitgen.state            # zero counter, empty buffer; the setter copies it
     key = state["state"]["key"]
     key[0] = master_seed & (2**64 - 1)
     per_block = max(1, _BLOCK_DRAWS // draws)
+    raw = np.empty((min(per_block, len(paths)), draws), dtype=np.uint64)
+    scratch = np.empty(raw.shape)
     for lo in range(0, len(paths), per_block):
         block = paths[lo:lo + per_block]
-        raw = np.empty((len(block), draws), dtype=np.uint64)
-        for row, p in zip(raw, block):
+        bits, u = raw[:len(block)], scratch[:len(block)]
+        for row, p in zip(bits, block):
             key[1] = p
             bitgen.state = state
             row[:] = bitgen.random_raw(draws)
         # map to the open interval (0, 1) with a fixed 53-bit mantissa
-        raw >>= np.uint64(11)
-        u = flat[lo:lo + len(block)]
-        u[:] = raw
+        bits >>= np.uint64(11)
+        u[:] = bits
         u += 0.5
         u *= 2.0**-53
         ndtri(u, out=u)
-    return z
+        z[:, lo:lo + len(block)] = u.reshape(len(block), n, m).transpose(1, 0, 2)
+    return z.transpose(1, 0, 2)
 
 
 def _step(t_final: float, n_fine: int) -> float:
@@ -111,7 +116,7 @@ def block_sums(x: np.ndarray, factor: int, axis: int = 0) -> np.ndarray:
     while f % 2 == 0:
         out = out[0::2] + out[1::2]
         f //= 2
-    acc = out[0].copy()
+    acc = out[0].copy(order="K")     # keeps a step-major input step-major
     for i in range(1, f):
         acc += out[i]
     return acc

@@ -7,9 +7,10 @@ one fine increment grid).  The fitted slope is reported on the L^{2q}-norm
 scale, i.e. the slope of log(e_i^(1/2q)) against log(step), so an order-one
 scheme reads as slope one regardless of the moment exponent.
 
-Path-level work is chunked and merged in path-index order; per-path results
-depend only on the (seed, path) stream, so output is identical for any worker
-count or chunking.
+Path-level work is split into contiguous chunks of paths, as few as a fixed
+per-chunk byte budget allows and a multiple of the worker count, and merged in
+path-index order; per-path results depend only on the (seed, path) stream, so
+output is identical for any worker count or chunking.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .model import KFunction, SdeModel, resolve_model
 from .scheme import SchemeId, _scalar_step, simulate, simulate_scalar_ensemble
 from .truncation import TruncationConfig, dominant_rate, old_condition_threshold
 
-_CHUNK = 256
+# bytes of per-path arrays one chunk may hold; only chunks of a single path exceed it
+_CHUNK_BYTES = 8 << 20
 
 
 # bench/tracing.py wraps this name too; a partial, not an alias, so block sums count once
@@ -184,8 +186,28 @@ def _chunk_map(fn, arg_tuples: Sequence[tuple], pool) -> list:
     return list(pool.map(fn, *zip(*arg_tuples)))
 
 
-def _path_error_samples(spec: RateExperimentSpec, lo: int, hi: int, pool) -> np.ndarray:
-    args = [(spec, a, min(a + _CHUNK, hi)) for a in range(lo, hi, _CHUNK)]
+def _chunk_bounds(lo: int, hi: int, n_workers: int, bytes_per_path: int) -> list:
+    """Split the paths [lo, hi) into contiguous (a, b) chunks, in path order.
+
+    Their number is the least multiple of `n_workers` that keeps every chunk
+    within `_CHUNK_BYTES`, so each worker gets an equal share, capped at one
+    path per chunk.  The cap binds only with fewer paths than workers or when
+    one path fills more than half the budget.
+    """
+    n = hi - lo
+    workers = max(1, n_workers)
+    width = max(1, _CHUNK_BYTES // max(1, bytes_per_path))
+    k = -(-n // width)                          # fewest chunks within the budget
+    k = min(-(-k // workers) * workers, n)      # a multiple of the workers
+    return [(lo + i * n // k, lo + (i + 1) * n // k) for i in range(k)]
+
+
+def _path_error_samples(spec: RateExperimentSpec, lo: int, hi: int, pool,
+                        n_workers: int) -> np.ndarray:
+    # the fine increments, plus the reference states recorded for the sup error
+    n = spec.n_fine
+    per_path = 8 * (n + (n + 1 if spec.error_at == "sup" else 0))
+    args = [(spec, a, b) for a, b in _chunk_bounds(lo, hi, n_workers, per_path)]
     return np.vstack(_chunk_map(_rate_chunk, args, pool))
 
 
@@ -205,14 +227,14 @@ def run_rate_experiment(spec: RateExperimentSpec, n_workers: int = 1,
     n = spec.n_paths
     cap = (max_paths or 16 * n) if target_rel_se is not None else n
     with _worker_pool(n_workers) as pool:
-        samples = _path_error_samples(spec, 0, n, pool)
+        samples = _path_error_samples(spec, 0, n, pool, n_workers)
         while True:
             errors = samples.mean(axis=0)
             ses = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
             if n >= cap or np.all(ses <= target_rel_se * errors):
                 break
             grow = min(n, cap - n)
-            samples = np.vstack([samples, _path_error_samples(spec, n, n + grow, pool)])
+            samples = np.vstack([samples, _path_error_samples(spec, n, n + grow, pool, n_workers)])
             n += grow
     return fit_rate(spec.test_deltas, errors, spec.q, standard_errors=ses, n_paths=n)
 
@@ -380,8 +402,10 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
     if constants is not None and delta > constants.delta_1:
         warnings.warn(f"step size {delta} exceeds the computed stability ceiling "
                       f"{constants.delta_1:.6g}; decay is not guaranteed", stacklevel=2)
-    args = [(model.name, cfg, delta, horizon_steps, tol_stab, master_seed, lo,
-             min(lo + _CHUNK, n_paths), record_paths) for lo in range(0, n_paths, _CHUNK)]
+    # the increments, the recorded states and their magnitudes
+    per_path = 8 * (horizon_steps + 2 * (horizon_steps + 1))
+    args = [(model.name, cfg, delta, horizon_steps, tol_stab, master_seed, lo, hi, record_paths)
+            for lo, hi in _chunk_bounds(0, n_paths, n_workers, per_path)]
     with _worker_pool(n_workers) as pool:
         parts = _chunk_map(_stability_chunk, args, pool)
     flags = np.concatenate([p[0] for p in parts])

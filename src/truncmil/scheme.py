@@ -8,7 +8,10 @@ and for commutative noise; Levy areas are not sampled.
 
 Scalar models get a vectorised fast path that steps whole ensembles
 elementwise; it performs the identical floating-point operations as the
-per-path driver, so the two agree bit for bit.
+per-path driver, so the two agree bit for bit.  It works in place on
+preallocated buffers, reads one contiguous row of step-major increments per
+step, and does blow-up bookkeeping only after a step that produced a
+non-finite value.
 """
 
 from __future__ import annotations
@@ -155,14 +158,21 @@ def simulate_scalar_ensemble(scheme: SchemeId, model: SdeModel, cfg,
                              record: bool = False) -> EnsembleResult:
     """Step all paths of a scalar model at once.
 
-    `increments` has shape (n_paths, n_steps).  Performs the same elementwise
-    operations as per-path `simulate`, so results match it bit-exactly.
+    `increments` has shape (n_paths, n_steps); step-major memory, where
+    `increments[:, k]` is contiguous, is the fast layout.  Each step performs
+    `_scalar_step`'s elementwise operations in the same order, in place on
+    preallocated buffers, so results match per-path `simulate` bit-exactly.
+    A path that goes non-finite is marked dead at that step and restarted
+    from 0; its later values are never reported.
     """
     scheme = SchemeId(scheme)
     if not model.is_scalar:
         raise ValueError("ensemble fast path requires a scalar model")
     n_paths, n_steps = increments.shape
+    milstein = scheme.has_milstein_term
     y = np.full(n_paths, float(x0))
+    yn, incr, term = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
+    w = np.empty(n_paths) if milstein else None
     alive = np.ones(n_paths, dtype=bool)
     blowup_step = np.full(n_paths, -1, dtype=np.int64)
     states = np.empty((n_paths, n_steps + 1)) if record else None
@@ -170,13 +180,30 @@ def simulate_scalar_ensemble(scheme: SchemeId, model: SdeModel, cfg,
         states[:, 0] = y
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            yn = _scalar_step(scheme, model, cfg, delta, y, increments[:, k])
-            bad = alive & ~np.isfinite(yn)
-            blowup_step[bad] = k
-            alive &= ~bad
-            y = np.where(alive, yn, 0.0)
+            dB = increments[:, k]
+            z = project_scalar_batch(cfg, delta, y) if scheme.truncates else y
+            np.multiply(np.asarray(model.drift(z), dtype=float), delta, out=incr)
+            np.multiply(np.asarray(model.diffusion_col(z, 1), dtype=float), dB, out=term)
+            np.add(incr, term, out=incr)
+            if milstein:
+                np.multiply(0.5, scalar_l_op(model, z), out=term)
+                np.multiply(dB, dB, out=w)
+                np.subtract(w, delta, out=w)
+                np.multiply(term, w, out=term)
+                np.add(incr, term, out=incr)
+            np.add(y, incr, out=yn)
+            # a finite sum means every entry is finite
+            if not np.isfinite(np.add.reduce(yn)):
+                bad = alive & ~np.isfinite(yn)
+                blowup_step[bad] = k
+                alive &= ~bad
+                yn[~alive] = 0.0
+            y, yn = yn, y
             if record:
-                states[:, k + 1] = np.where(alive, yn, np.nan)
+                states[:, k + 1] = y
+    if record and not alive.all():
+        dead = np.flatnonzero(~alive)
+        after = np.arange(n_steps + 1) > blowup_step[dead, None]
+        states[dead] = np.where(after, np.nan, states[dead])
     finals = np.where(alive, y, np.nan)
     return EnsembleResult(finals=finals, alive=alive, blowup_step=blowup_step, states=states)
-

@@ -9,6 +9,7 @@ threshold be solved in log space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,8 +58,9 @@ class TruncationConfig:
     def h(self, delta: float) -> float:
         return self.h_coeff * delta ** (-self.h_power)
 
+    @functools.lru_cache(maxsize=256)      # bounded: entries keep their configs alive
     def radius(self, delta: float) -> float:
-        """Truncation radius omega^{-1}(h(delta))."""
+        """Truncation radius omega^{-1}(h(delta)), computed once per (cfg, delta)."""
         _check_delta(delta)
         return float(self.omega_inv(self.h(delta)))
 
@@ -89,9 +91,9 @@ def project(cfg, delta: float, x) -> np.ndarray:
 
 
 def project_scalar_batch(cfg, delta: float, y: np.ndarray) -> np.ndarray:
-    """Elementwise projection for batches of scalar states."""
+    """Elementwise projection for batches of scalar states (clamping to [-r, r])."""
     r = cfg.radius(delta)
-    return np.where(np.abs(y) <= r, y, np.copysign(r, y))
+    return np.minimum(np.maximum(y, -r), r)
 
 
 @dataclass(frozen=True)

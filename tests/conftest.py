@@ -1,10 +1,16 @@
 """Shared fixtures: the truncation configurations used by the builtin models
-and vector models that take the finite-difference L-operator."""
+and vector models that take the finite-difference L-operator.  Property tests
+run under a derandomised hypothesis profile, so every run draws the same
+examples."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import truncmil as tm
+
+settings.register_profile("truncmil", derandomize=True, deadline=None, database=None)
+settings.load_profile("truncmil")
 
 # (omega_coeff, omega_power, h_coeff, h_power, h_bar) per builtin model
 BUILTIN_CONFIGS = {

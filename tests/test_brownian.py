@@ -182,3 +182,16 @@ def test_generate_batch_validation():
         generate_batch(1, [0], 1, 1.0, 0)
     with pytest.raises(ValueError):
         generate_batch(1, [0], 1, -1.0, 8)
+
+
+def test_standard_normals_are_step_major():
+    # each step's draws across paths are one contiguous row of memory
+    z = standard_normals(5, range(7), 2, 40)
+    assert z.shape == (7, 40, 2)
+    assert all(z[:, k, :].flags.c_contiguous for k in range(40))
+    inc = generate_batch(5, range(7), 1, 1.0, 48)[:, :, 0]
+    assert all(inc[:, k].flags.c_contiguous for k in range(48))
+    for factor in (1, 2, 3, 4, 6, 16, 48):
+        got = block_sums(inc, factor, axis=1)
+        assert np.array_equal(got, block_sums(np.ascontiguousarray(inc), factor, axis=1))
+        assert all(got[:, k].flags.c_contiguous for k in range(48 // factor))

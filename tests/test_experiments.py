@@ -2,14 +2,19 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import truncmil as tm
 from conftest import config_for
+from truncmil import experiments
 from truncmil.brownian import block_sums, generate_batch
-from truncmil.experiments import RateExperimentSpec, _directions, _golden_max
+from truncmil.experiments import (RateExperimentSpec, _chunk_bounds, _directions,
+                                  _golden_max, _path_error_samples)
 from truncmil.model import register_model
 from truncmil.scheme import _scalar_step
 
@@ -119,6 +124,62 @@ def test_reference_blowup_aborts(cubic_cfg):
         master_seed=0)
     with pytest.raises(RuntimeError, match="blew up"):
         tm.run_rate_experiment(spec)
+
+
+@given(lo=st.integers(0, 10**6), n=st.integers(1, 5000), n_workers=st.integers(1, 8),
+       bytes_per_path=st.integers(1, 1 << 25))
+def test_chunk_bounds_cover_paths_within_budget(lo, n, n_workers, bytes_per_path):
+    budget = experiments._CHUNK_BYTES
+    chunks = _chunk_bounds(lo, lo + n, n_workers, bytes_per_path)
+    # [lo, hi) in order, no gap, no empty chunk
+    assert chunks[0][0] == lo and chunks[-1][1] == lo + n
+    assert all(a < b for a, b in chunks)
+    assert all(b == c for (_, b), (c, _) in zip(chunks, chunks[1:]))
+    assert all((b - a) * bytes_per_path <= budget for a, b in chunks if b - a > 1)
+    if n >= n_workers and 2 * bytes_per_path <= budget:
+        assert len(chunks) % n_workers == 0
+    if len(chunks) > n_workers:
+        # one round fewer would overflow the budget
+        assert -(-n // (len(chunks) - n_workers)) * bytes_per_path > budget
+
+
+def _small_rate_spec(error_at):
+    return RateExperimentSpec(
+        model_name="cubic_quintic", cfg=config_for("cubic_quintic"),
+        scheme="truncated_milstein", q=1.0, t_final=0.16, delta_ref=0.005,
+        test_deltas=(0.01, 0.02, 0.04), n_paths=24, master_seed=11, error_at=error_at)
+
+
+@settings(max_examples=25)
+@given(budget=st.integers(1, 3000), n_workers=st.integers(1, 5), lo=st.integers(0, 20),
+       n=st.integers(1, 30), error_at=st.sampled_from(["terminal", "sup"]))
+def test_rate_samples_independent_of_chunking(budget, n_workers, lo, n, error_at):
+    spec = _small_rate_spec(error_at)
+    whole = _path_error_samples(spec, lo, lo + n, None, 1)
+    with mock.patch.object(experiments, "_CHUNK_BYTES", budget):
+        chunked = _path_error_samples(spec, lo, lo + n, None, n_workers)
+    assert np.array_equal(chunked, whole)
+
+
+def _chunked_results(quintic_cfg, n_workers):
+    fits = [tm.run_rate_experiment(_small_rate_spec(e), n_workers=n_workers)
+            for e in ("terminal", "sup")]
+    stab = tm.run_stability_ensemble(tm.builtin_model("stable_quintic"), quintic_cfg,
+                                     delta=0.04, n_paths=30, horizon_steps=60, tol_stab=1e-2,
+                                     master_seed=5, n_workers=n_workers, record_paths=12)
+    return ([f.errors for f in fits] + [f.standard_errors for f in fits]
+            + [stab.decay_flags, stab.recorded_magnitudes])
+
+
+# a budget of one byte puts every path in a chunk of its own
+@pytest.mark.parametrize("n_workers,budget", [(1, 1), (2, 1), (2, None)])
+def test_results_bitwise_equal_across_budgets_and_workers(monkeypatch, quintic_cfg,
+                                                          n_workers, budget):
+    reference = _chunked_results(quintic_cfg, 1)
+    if budget is not None:
+        monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
+    for want, got in zip(reference, _chunked_results(quintic_cfg, n_workers)):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

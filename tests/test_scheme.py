@@ -5,6 +5,7 @@ import pytest
 
 import truncmil as tm
 from truncmil.brownian import coarsen, total_increment
+from truncmil.model import scalar_l_op
 from truncmil.truncation import project, truncated_coeffs
 
 
@@ -177,6 +178,83 @@ def test_ensemble_matches_per_path_bitwise(cubic_cfg):
         traj = tm.simulate(tm.SchemeId.truncated_milstein, model, cubic_cfg, grid)
         assert res.finals[p] == traj.terminal[0]
         assert np.array_equal(res.states[p], traj.states[:, 0])
+
+
+def _reference_scalar_step(scheme, model, cfg, delta, y, dB):
+    # one fresh array per operation, projecting with where/copysign
+    if scheme.truncates:
+        r = cfg.radius(delta)
+        z = np.where(np.abs(y) <= r, y, np.copysign(r, y))
+    else:
+        z = y
+    mu = np.asarray(model.drift(z), dtype=float)
+    sig = np.asarray(model.diffusion_col(z, 1), dtype=float)
+    incr = mu * delta + sig * dB
+    if scheme.has_milstein_term:
+        incr = incr + 0.5 * scalar_l_op(model, z) * (dB * dB - delta)
+    return y + incr
+
+
+def _reference_ensemble(scheme, model, cfg, increments, delta, x0):
+    # blow-up bookkeeping on every step; dead paths restart from 0 each step
+    scheme = tm.SchemeId(scheme)
+    n_paths, n_steps = increments.shape
+    y = np.full(n_paths, float(x0))
+    alive = np.ones(n_paths, dtype=bool)
+    blowup_step = np.full(n_paths, -1, dtype=np.int64)
+    states = np.empty((n_paths, n_steps + 1))
+    states[:, 0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            yn = _reference_scalar_step(scheme, model, cfg, delta, y, increments[:, k])
+            bad = alive & ~np.isfinite(yn)
+            blowup_step[bad] = k
+            alive &= ~bad
+            y = np.where(alive, yn, 0.0)
+            states[:, k + 1] = np.where(alive, yn, np.nan)
+    return np.where(alive, y, np.nan), alive, blowup_step, states
+
+
+def _assert_matches_reference(res, ref, record):
+    finals, alive, blowup_step, states = ref
+    assert np.array_equal(res.finals, finals, equal_nan=True)
+    assert np.array_equal(res.alive, alive)
+    assert np.array_equal(res.blowup_step, blowup_step)
+    if record:
+        assert np.array_equal(res.states, states, equal_nan=True)
+    else:
+        assert res.states is None
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("scheme", list(tm.SchemeId))
+def test_ensemble_matches_reference_loop_bitwise(cubic_cfg, scheme, record):
+    model = tm.builtin_model("cubic_quintic")
+    from truncmil.brownian import generate_batch
+    inc = generate_batch(6, range(40), 1, 1.0, 64)[:, :, 0]
+    ref = _reference_ensemble(scheme, model, cubic_cfg, inc, 1.0 / 64, 1.0)
+    # step-major increments, as drawn, and a path-major copy
+    for layout in (inc, np.ascontiguousarray(inc)):
+        res = tm.simulate_scalar_ensemble(scheme, model, cubic_cfg, layout, 1.0 / 64, 1.0,
+                                          record=record)
+        _assert_matches_reference(res, ref, record)
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("scheme,x0", [("classical_em", 2.0), ("classical_em", 0.8),
+                                       ("classical_milstein", 1.0)])
+def test_ensemble_blowup_matches_reference_loop_bitwise(cubic_cfg, scheme, x0, record):
+    # step 0.25: every path dies at step 4 from x0 = 2; from smaller x0 some
+    # paths die, at different steps, and the others survive
+    model = tm.builtin_model("cubic_quintic")
+    from truncmil.brownian import generate_batch
+    inc = generate_batch(0, range(64), 1, 8.0, 32)[:, :, 0]
+    ref = _reference_ensemble(scheme, model, cubic_cfg, inc, 0.25, x0)
+    dead = ~ref[1]
+    assert np.any(dead) and np.all(ref[2][dead] > 0)
+    assert x0 == 2.0 or (np.any(~dead) and len(np.unique(ref[2][dead])) > 1)
+    res = tm.simulate_scalar_ensemble(scheme, model, cubic_cfg, inc, 0.25, x0, record=record)
+    _assert_matches_reference(res, ref, record)
 
 
 def test_ensemble_blowup_bookkeeping(cubic_cfg):

@@ -39,6 +39,31 @@ def test_radius_rejects_bad_delta(cubic_cfg):
         cubic_cfg.radius(1.5)
 
 
+def test_radius_computed_once_per_step_size(monkeypatch):
+    cfg = tm.TruncationConfig(3.0, 3.0, 2.0, 0.2, 2.0)    # used by no other test
+    calls = []
+    omega_inv = tm.TruncationConfig.omega_inv
+
+    def counted(self, v):
+        calls.append(v)
+        return omega_inv(self, v)
+
+    monkeypatch.setattr(tm.TruncationConfig, "omega_inv", counted)
+    tm.TruncationConfig.radius.cache_clear()
+    grid = tm.generate(2, 0, 2, 0.5, 64)
+    for factor in (1, 1, 4):
+        tm.simulate(tm.SchemeId.truncated_em, _two_state_model(), cfg, grid, coarsen_factor=factor)
+    assert len(calls) == 2      # one per step size, not one per step
+    assert cfg.radius(0.5 / 64) == (2.0 * (0.5 / 64) ** -0.2 / 3.0) ** (1.0 / 3.0)
+    with pytest.raises(ValueError):
+        cfg.radius(2.0)
+
+
+def _two_state_model():
+    return tm.SdeModel(d=2, m=2, drift=lambda x: -x, diffusion_col=lambda x, j: 0.1 * x,
+                       initial_value=np.array([0.5, -0.5]), polynomial_degree_r=0.0)
+
+
 def test_omega_inverse_roundtrip(cubic_cfg):
     for v in [0.5, 1.0, 7.0, 4e3, 1e9]:
         assert cubic_cfg.omega(cubic_cfg.omega_inv(v)) == pytest.approx(v, rel=1e-12)
