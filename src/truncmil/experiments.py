@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import brownian
-from .model import KFunction, SdeModel, resolve_model
-from .scheme import SchemeId, _scalar_step, simulate, simulate_scalar_ensemble
+from .model import KFunction, SdeModel, resolve_model, row_norm
+from .scheme import SchemeId, _scalar_step, _simulate_batch, simulate_scalar_ensemble
 from .truncation import TruncationConfig, dominant_rate, old_condition_threshold
 
 # bytes of per-path arrays one chunk may hold; only chunks of a single path exceed it
@@ -128,47 +128,65 @@ def fit_rate(deltas: Sequence[float], errors: Sequence[float], q: float,
                    q=q, n_paths=n_paths)
 
 
+def _is_pow2(k: int) -> bool:
+    return k & (k - 1) == 0
+
+
+def _rung_increments(inc: np.ndarray, factors: Sequence[int]):
+    """Yield (i, f, inc coarsened by f) for each factor, the smallest first.
+
+    A rung is summed from the previous one where that rung's factor and this
+    one are both powers of two, since block sums compose bit-exactly only by
+    repeated halving; any other rung is summed from the fine grid.
+    """
+    prev_f, prev = 1, inc
+    for i in sorted(range(len(factors)), key=lambda i: factors[i]):
+        f = factors[i]
+        if _is_pow2(prev_f) and _is_pow2(f):
+            prev = brownian.block_sums(prev, f // prev_f, axis=1)
+        else:
+            prev = brownian.block_sums(inc, f, axis=1)
+        prev_f = f
+        yield i, f, prev
+
+
 def _rate_chunk(spec: RateExperimentSpec, lo: int, hi: int) -> np.ndarray:
     """Per-path error samples |diff|^{2q}, shape (hi-lo, n_test_deltas)."""
     model = resolve_model(spec.model_name)
-    n_fine = spec.n_fine
-    factors = spec.factors
-    x0 = float(model.initial_value[0]) if model.is_scalar else None
+    sup = spec.error_at == "sup"
+    inc = brownian.generate_batch(spec.master_seed, range(lo, hi), model.m,
+                                  spec.t_final, spec.n_fine)
     if model.is_scalar:
-        inc = brownian.generate_batch(spec.master_seed, range(lo, hi), 1,
-                                      spec.t_final, n_fine)[:, :, 0]
-        record = spec.error_at == "sup"
-        ref = simulate_scalar_ensemble(spec.scheme, model, spec.cfg, inc,
-                                       spec.delta_ref, x0, record=record)
-        if not np.all(ref.alive):
-            raise RuntimeError("reference path blew up; the truncated schemes should "
-                               "never blow up, so this indicates a bug or a classical "
-                               "scheme used as reference")
-        out = np.empty((hi - lo, len(factors)))
-        for i, f in enumerate(factors):
-            cinc = brownian.block_sums(inc, f, axis=1)
-            run = simulate_scalar_ensemble(spec.scheme, model, spec.cfg, cinc,
-                                           spec.delta_ref * f, x0, record=record)
-            if spec.error_at == "terminal":
-                diff = np.abs(ref.finals - run.finals)
-            else:
-                diff = np.max(np.abs(ref.states[:, ::f] - run.states), axis=1)
-            out[:, i] = diff ** (2.0 * spec.q)
-        return out
-    # general-dimension fallback: per-path simulate
-    out = np.empty((hi - lo, len(factors)))
-    for row, pidx in enumerate(range(lo, hi)):
-        grid = brownian.generate(spec.master_seed, pidx, model.m, spec.t_final, n_fine)
-        ref = simulate(spec.scheme, model, spec.cfg, grid)
-        if ref.blew_up:
-            raise RuntimeError("reference path blew up")
-        for i, f in enumerate(factors):
-            run = simulate(spec.scheme, model, spec.cfg, grid, coarsen_factor=f)
-            if spec.error_at == "terminal":
-                diff = np.linalg.norm(ref.terminal - run.terminal)
-            else:
-                diff = np.max(np.linalg.norm(ref.states[::f] - run.states, axis=1))
-            out[row, i] = diff ** (2.0 * spec.q)
+        inc = inc[:, :, 0]
+        x0 = float(model.initial_value[0])
+
+        def run(increments, delta):
+            return simulate_scalar_ensemble(spec.scheme, model, spec.cfg, increments,
+                                            delta, x0, record=sup)
+    else:
+        def run(increments, delta):
+            return _simulate_batch(spec.scheme, model, spec.cfg, increments, delta,
+                                   record=sup)
+    ref = run(inc, spec.delta_ref)
+    if not np.all(ref.alive):
+        raise RuntimeError("reference path blew up; the truncated schemes should "
+                           "never blow up, so this indicates a bug or a classical "
+                           "scheme used as reference")
+    p = 2.0 * spec.q
+    out = np.empty((hi - lo, len(spec.factors)))
+    for i, f, cinc in _rung_increments(inc, spec.factors):
+        res = run(cinc, spec.delta_ref * f)
+        diff = ref.states[:, ::f] - res.states if sup else ref.finals - res.finals
+        if model.is_scalar:
+            err = np.abs(diff)
+            out[:, i] = (np.max(err, axis=1) if sup else err) ** p
+        else:
+            # each path's error as its one-path trajectories give it: the same
+            # norms (np.linalg.norm along an axis sums squares, unlike row_norm)
+            # and a float power per sample (numpy's array power can differ in the
+            # last bit)
+            err = np.max(np.linalg.norm(diff, axis=-1), axis=1) if sup else row_norm(diff)
+            out[:, i] = [e ** p for e in err.tolist()]
     return out
 
 
@@ -205,8 +223,8 @@ def _chunk_bounds(lo: int, hi: int, n_workers: int, bytes_per_path: int) -> list
 def _path_error_samples(spec: RateExperimentSpec, lo: int, hi: int, pool,
                         n_workers: int) -> np.ndarray:
     # the fine increments, plus the reference states recorded for the sup error
-    n = spec.n_fine
-    per_path = 8 * (n + (n + 1 if spec.error_at == "sup" else 0))
+    n, model = spec.n_fine, resolve_model(spec.model_name)
+    per_path = 8 * (n * model.m + ((n + 1) * model.d if spec.error_at == "sup" else 0))
     args = [(spec, a, b) for a, b in _chunk_bounds(lo, hi, n_workers, per_path)]
     return np.vstack(_chunk_map(_rate_chunk, args, pool))
 
@@ -478,7 +496,8 @@ def interpolant_gap_probe(model: SdeModel, cfg, deltas: Sequence[float],
         knots = res.states[:, :n]
         half = inc[:, 0::2]
         stepped = _scalar_step(SchemeId.truncated_milstein, model, cfg, delta / 2.0, knots, half)
-        gaps[idx] = float(np.mean((stepped - knots) ** 2))
+        # reduced in path-major order, whatever the layouts of states and increments
+        gaps[idx] = float(np.mean(((stepped - knots) ** 2).ravel(order="C")))
     h2 = np.array([cfg.h(d) ** 2 for d in deltas])
     scaled = gaps / h2
     x = np.log2(deltas)

@@ -19,11 +19,16 @@ import numpy as np
 
 
 class EvaluationError(RuntimeError):
-    """A coefficient function returned a non-finite value."""
+    """A coefficient function returned a non-finite value.
 
-    def __init__(self, message: str, x) -> None:
+    ``x`` is the offending point; for a batch of points, ``rows`` lists every
+    row that failed and ``x`` belongs to the first of them.
+    """
+
+    def __init__(self, message: str, x, rows=None) -> None:
         super().__init__(f"{message} at x={np.asarray(x)!r}")
         self.x = np.asarray(x, dtype=float)
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,29 @@ def sigma_matrix(model: SdeModel, x) -> np.ndarray:
     return _finite(np.column_stack(cols), "diffusion", x)
 
 
-def _fd_step(x: np.ndarray) -> float:
-    return max(1e-6, 1e-6 * float(np.linalg.norm(x)))
+def row_norm(x) -> np.ndarray:
+    """Euclidean norm over the last axis, one per row.
+
+    It reduces with the same BLAS dot as ``np.linalg.norm`` of a single row,
+    so each value equals that norm bit for bit (``np.einsum`` does not).
+    """
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _rows(fn: Callable, x: np.ndarray, out: np.ndarray, *args) -> np.ndarray:
+    """Write fn(point, *args) into out[i] for each row (point) x[i]; return out.
+
+    Coefficients take one (d,) point, so this is how a batch evaluates them.
+    """
+    for i, point in enumerate(x):
+        out[i] = fn(point, *args)
+    return out
+
+
+def _fd_step(x: np.ndarray) -> np.ndarray:
+    """Central-difference step max(1e-6, 1e-6 |x|) of each row of x."""
+    return np.fmax(1e-6, 1e-6 * row_norm(x))
 
 
 def finite_difference_l_op(model: SdeModel, x, j1: int, j2: int) -> np.ndarray:
@@ -131,33 +157,56 @@ def eval_l_op(model: SdeModel, x, j1: int, j2: int) -> np.ndarray:
 
 
 def l_op_terms(model: SdeModel, x, sig: np.ndarray) -> np.ndarray:
-    """L^{j1} sigma_{j2}(x) for every driver pair, shape (m, m, d), [j1-1, j2-1].
+    """L^{j1} sigma_{j2}(x) for every driver pair, shape (..., m, m, d), [..., j1-1, j2-1].
 
-    ``sig`` is the d x m diffusion matrix at x.  The finite-difference fallback
-    differences each column once per coordinate (2 m d diffusion calls) in
-    `finite_difference_l_op`'s operation order, so each slice equals its value.
+    ``x`` is one point (d,) or a batch of points (n, d), and ``sig`` the
+    diffusion matrices at them, (d, m) or (n, d, m).  The finite-difference
+    fallback differences each column once per coordinate (2 m d diffusion calls
+    per point) in `finite_difference_l_op`'s operation order, so each slice
+    equals its value.  One finiteness check, on the result, covers the
+    diffusion matrix and the neighbours too, since any non-finite input reaches
+    it.  The error lists the failing rows and names the first one's culprit:
+    the point itself, or its first neighbour whose diffusion is not finite.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     d, m = model.d, model.m
-    out = np.zeros((m, m, d))
+    pts = x.reshape(-1, d)
+    sig = np.asarray(sig, dtype=float).reshape(-1, d, m)
+    n = len(pts)
+    out = np.zeros((n, m, m, d))
     if model.l_op is not None:
         for j1, j2 in product(range(m), repeat=2):
-            out[j1, j2] = model.l_op(x, j1 + 1, j2 + 1)
-        return _finite(out, "L-operator", x)
-    sig = _finite(sig, "diffusion", x)
-    delta = _fd_step(x)
-    e = delta * np.eye(d)
-    pts = np.stack([x + e, x - e], axis=1)      # pts[l] = (x + delta e_l, x - delta e_l)
-    nb = np.empty((m, d, 2, d))
-    for j, l, s in product(range(m), range(d), range(2)):
-        nb[j, l, s] = model.diffusion_col(pts[l, s], j + 1)
-    bad = np.argwhere(~np.all(np.isfinite(nb), axis=-1))
-    if len(bad):
-        raise EvaluationError("non-finite diffusion", pts[bad[0, 1], bad[0, 2]])
-    diff = nb[:, :, 0] - nb[:, :, 1]
-    for l in range(d):
-        out += sig[l][:, None, None] * diff[:, l] / (2.0 * delta)
-    return _finite(out, "L-operator", x)
+            _rows(model.l_op, pts, out[:, j1, j2], j1 + 1, j2 + 1)
+    else:
+        delta = _fd_step(pts)
+        e = delta[:, None, None] * np.eye(d)
+        # nbrs[i, l] = (x_i + delta_i e_l, x_i - delta_i e_l)
+        nbrs = np.empty((n, d, 2, d))
+        np.add(pts[:, None], e, out=nbrs[:, :, 0])
+        np.subtract(pts[:, None], e, out=nbrs[:, :, 1])
+        nb = np.empty((m, n * d * 2, d))
+        for j in range(m):
+            _rows(model.diffusion_col, nbrs.reshape(-1, d), nb[j], j + 1)
+        nb = nb.reshape(m, n, d, 2, d)
+        half = (2.0 * delta)[:, None, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows fail below
+            diff = (nb[:, :, :, 0] - nb[:, :, :, 1]).transpose(1, 2, 0, 3)   # (n, l, j2, d)
+            for l in range(d):
+                out += sig[:, l, :, None, None] * diff[:, l, None] / half
+    bad = ~np.isfinite(out).all(axis=(1, 2, 3))
+    if bad.any():
+        rows = np.flatnonzero(bad)
+        i = rows[0]
+        what, at = "L-operator", pts[i]
+        if model.l_op is None:
+            if not np.all(np.isfinite(sig[i])):
+                what = "diffusion"
+            else:
+                nb_bad = np.argwhere(~np.all(np.isfinite(nb[:, i]), axis=-1))
+                if len(nb_bad):
+                    what, at = "diffusion", nbrs[i, nb_bad[0, 1], nb_bad[0, 2]]
+        raise EvaluationError(f"non-finite {what}", at, rows=rows)
+    return out[0] if x.ndim <= 1 else out
 
 
 def scalar_l_op(model: SdeModel, z: np.ndarray) -> np.ndarray:

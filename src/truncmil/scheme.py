@@ -6,6 +6,13 @@ the identity.  Iterated Ito integrals are replaced by the product correction
 (dB^{j1} dB^{j2} - delta_{j1 j2} * step)/2, which is exact for a single driver
 and for commutative noise; Levy areas are not sampled.
 
+The general step advances an (n_paths, d) batch of states with (n_paths, m)
+increments at once.  Each row gets the per-point operations in the per-point
+order, so a row's result does not depend on the batch it is stepped in; only
+the coefficient callables, which take one (d,) point, are called row by row.
+One batched driver does the blow-up bookkeeping, and `simulate` is its
+one-path view.
+
 Scalar models get a vectorised fast path that steps whole ensembles
 elementwise; it performs the identical floating-point operations as the
 per-path driver, so the two agree bit for bit.  It works in place on
@@ -18,12 +25,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from .brownian import BrownianGrid, coarsen
-from .model import EvaluationError, SdeModel, l_op_terms, scalar_l_op
+from .model import EvaluationError, SdeModel, _rows, l_op_terms, scalar_l_op
 from .truncation import _check_delta, project, project_scalar_batch
 
 
@@ -75,19 +83,31 @@ def _scalar_step(scheme: SchemeId, model: SdeModel, cfg, delta: float,
 
 def _general_step(scheme: SchemeId, model: SdeModel, cfg, delta: float,
                   y: np.ndarray, dB: np.ndarray) -> np.ndarray:
+    """One step for an (n_paths, d) batch of states y with (n_paths, m) increments dB.
+
+    Under a classical scheme a row whose L-operator is not finite comes back
+    non-finite, a blow-up; a truncated scheme raises `EvaluationError`.
+    """
     z = project(cfg, delta, y) if scheme.truncates else y
-    mu = np.broadcast_to(np.asarray(model.drift(z), dtype=float), (model.d,))
-    incr = mu * delta
-    sig = np.empty((model.d, model.m))
+    incr = _rows(model.drift, z, np.empty(z.shape)) * delta
+    sig = np.empty(z.shape + (model.m,))
     for j in range(model.m):
-        sig[:, j] = model.diffusion_col(z, j + 1)
-        incr = incr + sig[:, j] * dB[j]
+        incr = incr + _rows(model.diffusion_col, z, sig[:, :, j], j + 1) * dB[:, j, None]
     if scheme.has_milstein_term:
-        l_terms = l_op_terms(model, z, sig)
-        for j1 in range(model.m):
-            for j2 in range(model.m):
-                w = dB[j1] * dB[j2] - (delta if j1 == j2 else 0.0)
-                incr = incr + 0.5 * l_terms[j1, j2] * w
+        try:
+            l_terms = l_op_terms(model, z, sig)
+        except EvaluationError as exc:
+            if scheme.truncates or exc.rows is None:
+                raise
+            # a classical blow-up of the failing rows; the others step on
+            ok = np.ones(len(z), dtype=bool)
+            ok[exc.rows] = False
+            l_terms = np.full((len(z), model.m, model.m, model.d), np.nan)
+            if ok.any():
+                l_terms[ok] = l_op_terms(model, z[ok], sig[ok])
+        for j1, j2 in product(range(model.m), repeat=2):
+            w = dB[:, j1] * dB[:, j2] - (delta if j1 == j2 else 0.0)
+            incr = incr + 0.5 * l_terms[:, j1, j2] * w[:, None]
     return y + incr
 
 
@@ -105,7 +125,7 @@ def step(scheme: SchemeId, model: SdeModel, cfg, delta: float, y, dB) -> np.ndar
         raise ValueError(f"need {model.m} Brownian increments, got shape {dB.shape}")
     if model.is_scalar:
         return _scalar_step(scheme, model, cfg, delta, y, dB)
-    return _general_step(scheme, model, cfg, delta, y, dB)
+    return _general_step(scheme, model, cfg, delta, y[None], dB[None])[0]
 
 
 def simulate(scheme: SchemeId, model: SdeModel, cfg, grid: BrownianGrid,
@@ -116,41 +136,63 @@ def simulate(scheme: SchemeId, model: SdeModel, cfg, grid: BrownianGrid,
     delta = g.t_final / g.n_fine
     if delta > 1:
         raise ValueError(f"coarsened step size {delta} exceeds 1")
-    states = np.empty((g.n_fine + 1, model.d))
-    states[0] = model.initial_value
-    y = model.initial_value.copy()
-    blew_up = False
-    k_last = g.n_fine
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(g.n_fine):
-            try:
-                y = step(scheme, model, cfg, delta, y, g.increments[k])
-            except EvaluationError:
-                if scheme.truncates:    # classical ones may overflow a coefficient first
-                    raise
-                y = np.full(model.d, np.nan)
-            if not np.all(np.isfinite(y)):
-                blew_up = True
-                k_last = k
-                break
-            states[k + 1] = y
-    states = states[: k_last + 1]
-    times = np.arange(k_last + 1) * delta
-    return Trajectory(times=times, states=states, scheme=scheme, delta=delta, blew_up=blew_up)
+    if g.m != model.m:
+        raise ValueError(f"need {model.m} Brownian increments, got shape {(g.m,)}")
+    run = _simulate_batch(scheme, model, cfg, g.increments[None], delta, record=True)
+    blew_up = not run.alive[0]
+    k_last = int(run.blowup_step[0]) if blew_up else g.n_fine
+    return Trajectory(times=np.arange(k_last + 1) * delta, states=run.states[0, :k_last + 1],
+                      scheme=scheme, delta=delta, blew_up=blew_up)
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Vectorised scalar-model ensemble: terminal states and blow-up bookkeeping."""
+    """An ensemble's terminal states and blow-up bookkeeping.
 
-    finals: np.ndarray          # (n_paths,); NaN where blown up
+    `simulate_scalar_ensemble` holds one value per path and step; the batched
+    driver `_simulate_batch` adds a trailing (d,) axis to `finals` and `states`.
+    """
+
+    finals: np.ndarray          # (n_paths,) or (n_paths, d); NaN where blown up
     alive: np.ndarray           # (n_paths,) bool, False once a path went non-finite
     blowup_step: np.ndarray     # (n_paths,) int, -1 when the path stayed finite
-    states: Optional[np.ndarray] = None   # (n_paths, n_steps+1) when recorded
+    states: Optional[np.ndarray] = None   # (n_paths, n_steps+1[, d]) when recorded; NaN after a blow-up
 
     @property
     def blowup_fraction(self) -> float:
         return 1.0 - float(np.mean(self.alive))
+
+
+def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarray,
+                    delta: float, record: bool = False) -> EnsembleResult:
+    """Step all paths of any model from its initial value as one batch.
+
+    `increments` has shape (n_paths, n_steps, m).  A path that goes non-finite
+    is marked dead at that step and is not stepped again.  Scalar models take
+    `_scalar_step` on (n_paths, 1) columns, general ones `_general_step`.
+    """
+    stepper = _scalar_step if model.is_scalar else _general_step
+    n_paths, n_steps, _ = increments.shape
+    live = np.arange(n_paths)
+    y = np.tile(model.initial_value, (n_paths, 1))
+    blowup_step = np.full(n_paths, -1, dtype=np.int64)
+    states = np.full((n_paths, n_steps + 1, model.d), np.nan) if record else None
+    if record:
+        states[:, 0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            y = stepper(scheme, model, cfg, delta, y, increments[live, k])
+            # a finite sum means every entry is finite
+            if not np.isfinite(np.add.reduce(y, axis=None)):
+                ok = np.isfinite(y).all(axis=1)
+                blowup_step[live[~ok]] = k
+                live, y = live[ok], y[ok]
+            if record:
+                states[live, k + 1] = y
+    finals = np.full((n_paths, model.d), np.nan)
+    finals[live] = y
+    return EnsembleResult(finals=finals, alive=blowup_step < 0, blowup_step=blowup_step,
+                          states=states)
 
 
 def simulate_scalar_ensemble(scheme: SchemeId, model: SdeModel, cfg,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import SdeModel, l_op_terms, sigma_matrix
+from .model import SdeModel, l_op_terms, row_norm, sigma_matrix
 
 
 @dataclass(frozen=True)
@@ -73,20 +73,25 @@ def _check_delta(delta: float) -> None:
 def project(cfg, delta: float, x) -> np.ndarray:
     """Metric projection of x onto the ball of radius omega^{-1}(h(delta)).
 
+    x is one point (d,) or a batch of points (n, d), projected row by row.
     Total on finite inputs; x/|x| is taken as 0 at x = 0.  The returned norm
     never exceeds the radius, so the projection is exactly idempotent.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape == (1,):
+    if x.shape[-1] == 1:
         return project_scalar_batch(cfg, delta, x)
     r = cfg.radius(delta)
-    n = float(np.linalg.norm(x))
-    if n <= r or n == 0.0:
+    n = row_norm(x)
+    outside = ~(n <= r) & (n != 0.0)
+    if not outside.any():
         return x
-    y = x * (r / n)
-    # one more contraction if rounding left the norm a hair above r
-    while float(np.linalg.norm(y)) > r:
-        y = y * (r / float(np.linalg.norm(y)))
+    y = x.copy()
+    y[outside] = x[outside] * (r / n[outside])[..., None]
+    # one more contraction where rounding left the norm a hair above r
+    n = row_norm(y)
+    while (over := n > r).any():
+        y[over] = y[over] * (r / n[over])[..., None]
+        n = row_norm(y)
     return y
 
 

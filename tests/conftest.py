@@ -60,8 +60,7 @@ def _three_state_col(x, j):
     return 0.2 * np.array([x[1] * x[2], x[j - 1] ** 2, j * np.sin(x[0])])
 
 
-@pytest.fixture
-def fd_models():
+def make_fd_models():
     """Vector models without an analytic L-operator: diagonal 2-d, coupled
     2-d (non-diagonal noise) and 3-d with two drivers (d != m)."""
     return (
@@ -72,3 +71,8 @@ def fd_models():
         tm.SdeModel(d=3, m=2, drift=lambda x: -x - x**3, diffusion_col=_three_state_col,
                     initial_value=np.array([0.5, -0.3, 0.8]), polynomial_degree_r=2.0),
     )
+
+
+@pytest.fixture
+def fd_models():
+    return make_fd_models()

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import truncmil as tm
-from conftest import config_for
+from conftest import _diagonal_col, config_for
 from truncmil import experiments
 from truncmil.brownian import block_sums, generate_batch
 from truncmil.experiments import (RateExperimentSpec, _chunk_bounds, _directions,
-                                  _golden_max, _path_error_samples)
+                                  _golden_max, _path_error_samples, _rung_increments)
 from truncmil.model import register_model
 from truncmil.scheme import _scalar_step
 
@@ -180,6 +180,113 @@ def test_results_bitwise_equal_across_budgets_and_workers(monkeypatch, quintic_c
         monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
     for want, got in zip(reference, _chunked_results(quintic_cfg, n_workers)):
         assert np.array_equal(got, want)
+
+
+def _drift_2d(x):
+    return x**3 - 4.0 * x**5
+
+
+# the cubic_quintic problem in each coordinate of a 2-d diagonal-noise model
+# without an analytic L-operator, so rate runs take the general branch
+register_model(tm.SdeModel(d=2, m=2, drift=_drift_2d, diffusion_col=_diagonal_col,
+                           initial_value=np.array([1.0, 1.0]), polynomial_degree_r=4.0,
+                           name="test_diagonal_quintic_2d"))
+
+
+def _rate_spec(model_name, error_at, test_deltas=(0.01, 0.02, 0.04), t_final=0.16, n_paths=10,
+               q=1.0):
+    return RateExperimentSpec(
+        model_name=model_name, cfg=config_for("cubic_quintic"), scheme="truncated_milstein",
+        q=q, t_final=t_final, delta_ref=0.005, test_deltas=test_deltas, n_paths=n_paths,
+        master_seed=11, error_at=error_at)
+
+
+@pytest.mark.parametrize("error_at", ["terminal", "sup"])
+@pytest.mark.parametrize("n_workers,budget", [(1, 1), (1, 2000), (2, 1), (2, None)])
+def test_general_rate_samples_bitwise_across_budgets_and_workers(monkeypatch, error_at,
+                                                                 n_workers, budget):
+    spec = _rate_spec("test_diagonal_quintic_2d", error_at)
+    whole = _path_error_samples(spec, 0, spec.n_paths, None, 1)
+    if budget is not None:
+        monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
+    with experiments._worker_pool(n_workers) as pool:
+        got = _path_error_samples(spec, 0, spec.n_paths, pool, n_workers)
+    assert np.array_equal(got, whole)
+
+
+# 32 fine steps: 8 bytes per increment of each of m drivers, plus, for the
+# sup error, per coordinate of each of the 33 recorded reference states
+@pytest.mark.parametrize("model_name,error_at,per_path", [
+    ("cubic_quintic", "terminal", 8 * 32), ("cubic_quintic", "sup", 8 * (32 + 33)),
+    ("test_diagonal_quintic_2d", "terminal", 8 * 32 * 2),
+    ("test_diagonal_quintic_2d", "sup", 8 * (32 * 2 + 33 * 2)),
+])
+def test_rate_chunk_budget_counts_increments_and_recorded_states(monkeypatch, model_name,
+                                                                 error_at, per_path):
+    seen = []
+    real = experiments._chunk_bounds
+
+    def spy(lo, hi, n_workers, bytes_per_path):
+        seen.append(bytes_per_path)
+        return real(lo, hi, n_workers, bytes_per_path)
+    monkeypatch.setattr(experiments, "_chunk_bounds", spy)
+    _path_error_samples(_rate_spec(model_name, error_at, n_paths=2), 0, 2, None, 1)
+    assert seen == [per_path]
+
+
+@pytest.mark.parametrize("factors", [(3, 6, 12), (2, 4, 8, 16), (8, 1, 4, 2), (2, 6, 4, 12)])
+def test_rung_increments_equal_fine_grid_sums_bitwise(factors):
+    inc = generate_batch(4, range(7), 2, 0.48, 48)
+    rungs = list(_rung_increments(inc, factors))
+    assert sorted(i for i, _, _ in rungs) == list(range(len(factors)))
+    assert [f for _, f, _ in rungs] == sorted(factors)
+    for i, f, cinc in rungs:
+        assert f == factors[i]
+        assert np.array_equal(cinc, block_sums(inc, f, axis=1))
+
+
+def _per_rung_samples(spec):
+    """Samples with every rung summed from the fine grid: the ensemble for a
+    scalar model, one path at a time through `simulate` for a vector one."""
+    model = experiments.resolve_model(spec.model_name)
+    p = 2.0 * spec.q
+    out = np.empty((spec.n_paths, len(spec.factors)))
+    if model.is_scalar:
+        inc = generate_batch(spec.master_seed, range(spec.n_paths), 1, spec.t_final,
+                             spec.n_fine)[:, :, 0]
+        ref = tm.simulate_scalar_ensemble(spec.scheme, model, spec.cfg, inc, spec.delta_ref,
+                                          1.0, record=True)
+        for i, f in enumerate(spec.factors):
+            run = tm.simulate_scalar_ensemble(spec.scheme, model, spec.cfg,
+                                              block_sums(inc, f, axis=1), spec.delta_ref * f,
+                                              1.0, record=True)
+            diff = np.abs(ref.states[:, ::f] - run.states)
+            out[:, i] = (diff[:, -1] if spec.error_at == "terminal" else diff.max(axis=1)) ** p
+        return out
+    for path in range(spec.n_paths):
+        grid = tm.generate(spec.master_seed, path, model.m, spec.t_final, spec.n_fine)
+        ref = tm.simulate(spec.scheme, model, spec.cfg, grid)
+        for i, f in enumerate(spec.factors):
+            run = tm.simulate(spec.scheme, model, spec.cfg, grid, coarsen_factor=f)
+            if spec.error_at == "terminal":
+                diff = np.linalg.norm(ref.terminal - run.terminal)
+            else:
+                diff = np.max(np.linalg.norm(ref.states[::f] - run.states, axis=1))
+            out[path, i] = diff ** p
+    return out
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5])
+@pytest.mark.parametrize("error_at", ["terminal", "sup"])
+@pytest.mark.parametrize("model_name", ["cubic_quintic", "test_diagonal_quintic_2d"])
+@pytest.mark.parametrize("test_deltas", [(0.015, 0.03, 0.06), (0.01, 0.02, 0.04, 0.12)])
+def test_rate_samples_equal_per_rung_fine_grid_sums(model_name, error_at, test_deltas, q):
+    # factors 3, 6 and 12 are each summed from the fine grid; of 2, 4, 8 and 24,
+    # 4 and 8 are summed from the rung before and 24 from the fine grid
+    spec = _rate_spec(model_name, error_at, test_deltas, t_final=0.12 if 0.015 in test_deltas
+                      else 0.24, n_paths=6, q=q)
+    assert np.array_equal(_path_error_samples(spec, 0, spec.n_paths, None, 1),
+                          _per_rung_samples(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import truncmil as tm
-from truncmil.brownian import coarsen, total_increment
-from truncmil.model import scalar_l_op
+from conftest import config_for, make_fd_models
+from truncmil.brownian import block_sums, coarsen, generate_batch, total_increment
+from truncmil.model import row_norm, scalar_l_op
+from truncmil.scheme import _general_step, _simulate_batch
 from truncmil.truncation import project, truncated_coeffs
 
 
@@ -362,6 +366,121 @@ def test_non_finite_neighbour_is_classical_blowup(wide_cfg):
     assert np.array_equal(traj.states[:, 0], [0.5, 0.625, 0.75, 0.875, 1.0])
 
 
+def _analytic_diag_col(x, j):
+    col = np.zeros(2)
+    col[j - 1] = x[j - 1] ** 2
+    return col
+
+
+def _analytic_diag_l_op(x, j1, j2):
+    # sigma_{j1} . grad sigma_{j2} = 2 x_j^3 e_j when j1 = j2 = j, else 0
+    out = np.zeros(2)
+    if j1 == j2:
+        out[j1 - 1] = 2.0 * x[j1 - 1] ** 3
+    return out
+
+
+_STEP_MODELS = make_fd_models() + (
+    tm.SdeModel(d=2, m=2, drift=lambda x: x**3 - 4.0 * x**5, diffusion_col=_analytic_diag_col,
+                l_op=_analytic_diag_l_op, initial_value=np.array([1.0, 1.0]),
+                polynomial_degree_r=4.0),
+)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9),
+       scheme=st.sampled_from(list(tm.SchemeId)), which=st.integers(0, len(_STEP_MODELS) - 1),
+       delta=st.sampled_from([0.01, 0.04, 0.25]))
+def test_general_step_batch_matches_reference_rows_bitwise(seed, n, scheme, which, delta):
+    # states spread across the truncation radius (about 1.1 at delta = 0.01)
+    model = _STEP_MODELS[which]
+    cfg = config_for("cubic_quintic")
+    rng = np.random.default_rng(seed)
+    y = rng.normal(scale=1.5, size=(n, model.d))
+    dB = rng.normal(scale=np.sqrt(delta), size=(n, model.m))
+    got = _general_step(scheme, model, cfg, delta, y, dB)
+    assert got.shape == (n, model.d)
+    for row in range(n):
+        want = _reference_general_step(scheme, model, cfg, delta, y[row], dB[row])
+        assert np.array_equal(got[row], want)
+
+
+# row 1 sits where the x + delta e_1 neighbour of the L-operator is not finite,
+# row 2 where the diffusion itself is not
+_EDGE_STATES = np.array([[0.5, 0.5], [1.0, -0.3], [1.5, 0.2], [0.25, 0.8]])
+_EDGE_DB = np.array([[0.1, -0.2], [0.05, 0.0], [-0.3, 0.1], [0.02, 0.3]])
+
+
+def test_classical_batch_marks_only_failing_rows_blown_up(wide_cfg):
+    model = _edge_model()
+    with np.errstate(invalid="ignore"):
+        got = _general_step(tm.SchemeId.classical_milstein, model, wide_cfg, 0.125,
+                            _EDGE_STATES, _EDGE_DB)
+    assert np.all(np.isnan(got[1:3]))
+    for row in (0, 3):
+        one = _reference_general_step("classical_milstein", model, wide_cfg, 0.125,
+                                      _EDGE_STATES[row], _EDGE_DB[row])
+        assert np.all(np.isfinite(one))
+        assert np.array_equal(got[row], one)
+
+
+def test_truncated_batch_raises_at_first_failing_rows_point(wide_cfg):
+    model = _edge_model()
+    with pytest.raises(tm.EvaluationError) as batch, np.errstate(invalid="ignore"):
+        _general_step(tm.SchemeId.truncated_milstein, model, wide_cfg, 0.125,
+                      _EDGE_STATES, _EDGE_DB)
+    assert list(batch.value.rows) == [1, 2]
+    # row 1's own step names the same point: its x + delta e_1 neighbour
+    with pytest.raises(tm.EvaluationError) as one, np.errstate(invalid="ignore"):
+        tm.step("truncated_milstein", model, wide_cfg, 0.125, _EDGE_STATES[1], _EDGE_DB[1])
+    assert str(batch.value) == str(one.value)
+    assert np.array_equal(batch.value.x, one.value.x) and batch.value.x[0] > 1.0
+    # row 2 fails at the state itself, whose diffusion is not finite
+    with pytest.raises(tm.EvaluationError, match="non-finite diffusion") as two, \
+            np.errstate(invalid="ignore"):
+        tm.step("truncated_milstein", model, wide_cfg, 0.125, _EDGE_STATES[2], _EDGE_DB[2])
+    assert np.array_equal(two.value.x, _EDGE_STATES[2])
+
+
+@pytest.mark.parametrize("scheme", ["classical_milstein", "classical_em"])
+def test_batch_driver_mixed_blowup_matches_per_path_reference(scheme):
+    # step 0.25 from x0 = (1.2, 1.2): some paths blow up, at different steps,
+    # the others stay finite; each path must match its own per-pair reference run
+    from dataclasses import replace
+    model = replace(_diagonal_quintic_2d(), initial_value=np.array([1.2, 1.2]))
+    cfg = config_for("cubic_quintic")
+    inc = generate_batch(0, range(24), 2, 8.0, 32)
+    res = _simulate_batch(tm.SchemeId(scheme), model, cfg, inc, 0.25, record=True)
+    assert np.any(~res.alive) and np.any(res.alive)
+    assert len(np.unique(res.blowup_step[~res.alive])) > 1
+    for p in range(24):
+        ref, k_dead = [model.initial_value], -1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, dB in enumerate(inc[p]):
+                try:
+                    y = _reference_general_step(scheme, model, cfg, 0.25, ref[-1], dB)
+                except tm.EvaluationError:
+                    y = np.full(2, np.nan)
+                if not np.all(np.isfinite(y)):
+                    k_dead = k
+                    break
+                ref.append(y)
+        ref = np.array(ref)
+        assert res.blowup_step[p] == k_dead
+        assert np.array_equal(res.states[p, :len(ref)], ref)
+        assert np.all(np.isnan(res.states[p, len(ref):]))
+        assert np.array_equal(res.finals[p], ref[-1] if k_dead < 0 else np.full(2, np.nan),
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_row_norm_matches_linalg_norm_bitwise(d):
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(5000, d)) * rng.lognormal(sigma=3.0, size=(5000, 1))
+    assert np.array_equal(row_norm(x), [np.linalg.norm(row) for row in x])
+    assert row_norm(x[0]) == np.linalg.norm(x[0])
+
+
 GBM_S = 0.8
 
 
@@ -391,6 +510,32 @@ def test_strong_order_against_exact_gbm_solution(scheme, window):
         for i, f in enumerate(factors):
             traj = tm.simulate(scheme, model, cfg, grid, coarsen_factor=f)
             errors[i] += np.linalg.norm(traj.terminal - exact) / 48
+    deltas = t_final / n_fine * np.array(factors)
+    slope = np.polyfit(np.log(deltas), np.log(errors), 1)[0]
+    assert window[0] <= slope <= window[1]
+
+
+@pytest.mark.parametrize("scheme,window", [("truncated_milstein", (0.85, 1.15)),
+                                           ("classical_milstein", (0.85, 1.15)),
+                                           ("truncated_em", (0.35, 0.65)),
+                                           ("classical_em", (0.35, 0.65))])
+def test_scalar_ensemble_strong_order_against_exact_gbm_solution(scheme, window):
+    # the scalar counterpart of the test above, on the ensemble fast path:
+    # dX = -X dt + s X dB with X_T = x0 exp((-1 - s^2/2) T + s B_T)
+    model = tm.SdeModel(d=1, m=1, drift=lambda x: -x, diffusion_col=lambda x, j: GBM_S * x,
+                        l_op=lambda x, j1, j2: GBM_S**2 * np.asarray(x, dtype=float),
+                        initial_value=np.array([1.0]), polynomial_degree_r=0.0)
+    cfg = tm.TruncationConfig(1.0, 1.0, 100.0, 0.25, 100.0)
+    t_final, n_fine, factors = 1.28, 256, (1, 2, 4, 8, 16)
+    inc = generate_batch(2026, range(4000), 1, t_final, n_fine)[:, :, 0]
+    exact = np.exp((-1.0 - GBM_S**2 / 2) * t_final + GBM_S * block_sums(inc, n_fine, axis=1)[:, 0])
+    errors = []
+    for f in factors:
+        res = tm.simulate_scalar_ensemble(scheme, model, cfg, block_sums(inc, f, axis=1),
+                                          t_final / n_fine * f, 1.0, record=True)
+        assert np.all(res.alive)
+        assert np.max(np.abs(res.states)) < cfg.radius(t_final / n_fine * f)   # never projects
+        errors.append(np.mean(np.abs(res.finals - exact)))
     deltas = t_final / n_fine * np.array(factors)
     slope = np.polyfit(np.log(deltas), np.log(errors), 1)[0]
     assert window[0] <= slope <= window[1]
