@@ -41,6 +41,19 @@ class BrownianGrid:
 _BLOCK_DRAWS = 1 << 16
 
 
+def _open_unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Map uint64 words into `out` in the open interval (0, 1), consuming `bits`.
+
+    A word's top 53 bits k give (k + 1/2) 2^-53.  That rounds to 1.0 for the
+    top word, k = 2^53 - 1, so the result is clamped to at most 1 - 2^-53.
+    """
+    bits >>= np.uint64(11)
+    out[:] = bits
+    out += 0.5
+    out *= 2.0**-53
+    return np.minimum(out, 1.0 - 2.0**-53, out=out)
+
+
 def standard_normals(master_seed: int, path_indices, m: int, n: int) -> np.ndarray:
     """The first n*m draws of each path's stream as N(0, 1), shape (n_paths, n, m).
 
@@ -71,12 +84,7 @@ def standard_normals(master_seed: int, path_indices, m: int, n: int) -> np.ndarr
             key[1] = p
             bitgen.state = state
             row[:] = bitgen.random_raw(draws)
-        # map to the open interval (0, 1) with a fixed 53-bit mantissa
-        bits >>= np.uint64(11)
-        u[:] = bits
-        u += 0.5
-        u *= 2.0**-53
-        ndtri(u, out=u)
+        ndtri(_open_unit(bits, u), out=u)
         z[:, lo:lo + len(block)] = u.reshape(len(block), n, m).transpose(1, 0, 2)
     return z.transpose(1, 0, 2)
 

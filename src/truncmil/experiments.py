@@ -394,10 +394,9 @@ def _stability_chunk(model_name: str, cfg, delta: float, horizon_steps: int,
     res = simulate_scalar_ensemble(SchemeId.truncated_milstein, model, cfg, inc,
                                    delta, float(model.initial_value[0]), record=True)
     tail = max(1, horizon_steps // 10)
-    mags = np.abs(res.states)
-    flags = np.all(mags[:, -tail:] < tol_stab, axis=1)
+    flags = np.all(np.abs(res.states[:, -tail:]) < tol_stab, axis=1)
     n_rec = max(0, min(record_paths - lo, hi - lo))
-    recorded = mags[:n_rec] if n_rec > 0 else None
+    recorded = np.abs(res.states[:n_rec]) if n_rec > 0 else None
     return flags, recorded
 
 
@@ -420,8 +419,8 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
     if constants is not None and delta > constants.delta_1:
         warnings.warn(f"step size {delta} exceeds the computed stability ceiling "
                       f"{constants.delta_1:.6g}; decay is not guaranteed", stacklevel=2)
-    # the increments, the recorded states and their magnitudes
-    per_path = 8 * (horizon_steps + 2 * (horizon_steps + 1))
+    # the increments and the recorded states
+    per_path = 8 * (2 * horizon_steps + 1)
     args = [(model.name, cfg, delta, horizon_steps, tol_stab, master_seed, lo, hi, record_paths)
             for lo, hi in _chunk_bounds(0, n_paths, n_workers, per_path)]
     with _worker_pool(n_workers) as pool:

@@ -6,19 +6,17 @@ the identity.  Iterated Ito integrals are replaced by the product correction
 (dB^{j1} dB^{j2} - delta_{j1 j2} * step)/2, which is exact for a single driver
 and for commutative noise; Levy areas are not sampled.
 
-The general step advances an (n_paths, d) batch of states with (n_paths, m)
+The steps advance an (n_paths, d) batch of states with (n_paths, m)
 increments at once.  Each row gets the per-point operations in the per-point
-order, so a row's result does not depend on the batch it is stepped in; only
-the coefficient callables, which take one (d,) point, are called row by row.
-One batched driver does the blow-up bookkeeping, and `simulate` is its
-one-path view.
+order, so a row's result does not depend on the batch it is stepped in.  The
+scalar step runs elementwise on the whole batch; the general step calls the
+coefficient callables, which take one (d,) point, row by row.
 
-Scalar models get a vectorised fast path that steps whole ensembles
-elementwise; it performs the identical floating-point operations as the
-per-path driver, so the two agree bit for bit.  It works in place on
-preallocated buffers, reads one contiguous row of step-major increments per
-step, and does blow-up bookkeeping only after a step that produced a
-non-finite value.
+One batched driver, `_simulate_batch`, steps every ensemble.  It reads one
+row of increments per step by plain slicing while every path is alive, and
+does blow-up bookkeeping only after a step that produced a non-finite value:
+a path that blew up is dropped from the batch.  `simulate` is its one-path
+view and `simulate_scalar_ensemble` its scalar view.
 """
 
 from __future__ import annotations
@@ -71,14 +69,24 @@ class Trajectory:
 
 def _scalar_step(scheme: SchemeId, model: SdeModel, cfg, delta: float,
                  y: np.ndarray, dB: np.ndarray) -> np.ndarray:
-    """One step for scalar models; y and dB may be whole ensembles."""
+    """One step for scalar models; y and dB may be whole ensembles.
+
+    Per element it computes mu*delta + sigma*dB + (0.5*L sigma)*(dB*dB - delta)
+    in that order, then y + incr, in two temporaries and the result array.
+    """
     z = project_scalar_batch(cfg, delta, y) if scheme.truncates else y
-    mu = np.asarray(model.drift(z), dtype=float)
-    sig = np.asarray(model.diffusion_col(z, 1), dtype=float)
-    incr = mu * delta + sig * dB
+    shape = np.broadcast(y, dB).shape
+    incr, term, out = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.multiply(np.asarray(model.drift(z), dtype=float), delta, out=incr)
+    np.multiply(np.asarray(model.diffusion_col(z, 1), dtype=float), dB, out=term)
+    incr += term
     if scheme.has_milstein_term:
-        incr = incr + 0.5 * scalar_l_op(model, z) * (dB * dB - delta)
-    return y + incr
+        np.multiply(0.5, scalar_l_op(model, z), out=term)
+        np.multiply(dB, dB, out=out)
+        out -= delta
+        term *= out
+        incr += term
+    return np.add(y, incr, out=out)
 
 
 def _general_step(scheme: SchemeId, model: SdeModel, cfg, delta: float,
@@ -149,8 +157,8 @@ def simulate(scheme: SchemeId, model: SdeModel, cfg, grid: BrownianGrid,
 class EnsembleResult:
     """An ensemble's terminal states and blow-up bookkeeping.
 
-    `simulate_scalar_ensemble` holds one value per path and step; the batched
-    driver `_simulate_batch` adds a trailing (d,) axis to `finals` and `states`.
+    `_simulate_batch` gives `finals` and `states` a trailing (d,) axis; its
+    scalar view `simulate_scalar_ensemble` drops it.
     """
 
     finals: np.ndarray          # (n_paths,) or (n_paths, d); NaN where blown up
@@ -164,27 +172,32 @@ class EnsembleResult:
 
 
 def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarray,
-                    delta: float, record: bool = False) -> EnsembleResult:
-    """Step all paths of any model from its initial value as one batch.
+                    delta: float, x0=None, record: bool = False) -> EnsembleResult:
+    """Step all paths of any model from x0 (the model's initial value by
+    default) as one batch.
 
-    `increments` has shape (n_paths, n_steps, m).  A path that goes non-finite
-    is marked dead at that step and is not stepped again.  Scalar models take
-    `_scalar_step` on (n_paths, 1) columns, general ones `_general_step`.
+    `increments` has shape (n_paths, n_steps, m); step-major memory, where
+    `increments[:, k]` is contiguous, is the fast layout.  A path that goes
+    non-finite is marked dead at that step and is not stepped again.  Scalar
+    models take `_scalar_step` on (n_paths, 1) columns, general ones
+    `_general_step`.
     """
     stepper = _scalar_step if model.is_scalar else _general_step
     n_paths, n_steps, _ = increments.shape
-    live = np.arange(n_paths)
-    y = np.tile(model.initial_value, (n_paths, 1))
+    y = np.empty((n_paths, model.d))
+    y[:] = model.initial_value if x0 is None else x0
     blowup_step = np.full(n_paths, -1, dtype=np.int64)
     states = np.full((n_paths, n_steps + 1, model.d), np.nan) if record else None
     if record:
         states[:, 0] = y
+    live = slice(None)          # every path, until one blows up
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             y = stepper(scheme, model, cfg, delta, y, increments[live, k])
             # a finite sum means every entry is finite
             if not np.isfinite(np.add.reduce(y, axis=None)):
                 ok = np.isfinite(y).all(axis=1)
+                live = np.arange(n_paths)[live]
                 blowup_step[live[~ok]] = k
                 live, y = live[ok], y[ok]
             if record:
@@ -198,54 +211,12 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
 def simulate_scalar_ensemble(scheme: SchemeId, model: SdeModel, cfg,
                              increments: np.ndarray, delta: float, x0: float,
                              record: bool = False) -> EnsembleResult:
-    """Step all paths of a scalar model at once.
-
-    `increments` has shape (n_paths, n_steps); step-major memory, where
-    `increments[:, k]` is contiguous, is the fast layout.  Each step performs
-    `_scalar_step`'s elementwise operations in the same order, in place on
-    preallocated buffers, so results match per-path `simulate` bit-exactly.
-    A path that goes non-finite is marked dead at that step and restarted
-    from 0; its later values are never reported.
-    """
-    scheme = SchemeId(scheme)
+    """`_simulate_batch` for a scalar model on (n_paths, n_steps) increments,
+    with one value per path and step in `finals` and `states`."""
     if not model.is_scalar:
-        raise ValueError("ensemble fast path requires a scalar model")
-    n_paths, n_steps = increments.shape
-    milstein = scheme.has_milstein_term
-    y = np.full(n_paths, float(x0))
-    yn, incr, term = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
-    w = np.empty(n_paths) if milstein else None
-    alive = np.ones(n_paths, dtype=bool)
-    blowup_step = np.full(n_paths, -1, dtype=np.int64)
-    states = np.empty((n_paths, n_steps + 1)) if record else None
-    if record:
-        states[:, 0] = y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            dB = increments[:, k]
-            z = project_scalar_batch(cfg, delta, y) if scheme.truncates else y
-            np.multiply(np.asarray(model.drift(z), dtype=float), delta, out=incr)
-            np.multiply(np.asarray(model.diffusion_col(z, 1), dtype=float), dB, out=term)
-            np.add(incr, term, out=incr)
-            if milstein:
-                np.multiply(0.5, scalar_l_op(model, z), out=term)
-                np.multiply(dB, dB, out=w)
-                np.subtract(w, delta, out=w)
-                np.multiply(term, w, out=term)
-                np.add(incr, term, out=incr)
-            np.add(y, incr, out=yn)
-            # a finite sum means every entry is finite
-            if not np.isfinite(np.add.reduce(yn)):
-                bad = alive & ~np.isfinite(yn)
-                blowup_step[bad] = k
-                alive &= ~bad
-                yn[~alive] = 0.0
-            y, yn = yn, y
-            if record:
-                states[:, k + 1] = y
-    if record and not alive.all():
-        dead = np.flatnonzero(~alive)
-        after = np.arange(n_steps + 1) > blowup_step[dead, None]
-        states[dead] = np.where(after, np.nan, states[dead])
-    finals = np.where(alive, y, np.nan)
-    return EnsembleResult(finals=finals, alive=alive, blowup_step=blowup_step, states=states)
+        raise ValueError("scalar ensembles require a scalar model")
+    run = _simulate_batch(SchemeId(scheme), model, cfg, increments[:, :, None], delta,
+                          x0, record)
+    return EnsembleResult(finals=run.finals[:, 0], alive=run.alive,
+                          blowup_step=run.blowup_step,
+                          states=None if run.states is None else run.states[:, :, 0])

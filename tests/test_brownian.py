@@ -7,7 +7,8 @@ import pytest
 from scipy.special import ndtri
 
 import truncmil as tm
-from truncmil.brownian import block_sums, generate_batch, standard_normals, total_increment
+from truncmil.brownian import (_open_unit, block_sums, generate_batch, standard_normals,
+                               total_increment)
 
 
 def test_regeneration_is_bit_exact():
@@ -195,3 +196,18 @@ def test_standard_normals_are_step_major():
         got = block_sums(inc, factor, axis=1)
         assert np.array_equal(got, block_sums(np.ascontiguousarray(inc), factor, axis=1))
         assert all(got[:, k].flags.c_contiguous for k in range(48 // factor))
+
+
+def test_open_unit_map_clamps_only_the_top_word():
+    # (k + 1/2) 2^-53 for k = word >> 11 rounds to 1.0 only for the top word,
+    # where ndtri would return +inf; every other word keeps its value
+    top_k = np.uint64(2**53 - 1)
+    words = np.array([0, 2**11 - 1, 2**63 + 0x5A5A5A5A5A5, (2**53 - 2) << 11, 2**64 - 1],
+                     dtype=np.uint64)
+    unclamped = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    assert words[-1] >> np.uint64(11) == top_k and unclamped[-1] == 1.0
+    u = _open_unit(words.copy(), np.empty(len(words)))
+    assert np.array_equal(u[:-1], unclamped[:-1])
+    assert u[-1] == 1.0 - 2.0**-53
+    assert np.all((0.0 < u) & (u < 1.0))
+    assert np.all(np.isfinite(ndtri(u)))

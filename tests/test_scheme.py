@@ -261,6 +261,28 @@ def test_ensemble_blowup_matches_reference_loop_bitwise(cubic_cfg, scheme, x0, r
     _assert_matches_reference(res, ref, record)
 
 
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("l_op", [None, lambda x, j1, j2: 0.2])
+@pytest.mark.parametrize("scheme", list(tm.SchemeId))
+def test_constant_coefficients_step_alike_everywhere(cubic_cfg, scheme, l_op, record):
+    # coefficients that return Python floats must broadcast over every batch
+    # shape: step, simulate and the scalar ensemble all give the reference
+    model = tm.SdeModel(d=1, m=1, drift=lambda x: -0.5, diffusion_col=lambda x, j: 0.3,
+                        l_op=l_op, initial_value=np.array([1.5]), polynomial_degree_r=0.0)
+    inc = generate_batch(3, range(8), 1, 1.0, 16)[:, :, 0]
+    ref = _reference_ensemble(scheme, model, cubic_cfg, inc, 1.0 / 16, 1.5)
+    res = tm.simulate_scalar_ensemble(scheme, model, cubic_cfg, inc, 1.0 / 16, 1.5,
+                                      record=record)
+    _assert_matches_reference(res, ref, record)
+    for p in range(8):
+        grid = tm.generate(3, p, 1, 1.0, 16)
+        assert np.array_equal(tm.simulate(scheme, model, cubic_cfg, grid).states[:, 0], ref[3][p])
+        y = model.initial_value
+        for k, dB in enumerate(grid.increments):
+            y = tm.step(scheme, model, cubic_cfg, 1.0 / 16, y, dB)
+            assert y.shape == (1,) and y[0] == ref[3][p, k + 1]
+
+
 def test_ensemble_blowup_bookkeeping(cubic_cfg):
     model = tm.builtin_model("cubic_quintic")
     from truncmil.brownian import generate_batch

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import truncmil as tm
+from truncmil.model import row_norm
 from truncmil.truncation import (coefficient_bound_margin, fit_lambda2,
-                                 new_error_bound, preservation_margin,
+                                 new_error_bound, preservation_margin, project,
                                  project_scalar_batch)
 
 
@@ -197,3 +200,21 @@ def test_preservation_margin_with_fitted_lambda2(cubic_cfg):
     lam2 = fit_lambda2(model, p_bar=2.0, points=ball)
     wide = rng.normal(scale=50.0, size=(500, 1))
     assert preservation_margin(model, cubic_cfg, 0.01, 2.0, lam2, wide) <= 0
+
+
+@given(d=st.integers(1, 5), n=st.integers(1, 8), c=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_project_is_idempotent_and_non_expansive(d, n, c, seed):
+    # omega(u) = c u and h(1) = 1 give the radius 1/c; points lie within a
+    # factor 100 of the ball on either side, their partners near or far
+    cfg = tm.TruncationConfig(c, 1.0, 1.0, 0.25, 1.0)
+    r = cfg.radius(1.0)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * r * 10.0 ** rng.uniform(-2, 2, (n, 1))
+    y = x + rng.standard_normal((n, d)) * r * 10.0 ** rng.uniform(-8, 1, (n, 1))
+    px, py = project(cfg, 1.0, x), project(cfg, 1.0, y)
+    assert np.all(row_norm(px) <= r)
+    assert np.array_equal(project(cfg, 1.0, px), px)
+    # within the rounding of each projected coordinate, a few ulps of r
+    dist = row_norm(x - y)
+    assert np.all(row_norm(px - py) <= dist + 16 * np.finfo(float).eps * (r + dist))
