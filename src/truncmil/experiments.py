@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import brownian
-from .model import KFunction, SdeModel, resolve_model, row_norm
+from .model import KFunction, SdeModel, _drift_ratio, resolve_model, row_norm
 from .scheme import SchemeId, _scalar_step, _simulate_batch, simulate_scalar_ensemble
 from .truncation import TruncationConfig, dominant_rate, old_condition_threshold
 
@@ -233,28 +233,13 @@ def _path_error_samples(spec: RateExperimentSpec, lo: int, hi: int, pool,
 _path_error_samples_range = _path_error_samples
 
 
-def run_rate_experiment(spec: RateExperimentSpec, n_workers: int = 1,
-                        target_rel_se: Optional[float] = None,
-                        max_paths: Optional[int] = None) -> RateFit:
-    """Couple every test step to the shared fine reference and fit the slope.
-
-    With `target_rel_se` set, the ensemble doubles (deterministically, by
-    extending the path-index range) until every Monte-Carlo SE falls below
-    that fraction of its error estimate or `max_paths` is reached.
-    """
-    n = spec.n_paths
-    cap = (max_paths or 16 * n) if target_rel_se is not None else n
+def run_rate_experiment(spec: RateExperimentSpec, n_workers: int = 1) -> RateFit:
+    """Couple every test step to the shared fine reference and fit the slope."""
     with _worker_pool(n_workers) as pool:
-        samples = _path_error_samples(spec, 0, n, pool, n_workers)
-        while True:
-            errors = samples.mean(axis=0)
-            ses = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
-            if n >= cap or np.all(ses <= target_rel_se * errors):
-                break
-            grow = min(n, cap - n)
-            samples = np.vstack([samples, _path_error_samples(spec, n, n + grow, pool, n_workers)])
-            n += grow
-    return fit_rate(spec.test_deltas, errors, spec.q, standard_errors=ses, n_paths=n)
+        samples = _path_error_samples(spec, 0, spec.n_paths, pool, n_workers)
+    errors = samples.mean(axis=0)
+    ses = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+    return fit_rate(spec.test_deltas, errors, spec.q, standard_errors=ses, n_paths=spec.n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -344,31 +329,19 @@ def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
     radius1 = cfg.radius(1.0)
     dirs = _directions(model.d)
 
-    def ratio(u: np.ndarray) -> np.ndarray:
-        # max over directions e of |mu(u e)|^2 / k(u) for every radius in u; scalar
-        # drift acts elementwise, so it takes one call per direction for all radii
-        if model.is_scalar:
-            best = np.zeros_like(u)
-            for e in dirs[:, 0]:
-                mu = np.asarray(model.drift(u * e), dtype=float)
-                best = np.maximum(best, mu * mu)
-        else:
-            best = np.empty_like(u)
-            for j, x in enumerate(u):
-                mus = [np.asarray(model.drift(x * e), dtype=float) for e in dirs]
-                best[j] = max(float(np.dot(mu, mu)) for mu in mus)
-        return best / k_fn(u)
+    def ratio_at(u: float) -> float:
+        return float(_drift_ratio(model, k_fn, np.array([u]), dirs)[0])
 
     grid = np.logspace(-6, math.log10(radius1), n_grid)
     grid[-1] = radius1
-    vals = ratio(grid)
+    vals = _drift_ratio(model, k_fn, grid, dirs)
     if not np.all(np.isfinite(vals)) or np.max(vals) > ratio_cap:
         raise ValueError("drift/k ratio exceeds cap; the small-state boundedness "
                          "condition appears violated")
     i = int(np.argmax(vals))
     if 0 < i < len(grid) - 1:
-        u_star = _golden_max(lambda u: float(ratio(np.array([u]))[0]), grid[i - 1], grid[i + 1])
-        H = max(float(ratio(np.array([u_star]))[0]), float(vals[i]))
+        u_star = _golden_max(ratio_at, grid[i - 1], grid[i + 1])
+        H = max(ratio_at(u_star), float(vals[i]))
     else:
         u_star = float(grid[i])
         H = float(vals[i])

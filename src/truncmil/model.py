@@ -62,7 +62,8 @@ class SdeModel:
     finite-difference fallback is used.  Coefficient callables must be pure:
     deterministic, side-effect free, and safe to share across workers.  For
     scalar models (d == m == 1) they must also accept arbitrary-shape arrays
-    elementwise, which the ensemble drivers rely on.
+    elementwise: the ensemble drivers and `_evaluate`, the one batch rule for
+    coefficients, pass them a whole batch of points in one call.
     """
 
     d: int
@@ -90,18 +91,46 @@ class SdeModel:
 
 
 def _finite(v, what: str, x) -> np.ndarray:
+    """v as a float array, or EvaluationError at x, or at the first failing row
+    of an (n, d) batch x with every failing row listed, if v is not finite."""
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
-        raise EvaluationError(f"non-finite {what}", x)
+        if np.ndim(x) < 2:
+            raise EvaluationError(f"non-finite {what}", x)
+        rows = np.flatnonzero(~np.isfinite(v.reshape(len(x), -1)).all(axis=1))
+        raise EvaluationError(f"non-finite {what}", x[rows[0]], rows=rows)
     return v
 
 
+def _evaluate(model: SdeModel, fn: Callable, x: np.ndarray, *args, what: Optional[str] = None,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """fn(point, *args) at every row of the (n, d) batch x, as (n, d), into `out` if given.
+
+    The one rule for evaluating a coefficient on a batch: a scalar model's
+    coefficients are elementwise (see `SdeModel`), so they take the whole batch
+    in one call; any other model's take one (d,) row per call.  With `what`
+    naming the coefficient, a non-finite value raises `EvaluationError`;
+    without it, it passes through (a classical step's blow-up).
+    """
+    if out is None:
+        out = np.empty(x.shape)
+    if model.is_scalar:
+        out[...] = fn(x, *args)
+    else:
+        for i, point in enumerate(x):
+            out[i] = fn(point, *args)
+    return out if what is None else _finite(out, what, x)
+
+
 def sigma_matrix(model: SdeModel, x) -> np.ndarray:
-    """Assemble the d x m diffusion matrix from its columns."""
+    """The d x m diffusion matrix at one point (d,), or one per row of an (n, d)
+    batch as (n, d, m): `_evaluate` on each column."""
     x = np.asarray(x, dtype=float)
-    cols = [np.broadcast_to(np.asarray(model.diffusion_col(x, j), dtype=float), (model.d,))
-            for j in range(1, model.m + 1)]
-    return _finite(np.column_stack(cols), "diffusion", x)
+    pts = x.reshape(-1, model.d)
+    sig = np.empty(pts.shape + (model.m,))
+    for j in range(model.m):
+        _evaluate(model, model.diffusion_col, pts, j + 1, out=sig[:, :, j])
+    return _finite(sig, "diffusion", x).reshape(x.shape[:-1] + sig.shape[1:])
 
 
 def row_norm(x) -> np.ndarray:
@@ -112,16 +141,6 @@ def row_norm(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     return np.sqrt(np.vecdot(x, x))
-
-
-def _rows(fn: Callable, x: np.ndarray, out: np.ndarray, *args) -> np.ndarray:
-    """Write fn(point, *args) into out[i] for each row (point) x[i]; return out.
-
-    Coefficients take one (d,) point, so this is how a batch evaluates them.
-    """
-    for i, point in enumerate(x):
-        out[i] = fn(point, *args)
-    return out
 
 
 def _fd_step(x: np.ndarray) -> np.ndarray:
@@ -176,7 +195,7 @@ def l_op_terms(model: SdeModel, x, sig: np.ndarray) -> np.ndarray:
     out = np.zeros((n, m, m, d))
     if model.l_op is not None:
         for j1, j2 in product(range(m), repeat=2):
-            _rows(model.l_op, pts, out[:, j1, j2], j1 + 1, j2 + 1)
+            _evaluate(model, model.l_op, pts, j1 + 1, j2 + 1, out=out[:, j1, j2])
     else:
         delta = _fd_step(pts)
         e = delta[:, None, None] * np.eye(d)
@@ -186,7 +205,7 @@ def l_op_terms(model: SdeModel, x, sig: np.ndarray) -> np.ndarray:
         np.subtract(pts[:, None], e, out=nbrs[:, :, 1])
         nb = np.empty((m, n * d * 2, d))
         for j in range(m):
-            _rows(model.diffusion_col, nbrs.reshape(-1, d), nb[j], j + 1)
+            _evaluate(model, model.diffusion_col, nbrs.reshape(-1, d), j + 1, out=nb[j])
         nb = nb.reshape(m, n, d, 2, d)
         half = (2.0 * delta)[:, None, None, None]
         with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows fail below
@@ -279,76 +298,85 @@ def _halton_ball(dim: int, n: int, radius: float) -> np.ndarray:
     return pts[:n]
 
 
-def _component_derivs(fn: Callable, x: np.ndarray, d: int) -> tuple:
-    """Finite-difference gradient norm and Hessian norm of a scalar function."""
-    delta = _fd_step(x)
-    grad = np.zeros(d)
-    hess = np.zeros((d, d))
-    f0 = fn(x)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = delta
-        grad[i] = (fn(x + ei) - fn(x - ei)) / (2.0 * delta)
-        hess[i, i] = (fn(x + ei) - 2.0 * f0 + fn(x - ei)) / delta**2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = delta
-            v = (fn(x + ei + ej) - fn(x + ei - ej) - fn(x - ei + ej) + fn(x - ei - ej)) / (4.0 * delta**2)
-            hess[i, j] = hess[j, i] = v
-    return float(np.linalg.norm(grad)), float(np.linalg.norm(hess))
+def _component_derivs(model: SdeModel, fn: Callable, what: str, xs: np.ndarray, *args) -> tuple:
+    """Central-difference gradient and Hessian norms of each component l of
+    fn(., *args) at each row of xs, two (n, d) arrays [row, l], in a one-point
+    stencil's operation order (off-diagonal entries from i < j, mirrored)."""
+    n, d = xs.shape
+    delta = _fd_step(xs)
+    e = delta[:, None, None] * np.eye(d)                # e[:, i] = delta e_i
+    iu, ju = np.triu_indices(d, 1)
+    plus, minus = xs[:, None] + e, xs[:, None] - e
+    pts = np.concatenate([xs[:, None], plus, minus,
+                          plus[:, iu] + e[:, ju], plus[:, iu] - e[:, ju],
+                          minus[:, iu] + e[:, ju], minus[:, iu] - e[:, ju]], axis=1)
+    f = _evaluate(model, fn, pts.reshape(-1, d), *args, what=what)
+    f = f.reshape(n, -1, d).transpose(0, 2, 1)          # [row, l, stencil point]
+    f0, fp, fm = f[..., :1], f[..., 1:d + 1], f[..., d + 1:2 * d + 1]
+    fpp, fpm, fmp, fmm = np.split(f[..., 2 * d + 1:], 4, axis=-1)
+    dsq = np.float_power(delta, 2.0)[:, None, None]     # libm pow, as a scalar delta**2
+    grad = np.ascontiguousarray((fp - fm) / (2.0 * delta)[:, None, None])  # rows dotted as one-point vectors
+    hess = np.empty((n, d, d, d))
+    hess[..., range(d), range(d)] = (fp - 2.0 * f0 + fm) / dsq
+    hess[..., iu, ju] = hess[..., ju, iu] = (fpp - fpm - fmp + fmm) / (4.0 * dsq)
+    return row_norm(grad), row_norm(hess.reshape(n, d, d * d))
+
+
+def _drift_ratio(model: SdeModel, k_fn: KFunction, u: np.ndarray, dirs: np.ndarray,
+                 what: Optional[str] = None) -> np.ndarray:
+    """max over the unit directions e (rows of dirs) of |mu(u e)|^2 / k(u), per
+    radius in u: one batched drift evaluation per direction, folded with
+    np.maximum, so a NaN along any direction reaches the result."""
+    best = np.zeros_like(u)
+    for e in dirs:
+        mu = _evaluate(model, model.drift, u[:, None] * e, what=what)
+        best = np.maximum(best, np.vecdot(mu, mu))
+    return best / k_fn(u)
 
 
 def check_assumption(model: SdeModel, assumption: Assumption, spec: ProbeSpec) -> AssumptionReport:
     """Probe one standing inequality and report the most-violating margin.
 
     A margin is (LHS - RHS) of the inequality, so worst_margin <= 0 means no
-    violation was found among the sampled points.
+    violation was found among the sampled points.  Margins are array
+    expressions over the probe points; np.float_power rounds as a scalar power.
     """
     assumption = Assumption(assumption)
     c = dict(spec.constants)
     r = float(c.get("r", model.polynomial_degree_r))
-    margins = []
+    d, m = model.d, model.m
+    n_dirs = 1          # probe points per margin
 
     if assumption in (Assumption.A2_1_polyLipschitz, Assumption.A2_2_khasminskii):
-        pairs = _halton_ball(2 * model.d, spec.n_points, 1.0)
-        xs = spec.radius * pairs[:, : model.d]
-        ys = spec.radius * pairs[:, model.d:]
-        for x, y in zip(xs, ys):
-            dmu = np.linalg.norm(_finite(model.drift(x), "drift", x) - _finite(model.drift(y), "drift", y))
-            sx, sy = sigma_matrix(model, x), sigma_matrix(model, y)
-            dsig = np.linalg.norm(sx - sy)
-            if assumption is Assumption.A2_1_polyLipschitz:
-                K1 = float(c.get("K1", 100.0))
-                lx = l_op_terms(model, x, sx).reshape(-1, model.d)
-                ly = l_op_terms(model, y, sy).reshape(-1, model.d)
-                dl = max(float(np.linalg.norm(a - b)) for a, b in zip(lx, ly))
-                lhs = max(dmu, dsig, dl)
-                rhs = K1 * (1.0 + np.linalg.norm(x) ** r + np.linalg.norm(y) ** r) * np.linalg.norm(x - y)
-                margins.append(lhs - rhs)
-                used = {"K1": K1, "r": r}
-            else:
-                K2 = float(c.get("K2", 0.0))
-                inner = float(np.dot(x - y, np.atleast_1d(model.drift(x)) - np.atleast_1d(model.drift(y))))
-                lhs = inner + (2.0 * spec.p_bar - 1.0) * dsig**2
-                margins.append(lhs - K2 * float(np.dot(x - y, x - y)))
-                used = {"K2": K2, "p_bar": spec.p_bar}
+        pairs = _halton_ball(2 * d, spec.n_points, 1.0)
+        xs = spec.radius * pairs[:, :d]
+        ys = spec.radius * pairs[:, d:]
+        dmu = (_evaluate(model, model.drift, xs, what="drift")
+               - _evaluate(model, model.drift, ys, what="drift"))
+        sx, sy = sigma_matrix(model, xs), sigma_matrix(model, ys)
+        dsig = row_norm((sx - sy).reshape(len(xs), -1))
+        if assumption is Assumption.A2_1_polyLipschitz:
+            K1 = float(c.get("K1", 100.0))
+            dl = np.max(row_norm(l_op_terms(model, xs, sx) - l_op_terms(model, ys, sy)), axis=(1, 2))
+            lhs = np.maximum(np.maximum(row_norm(dmu), dsig), dl)
+            rhs = (K1 * (1.0 + np.float_power(row_norm(xs), r) + np.float_power(row_norm(ys), r))
+                   * row_norm(xs - ys))
+            margins = lhs - rhs
+            used = {"K1": K1, "r": r}
+        else:
+            K2 = float(c.get("K2", 0.0))
+            lhs = np.vecdot(xs - ys, dmu) + (2.0 * spec.p_bar - 1.0) * np.float_power(dsig, 2.0)
+            margins = lhs - K2 * np.vecdot(xs - ys, xs - ys)
+            used = {"K2": K2, "p_bar": spec.p_bar}
 
     elif assumption is Assumption.A2_3_derivGrowth:
         lam3 = float(c.get("lambda3", 100.0))
-        xs = _halton_ball(model.d, spec.n_points, spec.radius)
-        for x in xs:
-            worst = 0.0
-            for l in range(model.d):
-                g, h = _component_derivs(lambda v, l=l: float(np.atleast_1d(model.drift(v))[l]), x, model.d)
-                worst = max(worst, g, h)
-            for j in range(1, model.m + 1):
-                for l in range(model.d):
-                    g, h = _component_derivs(
-                        lambda v, j=j, l=l: float(np.broadcast_to(
-                            np.asarray(model.diffusion_col(v, j), dtype=float), (model.d,))[l]),
-                        x, model.d)
-                    worst = max(worst, g, h)
-            margins.append(worst - lam3 * (1.0 + np.linalg.norm(x) ** (r + 1.0)))
+        xs = _halton_ball(d, spec.n_points, spec.radius)
+        derivs = [*_component_derivs(model, model.drift, "drift", xs)]
+        for j in range(1, m + 1):
+            derivs += _component_derivs(model, model.diffusion_col, "diffusion", xs, j)
+        worst = np.max(np.hstack(derivs), axis=1, initial=0.0)
+        margins = worst - lam3 * (1.0 + np.float_power(row_norm(xs), r + 1.0))
         used = {"lambda3": lam3, "r": r}
 
     elif assumption in (Assumption.A4_1_dissipative, Assumption.Eq4_2_milsteinDissipative):
@@ -358,19 +386,16 @@ def check_assumption(model: SdeModel, assumption: Assumption, spec: ProbeSpec) -
         delta = float(c.get("delta", 0.0))
         if assumption is Assumption.Eq4_2_milsteinDissipative and "delta" not in c:
             raise ValueError("Eq4_2 check needs constants['delta']")
-        for x in xs:
-            mu = _finite(np.atleast_1d(model.drift(x)), "drift", x)
-            sig = sigma_matrix(model, x)
-            lhs = 2.0 * float(np.dot(x, mu)) + float(np.sum(sig ** 2))
-            if assumption is Assumption.Eq4_2_milsteinDissipative:
-                l_sum = np.zeros(model.d)
-                for term in l_op_terms(model, x, sig).reshape(-1, model.d):
-                    l_sum += term
-                lhs += 0.5 * float(np.dot(l_sum, l_sum)) * delta
-            margins.append(lhs + float(spec.k_fn(np.linalg.norm(x))))
+        mu = _evaluate(model, model.drift, xs, what="drift")
+        sig = sigma_matrix(model, xs)
+        lhs = 2.0 * np.vecdot(xs, mu) + np.sum(sig ** 2, axis=(1, 2))
         used = {"k_c": spec.k_fn.c, "k_gamma": spec.k_fn.gamma}
         if assumption is Assumption.Eq4_2_milsteinDissipative:
+            terms = l_op_terms(model, xs, sig)
+            l_sum = sum(terms[:, j1, j2] for j1, j2 in product(range(m), repeat=2))
+            lhs = lhs + 0.5 * np.vecdot(l_sum, l_sum) * delta
             used["delta"] = delta
+        margins = lhs + spec.k_fn(row_norm(xs))
 
     elif assumption is Assumption.Eq4_3_ratioBounded:
         if spec.k_fn is None:
@@ -380,11 +405,10 @@ def check_assumption(model: SdeModel, assumption: Assumption, spec: ProbeSpec) -
         dirs = _halton_ball(model.d, max(8, 2 * model.d), 1.0)
         dirs = dirs[np.linalg.norm(dirs, axis=1) > 0]
         dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        for u in radii:
-            for e in dirs:
-                x = u * e
-                mu = _finite(np.atleast_1d(model.drift(x)), "drift", x)
-                margins.append(float(np.dot(mu, mu)) / float(spec.k_fn(u)) - cap)
+        # one margin per radius, the worst over its directions (rounding is
+        # monotone, so it is the worst of the per-point margins)
+        margins = _drift_ratio(model, spec.k_fn, radii, dirs, what="drift") - cap
+        n_dirs = len(dirs)
         used = {"cap": cap, "k_c": spec.k_fn.c, "k_gamma": spec.k_fn.gamma}
 
     else:  # pragma: no cover
@@ -392,7 +416,7 @@ def check_assumption(model: SdeModel, assumption: Assumption, spec: ProbeSpec) -
 
     return AssumptionReport(
         assumption_id=assumption,
-        sampled_points=len(margins),
+        sampled_points=len(margins) * n_dirs,
         worst_margin=float(np.max(margins)),
         constants_used=used,
     )

@@ -9,8 +9,8 @@ and for commutative noise; Levy areas are not sampled.
 The steps advance an (n_paths, d) batch of states with (n_paths, m)
 increments at once.  Each row gets the per-point operations in the per-point
 order, so a row's result does not depend on the batch it is stepped in.  The
-scalar step runs elementwise on the whole batch; the general step calls the
-coefficient callables, which take one (d,) point, row by row.
+scalar step runs elementwise on the whole batch; the general step evaluates
+the coefficients by `model._evaluate`, one (d,) row per call.
 
 One batched driver, `_simulate_batch`, steps every ensemble.  It reads one
 row of increments per step by plain slicing while every path is alive, and
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .brownian import BrownianGrid, coarsen
-from .model import EvaluationError, SdeModel, _rows, l_op_terms, scalar_l_op
+from .model import EvaluationError, SdeModel, _evaluate, l_op_terms, scalar_l_op
 from .truncation import _check_delta, project, project_scalar_batch
 
 
@@ -97,10 +97,10 @@ def _general_step(scheme: SchemeId, model: SdeModel, cfg, delta: float,
     non-finite, a blow-up; a truncated scheme raises `EvaluationError`.
     """
     z = project(cfg, delta, y) if scheme.truncates else y
-    incr = _rows(model.drift, z, np.empty(z.shape)) * delta
+    incr = _evaluate(model, model.drift, z) * delta
     sig = np.empty(z.shape + (model.m,))
     for j in range(model.m):
-        incr = incr + _rows(model.diffusion_col, z, sig[:, :, j], j + 1) * dB[:, j, None]
+        incr = incr + _evaluate(model, model.diffusion_col, z, j + 1, out=sig[:, :, j]) * dB[:, j, None]
     if scheme.has_milstein_term:
         try:
             l_terms = l_op_terms(model, z, sig)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import SdeModel, l_op_terms, row_norm, sigma_matrix
+from .model import SdeModel, _evaluate, l_op_terms, row_norm, sigma_matrix
 
 
 @dataclass(frozen=True)
@@ -103,21 +103,24 @@ def project_scalar_batch(cfg, delta: float, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TruncatedCoeffs:
-    """Drift, diffusion and L-operator blocks evaluated at the projected point."""
+    """Drift, diffusion and L-operator blocks evaluated at the projected point,
+    with a leading (n,) axis when evaluated at a batch of points."""
 
-    point: np.ndarray          # pi_delta(x), shape (d,)
-    mu: np.ndarray             # shape (d,)
-    sigma: np.ndarray          # shape (d, m)
-    l_terms: np.ndarray        # shape (m, m, d), [j1-1, j2-1] = L^{j1} sigma_{j2}
+    point: np.ndarray          # pi_delta(x), shape ([n,] d)
+    mu: np.ndarray             # shape ([n,] d)
+    sigma: np.ndarray          # shape ([n,] d, m)
+    l_terms: np.ndarray        # shape ([n,] m, m, d), [..., j1-1, j2-1] = L^{j1} sigma_{j2}
 
 
 def truncated_coeffs(model: SdeModel, cfg, delta: float, x) -> TruncatedCoeffs:
-    """Evaluate mu, sigma_j and L^{j1} sigma_{j2} at pi_delta(x)."""
-    z = project(cfg, delta, x)
-    mu = np.broadcast_to(np.asarray(model.drift(z), dtype=float), (model.d,))
+    """Evaluate mu, sigma_j and L^{j1} sigma_{j2} at pi_delta(x), for one point
+    (d,) or a batch (n, d), every coefficient by `model._evaluate`."""
+    x = np.asarray(x, dtype=float)
+    z = project(cfg, delta, x.reshape(-1, model.d))
+    mu = _evaluate(model, model.drift, z, what="drift")
     sigma = sigma_matrix(model, z)
-    return TruncatedCoeffs(point=z, mu=np.array(mu), sigma=sigma,
-                           l_terms=l_op_terms(model, z, sigma))
+    blocks = (z, mu, sigma, l_op_terms(model, z, sigma))
+    return TruncatedCoeffs(*(blocks if x.ndim > 1 else (b[0] for b in blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,40 +193,37 @@ def dominant_rate(cfg: TruncationConfig, q: float, p: float, r: float) -> float:
 # sampled probes tied to the truncated coefficients
 
 
+def _points(model: SdeModel, points: Sequence) -> np.ndarray:
+    """Probe points as an (n, d) batch; a scalar model's may be plain numbers."""
+    return np.asarray(points, dtype=float).reshape(-1, model.d)
+
+
 def coefficient_bound_margin(model: SdeModel, cfg, delta: float, points: Sequence) -> float:
     """Worst (block norm - h(delta)) over truncated-coefficient blocks at the
     given points; <= 0 confirms the boundedness guarantee."""
-    bound = cfg.h(delta)
-    worst = -math.inf
-    for x in points:
-        tc = truncated_coeffs(model, cfg, delta, x)
-        blocks = [float(np.linalg.norm(tc.mu))]
-        blocks += [float(np.linalg.norm(tc.sigma[:, j])) for j in range(model.m)]
-        blocks += [float(np.linalg.norm(tc.l_terms[j1, j2]))
-                   for j1 in range(model.m) for j2 in range(model.m)]
-        worst = max(worst, max(blocks) - bound)
-    return worst
+    tc = truncated_coeffs(model, cfg, delta, _points(model, points))
+    # the norms of mu, of each diffusion column and of each L-operator pair
+    norms = [row_norm(b).ravel() for b in (tc.mu, tc.sigma.swapaxes(1, 2), tc.l_terms)]
+    return float(np.max(np.concatenate(norms), initial=-math.inf) - cfg.h(delta))
+
+
+def _growth_lhs(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray, p_bar: float) -> np.ndarray:
+    """<x, mu> + (2 p_bar - 1) |sigma|^2 at each row."""
+    return np.vecdot(x, mu) + (2.0 * p_bar - 1.0) * np.sum(sigma ** 2, axis=(1, 2))
 
 
 def preservation_margin(model: SdeModel, cfg, delta: float, p_bar: float,
                         lambda2: float, points: Sequence) -> float:
     """Worst margin of <x, mu~(x)> + (2 p_bar - 1) |sigma~(x)|^2 <= 2 lambda2 (1 + |x|^2)."""
-    worst = -math.inf
-    for x in points:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        tc = truncated_coeffs(model, cfg, delta, x)
-        lhs = float(np.dot(x, tc.mu)) + (2.0 * p_bar - 1.0) * float(np.sum(tc.sigma**2))
-        worst = max(worst, lhs - 2.0 * lambda2 * (1.0 + float(np.dot(x, x))))
-    return worst
+    x = _points(model, points)
+    tc = truncated_coeffs(model, cfg, delta, x)
+    margins = _growth_lhs(x, tc.mu, tc.sigma, p_bar) - 2.0 * lambda2 * (1.0 + np.vecdot(x, x))
+    return float(np.max(margins, initial=-math.inf))
 
 
 def fit_lambda2(model: SdeModel, p_bar: float, points: Sequence) -> float:
     """Smallest lambda2 making <x, mu> + (2 p_bar - 1)|sigma|^2 <= lambda2 (1+|x|^2)
     hold at the sampled points (floored at 1e-6)."""
-    best = 1e-6
-    for x in points:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        mu = np.broadcast_to(np.asarray(model.drift(x), dtype=float), (model.d,))
-        lhs = float(np.dot(x, mu)) + (2.0 * p_bar - 1.0) * float(np.sum(sigma_matrix(model, x) ** 2))
-        best = max(best, lhs / (1.0 + float(np.dot(x, x))))
-    return best
+    x = _points(model, points)
+    lhs = _growth_lhs(x, _evaluate(model, model.drift, x, what="drift"), sigma_matrix(model, x), p_bar)
+    return float(np.max(lhs / (1.0 + np.vecdot(x, x)), initial=1e-6))

@@ -1,5 +1,6 @@
 """Config parsing, artifact writing and the command-line entry point."""
 
+import hashlib
 import json
 import os
 
@@ -168,6 +169,11 @@ record_paths = 3
             if not ln.startswith("#")]
     assert data[0] == "path,k,abs_y"
     assert len(data) == 1 + 3 * 201
+    # the stability constants, pinned to the per-point search they came from
+    keys = ("H", "delta_1", "radius_at_one", "paper_H", "paper_delta_1", "paper_discrepancy")
+    constants = json.dumps({key: payload[key] for key in keys}, sort_keys=True)
+    assert hashlib.sha256(constants.encode()).hexdigest() == (
+        "fc895cd3ebf96a8e1155254aef572de89e5de02f4824550012bf2e0318d7462d")
 
 
 def test_check_run(tmp_path):
@@ -192,6 +198,9 @@ k.power = 2
     for row in data[1:]:
         margin = float(row.split(",")[2])
         assert margin <= 0
+    # the falsifiers' margins, pinned to the per-point loops they came from
+    assert hashlib.sha256("\n".join(data).encode()).hexdigest() == (
+        "89e2864ea2353000880a697e43c9f9ef3c56d5c4aa9750c1ac8c539ada701cee")
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

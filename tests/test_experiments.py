@@ -108,15 +108,6 @@ def test_rate_experiment_sup_error_at_least_terminal(cubic_cfg):
     assert np.all(sup.errors >= term.errors)
 
 
-def test_rate_experiment_adaptive_growth(wide_cfg):
-    spec = RateExperimentSpec(
-        model_name="lipschitz_control", cfg=wide_cfg, scheme="classical_milstein",
-        q=1.0, t_final=0.5, delta_ref=1.0 / 256,
-        test_deltas=(1.0 / 32, 1.0 / 16, 1.0 / 8), n_paths=64, master_seed=1)
-    fit = tm.run_rate_experiment(spec, target_rel_se=1e-4, max_paths=256)
-    assert fit.n_paths == 256     # target unreachable, growth capped
-
-
 def test_reference_blowup_aborts(cubic_cfg):
     spec = RateExperimentSpec(
         model_name="cubic_quintic", cfg=cubic_cfg, scheme="classical_em",
@@ -402,6 +393,29 @@ def test_stability_constants_match_per_point_search(name, cfg, k_fn):
     assert (rep.H, rep.delta_1, rep.argmax_norm) == _per_point_constants(model, cfg, k_fn, 10_000)
 
 
+def test_stability_constants_match_per_point_search_on_vector_models(fd_models):
+    k_fn = tm.KFunction(1.0, 2.0)
+    for model in fd_models:
+        rep = tm.compute_stability_constants(model, _UNIT_RADIUS_CFG, k_fn, n_grid=24)
+        assert (rep.H, rep.delta_1, rep.argmax_norm) == _per_point_constants(
+            model, _UNIT_RADIUS_CFG, k_fn, 24)
+
+
+def test_stability_ratio_nan_along_a_later_direction_raises():
+    # a NaN drift along one direction, not the first, must fail the cap check
+    # as it does for a scalar model
+    e = _directions(2)[5]
+
+    def drift(x):
+        along_e = abs(x[0] * e[1] - x[1] * e[0]) <= 1e-12 * np.linalg.norm(x) and np.dot(x, e) > 0
+        return np.full(2, np.nan) if along_e else -x
+
+    model = tm.SdeModel(d=2, m=1, drift=drift, diffusion_col=lambda x, j: 0.0 * x,
+                        initial_value=np.array([1.0, 1.0]), polynomial_degree_r=0.0)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        tm.compute_stability_constants(model, _UNIT_RADIUS_CFG, tm.KFunction(1.0, 2.0), n_grid=20)
+
+
 def test_stability_constants_scalar_drift_calls():
     # one call per direction for the whole grid, then two per refinement step
     base = tm.builtin_model("cubic_quintic")
@@ -413,8 +427,8 @@ def test_stability_constants_scalar_drift_calls():
 
     rep = tm.compute_stability_constants(replace(base, drift=drift), _INTERIOR_MAX_CFG,
                                          tm.KFunction(1.0, 2.0))
-    assert calls[:2] == [(100_000,), (100_000,)]
-    assert set(calls[2:]) == {(1,)}
+    assert calls[:2] == [(100_000, 1), (100_000, 1)]
+    assert set(calls[2:]) == {(1, 1)}
     assert len(calls) <= 100
     assert rep.argmax_norm == pytest.approx(8.0 ** -0.5, rel=1e-6)
     assert rep.H == pytest.approx(1.0 / 256.0, rel=1e-9)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import truncmil as tm
-from truncmil.model import (ProbeSpec, finite_difference_l_op, l_op_terms,
+from truncmil.model import (ProbeSpec, _halton_ball, finite_difference_l_op, l_op_terms,
                             lipschitz_control_model, register_model, resolve_model,
                             scalar_l_op, sigma_matrix)
 
@@ -236,3 +236,107 @@ def test_import_leaves_scipy_stats_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the batched falsifiers against their one-point-at-a-time forms
+
+
+def _per_point_derivs(fn, x, d):
+    delta = np.fmax(1e-6, 1e-6 * np.linalg.norm(x))
+    grad = np.zeros(d)
+    hess = np.zeros((d, d))
+    f0 = fn(x)
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = delta
+        grad[i] = (fn(x + ei) - fn(x - ei)) / (2.0 * delta)
+        hess[i, i] = (fn(x + ei) - 2.0 * f0 + fn(x - ei)) / delta**2
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = delta
+            v = (fn(x + ei + ej) - fn(x + ei - ej) - fn(x - ei + ej) + fn(x - ei - ej)) / (4.0 * delta**2)
+            hess[i, j] = hess[j, i] = v
+    return float(np.linalg.norm(grad)), float(np.linalg.norm(hess))
+
+
+def _per_point_check(model, assumption, spec):
+    """(sampled_points, worst_margin), evaluating every coefficient one point at a time."""
+    c = dict(spec.constants)
+    r = float(c.get("r", model.polynomial_degree_r))
+    d, m = model.d, model.m
+
+    def drift(x):
+        return np.atleast_1d(np.asarray(model.drift(x), dtype=float))
+
+    margins = []
+    if assumption in (tm.Assumption.A2_1_polyLipschitz, tm.Assumption.A2_2_khasminskii):
+        pairs = _halton_ball(2 * d, spec.n_points, 1.0)
+        for x, y in zip(spec.radius * pairs[:, :d], spec.radius * pairs[:, d:]):
+            sx, sy = sigma_matrix(model, x), sigma_matrix(model, y)
+            dsig = np.linalg.norm(sx - sy)
+            if assumption is tm.Assumption.A2_1_polyLipschitz:
+                lx = l_op_terms(model, x, sx).reshape(-1, d)
+                ly = l_op_terms(model, y, sy).reshape(-1, d)
+                dl = max(float(np.linalg.norm(a - b)) for a, b in zip(lx, ly))
+                lhs = max(np.linalg.norm(drift(x) - drift(y)), dsig, dl)
+                rhs = (c.get("K1", 100.0) * (1.0 + np.linalg.norm(x) ** r + np.linalg.norm(y) ** r)
+                       * np.linalg.norm(x - y))
+                margins.append(lhs - rhs)
+            else:
+                inner = float(np.dot(x - y, drift(x) - drift(y)))
+                lhs = inner + (2.0 * spec.p_bar - 1.0) * dsig**2
+                margins.append(lhs - c.get("K2", 0.0) * float(np.dot(x - y, x - y)))
+    elif assumption is tm.Assumption.A2_3_derivGrowth:
+        for x in _halton_ball(d, spec.n_points, spec.radius):
+            worst = 0.0
+            for l in range(d):
+                g, h = _per_point_derivs(lambda v, l=l: float(drift(v)[l]), x, d)
+                worst = max(worst, g, h)
+            for j in range(1, m + 1):
+                for l in range(d):
+                    g, h = _per_point_derivs(
+                        lambda v, j=j, l=l: float(np.broadcast_to(
+                            np.asarray(model.diffusion_col(v, j), dtype=float), (d,))[l]), x, d)
+                    worst = max(worst, g, h)
+            margins.append(worst - c.get("lambda3", 100.0) * (1.0 + np.linalg.norm(x) ** (r + 1.0)))
+    elif assumption in (tm.Assumption.A4_1_dissipative, tm.Assumption.Eq4_2_milsteinDissipative):
+        for x in _halton_ball(d, spec.n_points, spec.radius):
+            sig = sigma_matrix(model, x)
+            lhs = 2.0 * float(np.dot(x, drift(x))) + float(np.sum(sig ** 2))
+            if assumption is tm.Assumption.Eq4_2_milsteinDissipative:
+                l_sum = np.zeros(d)
+                for term in l_op_terms(model, x, sig).reshape(-1, d):
+                    l_sum += term
+                lhs += 0.5 * float(np.dot(l_sum, l_sum)) * c["delta"]
+            margins.append(lhs + float(spec.k_fn(np.linalg.norm(x))))
+    else:
+        dirs = _halton_ball(d, max(8, 2 * d), 1.0)
+        dirs = dirs[np.linalg.norm(dirs, axis=1) > 0]
+        dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        for u in np.logspace(-9, 0, spec.n_points) * spec.radius:
+            for e in dirs:
+                mu = drift(u * e)
+                margins.append(float(np.dot(mu, mu)) / float(spec.k_fn(u)) - c.get("cap", 1e12))
+    return len(margins), float(np.max(margins))
+
+
+_CHECK_CONSTANTS = {"K1": 3.0, "K2": 1.5, "lambda3": 20.0, "delta": 0.3, "cap": 10.0}
+
+
+# single points at many radii, where a one-ulp difference in any term shows,
+# and one larger batch
+_PROBES = [(1, radius, tm.KFunction(0.5, 3.0)) for radius in np.linspace(0.35, 2.5, 24)]
+_PROBES += [(40, 2.0, tm.KFunction(2.0, 2.0))]
+
+
+@pytest.mark.parametrize("assumption", list(tm.Assumption))
+def test_falsifiers_match_per_point_reference_bitwise(assumption, fd_models):
+    models = [tm.builtin_model(name) for name in tm.BUILTIN_MODEL_NAMES]
+    models += [lipschitz_control_model(), *fd_models]
+    for model in models:
+        for n_points, radius, k_fn in _PROBES:
+            spec = ProbeSpec(n_points=n_points, radius=radius, p_bar=1.5, k_fn=k_fn,
+                             constants=_CHECK_CONSTANTS)
+            rep = tm.check_assumption(model, assumption, spec)
+            assert (rep.sampled_points, rep.worst_margin) == _per_point_check(model, assumption, spec)

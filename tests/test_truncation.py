@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import truncmil as tm
-from truncmil.model import row_norm
+from conftest import config_for
+from truncmil.model import l_op_terms, row_norm, sigma_matrix
 from truncmil.truncation import (coefficient_bound_margin, fit_lambda2,
                                  new_error_bound, preservation_margin, project,
                                  project_scalar_batch)
@@ -218,3 +219,58 @@ def test_project_is_idempotent_and_non_expansive(d, n, c, seed):
     # within the rounding of each projected coordinate, a few ulps of r
     dist = row_norm(x - y)
     assert np.all(row_norm(px - py) <= dist + 16 * np.finfo(float).eps * (r + dist))
+
+
+def _per_point_probes(model, cfg, delta, p_bar, lambda2, points):
+    """(coefficient_bound_margin, preservation_margin, fit_lambda2), one point at a time."""
+    worst_bound, worst_pres, lam2 = -math.inf, -math.inf, 1e-6
+    for x in points:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        z = project(cfg, delta, x)
+        mu = np.broadcast_to(np.asarray(model.drift(z), dtype=float), (model.d,))
+        sig = sigma_matrix(model, z)
+        terms = l_op_terms(model, z, sig)
+        blocks = [float(np.linalg.norm(mu))]
+        blocks += [float(np.linalg.norm(sig[:, j])) for j in range(model.m)]
+        blocks += [float(np.linalg.norm(terms[j1, j2]))
+                   for j1 in range(model.m) for j2 in range(model.m)]
+        worst_bound = max(worst_bound, max(blocks) - cfg.h(delta))
+        lhs = float(np.dot(x, mu)) + (2.0 * p_bar - 1.0) * float(np.sum(sig ** 2))
+        worst_pres = max(worst_pres, lhs - 2.0 * lambda2 * (1.0 + float(np.dot(x, x))))
+        mu = np.broadcast_to(np.asarray(model.drift(x), dtype=float), (model.d,))
+        lhs = float(np.dot(x, mu)) + (2.0 * p_bar - 1.0) * float(np.sum(sigma_matrix(model, x) ** 2))
+        lam2 = max(lam2, lhs / (1.0 + float(np.dot(x, x))))
+    return worst_bound, worst_pres, lam2
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.25])
+def test_probes_match_per_point_reference_bitwise(delta, fd_models):
+    def probes(model, cfg, pts):
+        return (coefficient_bound_margin(model, cfg, delta, pts),
+                preservation_margin(model, cfg, delta, 1.5, 0.7, pts),
+                fit_lambda2(model, 1.5, pts))
+
+    rng = np.random.default_rng(11)
+    cases = [(tm.builtin_model(name), config_for(name)) for name in tm.BUILTIN_MODEL_NAMES]
+    cases += [(model, tm.TruncationConfig(4.0, 3.0, 2.0, 0.2, 2.0)) for model in fd_models]
+    for model, cfg in cases:
+        scale = cfg.radius(delta) * 10.0 ** rng.uniform(-2, 1, (60, 1))
+        batch = rng.standard_normal((60, model.d)) * scale
+        for pts in (batch, batch[:1]):
+            assert probes(model, cfg, pts) == _per_point_probes(model, cfg, delta, 1.5, 0.7, pts)
+    model, cfg = cases[0]
+    pts = [0.3, -2.0, 7.5]      # a scalar model's points may be plain numbers
+    assert probes(model, cfg, pts) == _per_point_probes(model, cfg, delta, 1.5, 0.7, pts)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_project_recontracts_rows_that_round_above_radius(d):
+    # x (r/|x|) rounds above r for some rows; the second contraction brings
+    # every one of them back inside
+    cfg = tm.TruncationConfig(1.0, 1.0, 1.7, 0.25, 1.7)
+    r = cfg.radius(1.0)
+    assert r == 1.7
+    x = np.random.default_rng(d).standard_normal((400, d)) * 10.0
+    once = x * (r / row_norm(x))[:, None]
+    assert np.any(row_norm(once) > r)
+    assert np.all(row_norm(project(cfg, 1.0, x)) <= r)
