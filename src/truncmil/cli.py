@@ -78,8 +78,6 @@ def _get(cfg: dict, key: str, kind, default=None, required: bool = False):
         return default
     raw = cfg[key]
     try:
-        if kind is bool:
-            return raw.lower() in ("1", "true", "yes")
         return kind(raw)
     except (TypeError, ValueError):
         raise ValidationError(f"field '{key}': cannot read {raw!r} as {kind.__name__}")
@@ -307,6 +305,8 @@ def run(config_path: str, seed: Optional[int] = None, paths: Optional[int] = Non
             raise ValidationError(f"field 'kind': unknown experiment kind {kind!r}")
         run_seed = _get(cfg, "seed", int, default=0)
         run_workers = _get(cfg, "workers", int, default=1)
+        if run_workers < 1:
+            raise ValidationError(f"field 'workers': need at least one worker, got {run_workers}")
         out_dir = _get(cfg, "out", str, default="out")
         os.makedirs(out_dir, exist_ok=True)
         if not os.access(out_dir, os.W_OK):

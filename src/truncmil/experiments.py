@@ -7,15 +7,15 @@ one fine increment grid).  The fitted slope is reported on the L^{2q}-norm
 scale, i.e. the slope of log(e_i^(1/2q)) against log(step), so an order-one
 scheme reads as slope one regardless of the moment exponent.
 
-Path-level work is split into contiguous chunks of paths, as few as a fixed
-per-chunk byte budget allows and a multiple of the worker count, and merged in
-path-index order; per-path results depend only on the (seed, path) stream, so
-output is identical for any worker count or chunking.
+Path-level work runs through `_map_chunks` alone: contiguous chunks of paths,
+as few as a per-chunk byte budget allows and a multiple of the worker count,
+in one process pool (in-process for one worker), merged in path-index order;
+per-path results depend only on the (seed, path) stream, so output is
+identical for any worker count or chunking.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import warnings
@@ -58,8 +58,8 @@ class RateExperimentSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "test_deltas", tuple(float(d) for d in self.test_deltas))
         object.__setattr__(self, "scheme", SchemeId(self.scheme))
-        if self.n_paths < 1:
-            raise ValueError("need at least one path")
+        if self.n_paths < 2:
+            raise ValueError(f"paths = {self.n_paths}: a standard error needs two paths")
         if self.error_at not in ("terminal", "sup"):
             raise ValueError("error_at must be 'terminal' or 'sup'")
         for d in self.test_deltas:
@@ -190,43 +190,36 @@ def _rate_chunk(spec: RateExperimentSpec, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _worker_pool(n_workers: int):
-    """A process pool for n_workers > 1, else a null context: chunks run in-process."""
-    if n_workers > 1:
-        return ProcessPoolExecutor(max_workers=n_workers)
-    return contextlib.nullcontext()
-
-
-def _chunk_map(fn, arg_tuples: Sequence[tuple], pool) -> list:
-    """fn(*args) for each argument tuple, returned in input (path-index) order."""
-    if pool is None:
-        return [fn(*args) for args in arg_tuples]
-    return list(pool.map(fn, *zip(*arg_tuples)))
-
-
-def _chunk_bounds(lo: int, hi: int, n_workers: int, bytes_per_path: int) -> list:
-    """Split the paths [lo, hi) into contiguous (a, b) chunks, in path order.
+def _chunk_bounds(n_paths: int, n_workers: int, bytes_per_path: int) -> list:
+    """Split the paths [0, n_paths) into contiguous (lo, hi) chunks, in path order.
 
     Their number is the least multiple of `n_workers` that keeps every chunk
     within `_CHUNK_BYTES`, so each worker gets an equal share, capped at one
     path per chunk.  The cap binds only with fewer paths than workers or when
     one path fills more than half the budget.
     """
-    n = hi - lo
-    workers = max(1, n_workers)
+    n, workers = n_paths, max(1, n_workers)
     width = max(1, _CHUNK_BYTES // max(1, bytes_per_path))
     k = -(-n // width)                          # fewest chunks within the budget
     k = min(-(-k // workers) * workers, n)      # a multiple of the workers
-    return [(lo + i * n // k, lo + (i + 1) * n // k) for i in range(k)]
+    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
-def _path_error_samples(spec: RateExperimentSpec, lo: int, hi: int, pool,
-                        n_workers: int) -> np.ndarray:
+def _map_chunks(fn, n_paths: int, n_workers: int, bytes_per_path: int, *args) -> list:
+    """fn(*args, lo, hi) for each chunk of `_chunk_bounds`, in path order: in one
+    process pool when n_workers > 1, else in-process."""
+    calls = [(*args, lo, hi) for lo, hi in _chunk_bounds(n_paths, n_workers, bytes_per_path)]
+    if n_workers <= 1:
+        return [fn(*call) for call in calls]
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(fn, *zip(*calls)))
+
+
+def _path_error_samples(spec: RateExperimentSpec, n_workers: int) -> np.ndarray:
     # the fine increments, plus the reference states recorded for the sup error
     n, model = spec.n_fine, resolve_model(spec.model_name)
     per_path = 8 * (n * model.m + ((n + 1) * model.d if spec.error_at == "sup" else 0))
-    args = [(spec, a, b) for a, b in _chunk_bounds(lo, hi, n_workers, per_path)]
-    return np.vstack(_chunk_map(_rate_chunk, args, pool))
+    return np.vstack(_map_chunks(_rate_chunk, spec.n_paths, n_workers, per_path, spec))
 
 
 # the benchmark's tracer (bench/tracing.py) wraps this name too
@@ -235,8 +228,7 @@ _path_error_samples_range = _path_error_samples
 
 def run_rate_experiment(spec: RateExperimentSpec, n_workers: int = 1) -> RateFit:
     """Couple every test step to the shared fine reference and fit the slope."""
-    with _worker_pool(n_workers) as pool:
-        samples = _path_error_samples(spec, 0, spec.n_paths, pool, n_workers)
+    samples = _path_error_samples(spec, n_workers)
     errors = samples.mean(axis=0)
     ses = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
     return fit_rate(spec.test_deltas, errors, spec.q, standard_errors=ses, n_paths=spec.n_paths)
@@ -266,6 +258,9 @@ def compare_step_conditions(cfg: TruncationConfig, q: float, p: float, r: float)
 
 PAPER_STABILITY_H = 25.0
 PAPER_STABILITY_DELTA1 = 0.04
+
+# a larger sup of |mu(x)|^2 / k(|x|) on the grid means the ratio diverges near 0
+_RATIO_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -319,7 +314,7 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
 
 
 def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
-                                n_grid: int = 100_000, ratio_cap: float = 1e12) -> StabilityConstants:
+                                n_grid: int = 100_000) -> StabilityConstants:
     """Grid-plus-golden search for H = sup |mu(x)|^2 / k(|x|) on the radius-one
     ball of the method, and the step ceiling derived from it.
 
@@ -335,7 +330,7 @@ def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
     grid = np.logspace(-6, math.log10(radius1), n_grid)
     grid[-1] = radius1
     vals = _drift_ratio(model, k_fn, grid, dirs)
-    if not np.all(np.isfinite(vals)) or np.max(vals) > ratio_cap:
+    if not np.all(np.isfinite(vals)) or np.max(vals) > _RATIO_CAP:
         raise ValueError("drift/k ratio exceeds cap; the small-state boundedness "
                          "condition appears violated")
     i = int(np.argmax(vals))
@@ -359,8 +354,10 @@ def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
 
 
 def _stability_chunk(model_name: str, cfg, delta: float, horizon_steps: int,
-                     tol_stab: float, master_seed: int, lo: int, hi: int,
-                     record_paths: int) -> tuple:
+                     tol_stab: float, master_seed: int, record_paths: int,
+                     lo: int, hi: int) -> tuple:
+    """Decay flags of the paths [lo, hi), and the magnitudes of those of them
+    below `record_paths` as (n_recorded, horizon_steps + 1), maybe empty."""
     model = resolve_model(model_name)
     t_final = delta * horizon_steps
     inc = brownian.generate_batch(master_seed, range(lo, hi), 1, t_final, horizon_steps)[:, :, 0]
@@ -368,9 +365,7 @@ def _stability_chunk(model_name: str, cfg, delta: float, horizon_steps: int,
                                    delta, float(model.initial_value[0]), record=True)
     tail = max(1, horizon_steps // 10)
     flags = np.all(np.abs(res.states[:, -tail:]) < tol_stab, axis=1)
-    n_rec = max(0, min(record_paths - lo, hi - lo))
-    recorded = np.abs(res.states[:n_rec]) if n_rec > 0 else None
-    return flags, recorded
+    return flags, np.abs(res.states[:max(0, record_paths - lo)])
 
 
 def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
@@ -385,6 +380,8 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
     tenth of the horizon.  `constants`, when given, only sets the step
     ceiling above which a warning is issued.
     """
+    if n_paths < 1:
+        raise ValueError(f"paths = {n_paths}: a stability ensemble needs at least one path")
     if not tol_stab > 0:
         raise ValueError("tol_stab must be positive")
     if not model.is_scalar:
@@ -394,16 +391,13 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
                       f"{constants.delta_1:.6g}; decay is not guaranteed", stacklevel=2)
     # the increments and the recorded states
     per_path = 8 * (2 * horizon_steps + 1)
-    args = [(model.name, cfg, delta, horizon_steps, tol_stab, master_seed, lo, hi, record_paths)
-            for lo, hi in _chunk_bounds(0, n_paths, n_workers, per_path)]
-    with _worker_pool(n_workers) as pool:
-        parts = _chunk_map(_stability_chunk, args, pool)
-    flags = np.concatenate([p[0] for p in parts])
-    recorded = [p[1] for p in parts if p[1] is not None]
-    recorded_m = np.vstack(recorded) if recorded else None
+    flags, recorded = zip(*_map_chunks(_stability_chunk, n_paths, n_workers, per_path,
+                                       model.name, cfg, delta, horizon_steps, tol_stab,
+                                       master_seed, record_paths))
+    flags, recorded = np.concatenate(flags), np.vstack(recorded)
     return DecayEnsemble(decay_flags=flags, decay_fraction=float(np.mean(flags)),
                          tol_stab=tol_stab, delta=delta, horizon_steps=horizon_steps,
-                         recorded_magnitudes=recorded_m)
+                         recorded_magnitudes=recorded if len(recorded) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +475,8 @@ def interpolant_gap_probe(model: SdeModel, cfg, deltas: Sequence[float],
 
 def terminal_moment_probe(model: SdeModel, cfg, deltas: Sequence[float],
                           n_paths: int, t_final: float = 1.0, power: float = 4.0,
-                          master_seed: int = 0,
-                          scheme: SchemeId = SchemeId.truncated_milstein) -> np.ndarray:
-    """Monte-Carlo E|Y_N|^power at each step size (moment-boundedness probe).
+                          master_seed: int = 0) -> np.ndarray:
+    """Monte-Carlo truncated-Milstein E|Y_N|^power at each step size (moment bound).
 
     Every rung's increments are a prefix of one draw for the finest rung.
     """
@@ -491,7 +484,8 @@ def terminal_moment_probe(model: SdeModel, cfg, deltas: Sequence[float],
     out = np.empty(len(deltas))
     x0 = float(model.initial_value[0])
     for i, inc in _ladder_increments(master_seed, n_paths, t_final, ns):
-        res = simulate_scalar_ensemble(scheme, model, cfg, inc, deltas[i], x0)
+        res = simulate_scalar_ensemble(SchemeId.truncated_milstein, model, cfg, inc,
+                                       deltas[i], x0)
         if not np.all(res.alive):
             raise RuntimeError("blow-up during moment probe")
         out[i] = float(np.mean(np.abs(res.finals) ** power))

@@ -216,8 +216,9 @@ def preservation_margin(model: SdeModel, cfg, delta: float, p_bar: float,
                         lambda2: float, points: Sequence) -> float:
     """Worst margin of <x, mu~(x)> + (2 p_bar - 1) |sigma~(x)|^2 <= 2 lambda2 (1 + |x|^2)."""
     x = _points(model, points)
-    tc = truncated_coeffs(model, cfg, delta, x)
-    margins = _growth_lhs(x, tc.mu, tc.sigma, p_bar) - 2.0 * lambda2 * (1.0 + np.vecdot(x, x))
+    z = project(cfg, delta, x)
+    lhs = _growth_lhs(x, _evaluate(model, model.drift, z, what="drift"), sigma_matrix(model, z), p_bar)
+    margins = lhs - 2.0 * lambda2 * (1.0 + np.vecdot(x, x))
     return float(np.max(margins, initial=-math.inf))
 
 

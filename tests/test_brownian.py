@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import truncmil as tm
@@ -101,6 +103,21 @@ def test_coarsen_rejects_non_divisor():
     grid = tm.generate(1, 0, 1, 1.0, 10)
     with pytest.raises(ValueError, match="does not divide"):
         tm.coarsen(grid, 3)
+
+
+@given(exponents=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       odd=st.sampled_from([1, 3, 5]), axis=st.sampled_from([0, 1]), seed=st.integers(0, 10**6))
+def test_block_sums_compose_over_power_of_two_chains(exponents, odd, axis, seed):
+    # coarsening by 2^k1, then 2^k2, ... equals coarsening by their product at
+    # once, on a path's (n_steps, m) grid and on a step-major batch alike
+    total = 2 ** sum(exponents)
+    x = generate_batch(seed, range(3), 2, 1.0, total * odd)
+    if axis == 0:
+        x = np.ascontiguousarray(x[0])
+    chained = x
+    for k in exponents:
+        chained = block_sums(chained, 2**k, axis=axis)
+    assert np.array_equal(chained, block_sums(x, total, axis=axis))
 
 
 def test_block_sums_odd_factor_left_to_right():

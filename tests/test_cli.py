@@ -141,8 +141,7 @@ def test_rate_run_requires_steps(tmp_path, capsys):
     assert "steps" in capsys.readouterr().err
 
 
-def test_stability_run(tmp_path):
-    cfg_text = """
+STABILITY_CFG = """
 kind = stability
 model = stable_quintic
 omega.coeff = 4
@@ -157,7 +156,10 @@ horizon_steps = 200
 paths = 32
 record_paths = 3
 """
-    path = write_config(tmp_path, cfg_text)
+
+
+def test_stability_run(tmp_path):
+    path = write_config(tmp_path, STABILITY_CFG)
     out = tmp_path / "out"
     assert cli.run(path, seed=2, out=str(out)) == 0
     payload = json.loads((out / "fit.json").read_text())
@@ -174,6 +176,33 @@ record_paths = 3
     constants = json.dumps({key: payload[key] for key in keys}, sort_keys=True)
     assert hashlib.sha256(constants.encode()).hexdigest() == (
         "fc895cd3ebf96a8e1155254aef572de89e5de02f4824550012bf2e0318d7462d")
+
+
+def test_stability_run_rejects_no_paths(tmp_path, capsys):
+    path = write_config(tmp_path, STABILITY_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), "--paths", "0"]) == cli.EXIT_VALIDATION
+    assert "paths = 0" in capsys.readouterr().err
+    assert not (out / "stability.csv").exists()
+
+
+def test_rate_run_rejects_a_single_path(tmp_path, capsys):
+    # one path gives no standard error, so no rates.csv full of NaN
+    path = write_config(tmp_path, RATE_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), "--paths", "1"]) == cli.EXIT_VALIDATION
+    assert "paths = 1" in capsys.readouterr().err
+    assert not (out / "rates.csv").exists()
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    path = write_config(tmp_path, RATE_CFG)
+    out = tmp_path / "out"
+    argv = ["--config", path, "--out", str(out), "--workers", str(workers)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert "field 'workers'" in capsys.readouterr().err
+    assert not (out / "rates.csv").exists()
 
 
 def test_check_run(tmp_path):

@@ -14,7 +14,8 @@ from conftest import _diagonal_col, config_for
 from truncmil import experiments
 from truncmil.brownian import block_sums, generate_batch
 from truncmil.experiments import (RateExperimentSpec, _chunk_bounds, _directions,
-                                  _golden_max, _path_error_samples, _rung_increments)
+                                  _golden_max, _map_chunks, _path_error_samples,
+                                  _rate_chunk, _rung_increments)
 from truncmil.model import register_model
 from truncmil.scheme import _scalar_step
 
@@ -63,6 +64,9 @@ def test_spec_validation(cubic_cfg):
                               master_seed=0)
     assert spec.n_fine == 100
     assert spec.factors == (2, 5)
+    # a standard error needs two samples
+    with pytest.raises(ValueError, match="needs two paths"):
+        replace(spec, n_paths=1)
 
 
 def test_lipschitz_control_classical_milstein_order_one(wide_cfg):
@@ -117,13 +121,13 @@ def test_reference_blowup_aborts(cubic_cfg):
         tm.run_rate_experiment(spec)
 
 
-@given(lo=st.integers(0, 10**6), n=st.integers(1, 5000), n_workers=st.integers(1, 8),
+@given(n=st.integers(1, 5000), n_workers=st.integers(1, 8),
        bytes_per_path=st.integers(1, 1 << 25))
-def test_chunk_bounds_cover_paths_within_budget(lo, n, n_workers, bytes_per_path):
+def test_chunk_bounds_cover_paths_within_budget(n, n_workers, bytes_per_path):
     budget = experiments._CHUNK_BYTES
-    chunks = _chunk_bounds(lo, lo + n, n_workers, bytes_per_path)
-    # [lo, hi) in order, no gap, no empty chunk
-    assert chunks[0][0] == lo and chunks[-1][1] == lo + n
+    chunks = _chunk_bounds(n, n_workers, bytes_per_path)
+    # [0, n) in order, no gap, no empty chunk
+    assert chunks[0][0] == 0 and chunks[-1][1] == n
     assert all(a < b for a, b in chunks)
     assert all(b == c for (_, b), (c, _) in zip(chunks, chunks[1:]))
     assert all((b - a) * bytes_per_path <= budget for a, b in chunks if b - a > 1)
@@ -141,15 +145,47 @@ def _small_rate_spec(error_at):
         test_deltas=(0.01, 0.02, 0.04), n_paths=24, master_seed=11, error_at=error_at)
 
 
+class _InProcessPool:
+    """A stand-in for the process pool that maps in the calling process and
+    counts how often it is created."""
+
+    created = 0
+
+    def __init__(self, max_workers):
+        type(self).created += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 @settings(max_examples=25)
 @given(budget=st.integers(1, 3000), n_workers=st.integers(1, 5), lo=st.integers(0, 20),
        n=st.integers(1, 30), error_at=st.sampled_from(["terminal", "sup"]))
 def test_rate_samples_independent_of_chunking(budget, n_workers, lo, n, error_at):
-    spec = _small_rate_spec(error_at)
-    whole = _path_error_samples(spec, lo, lo + n, None, 1)
-    with mock.patch.object(experiments, "_CHUNK_BYTES", budget):
-        chunked = _path_error_samples(spec, lo, lo + n, None, n_workers)
+    spec = replace(_small_rate_spec(error_at), n_paths=max(2, lo + n))
+    whole = _path_error_samples(spec, 1)
+    # the paths [lo, lo + n) as one chunk give the same rows of the whole run
+    assert np.array_equal(_rate_chunk(spec, lo, lo + n), whole[lo:lo + n])
+    with mock.patch.object(experiments, "_CHUNK_BYTES", budget), \
+            mock.patch.object(experiments, "ProcessPoolExecutor", _InProcessPool):
+        chunked = _path_error_samples(spec, n_workers)
     assert np.array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_map_chunks_calls_in_path_order_in_one_pool(monkeypatch, n_workers):
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 16)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "created", 0)
+    got = _map_chunks(lambda tag, lo, hi: (tag, lo, hi), 10, n_workers, 8, "x")
+    assert got == [("x", lo, hi) for lo, hi in _chunk_bounds(10, n_workers, 8)]
+    assert _InProcessPool.created == (n_workers > 1)
 
 
 def _chunked_results(quintic_cfg, n_workers):
@@ -197,12 +233,10 @@ def _rate_spec(model_name, error_at, test_deltas=(0.01, 0.02, 0.04), t_final=0.1
 def test_general_rate_samples_bitwise_across_budgets_and_workers(monkeypatch, error_at,
                                                                  n_workers, budget):
     spec = _rate_spec("test_diagonal_quintic_2d", error_at)
-    whole = _path_error_samples(spec, 0, spec.n_paths, None, 1)
+    whole = _path_error_samples(spec, 1)
     if budget is not None:
         monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
-    with experiments._worker_pool(n_workers) as pool:
-        got = _path_error_samples(spec, 0, spec.n_paths, pool, n_workers)
-    assert np.array_equal(got, whole)
+    assert np.array_equal(_path_error_samples(spec, n_workers), whole)
 
 
 # 32 fine steps: 8 bytes per increment of each of m drivers, plus, for the
@@ -217,11 +251,11 @@ def test_rate_chunk_budget_counts_increments_and_recorded_states(monkeypatch, mo
     seen = []
     real = experiments._chunk_bounds
 
-    def spy(lo, hi, n_workers, bytes_per_path):
+    def spy(n_paths, n_workers, bytes_per_path):
         seen.append(bytes_per_path)
-        return real(lo, hi, n_workers, bytes_per_path)
+        return real(n_paths, n_workers, bytes_per_path)
     monkeypatch.setattr(experiments, "_chunk_bounds", spy)
-    _path_error_samples(_rate_spec(model_name, error_at, n_paths=2), 0, 2, None, 1)
+    _path_error_samples(_rate_spec(model_name, error_at, n_paths=2), 1)
     assert seen == [per_path]
 
 
@@ -276,8 +310,7 @@ def test_rate_samples_equal_per_rung_fine_grid_sums(model_name, error_at, test_d
     # 4 and 8 are summed from the rung before and 24 from the fine grid
     spec = _rate_spec(model_name, error_at, test_deltas, t_final=0.12 if 0.015 in test_deltas
                       else 0.24, n_paths=6, q=q)
-    assert np.array_equal(_path_error_samples(spec, 0, spec.n_paths, None, 1),
-                          _per_rung_samples(spec))
+    assert np.array_equal(_path_error_samples(spec, 1), _per_rung_samples(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +520,23 @@ def test_stability_ensemble_worker_invariance(quintic_cfg):
                                      n_workers=4)
     assert np.array_equal(one.decay_flags, four.decay_flags)
     assert np.array_equal(one.recorded_magnitudes, four.recorded_magnitudes)
+
+
+def test_stability_chunks_record_only_the_recorded_prefix(quintic_cfg):
+    # every chunk returns an array of magnitudes, empty past the recorded paths
+    args = ("stable_quintic", quintic_cfg, 0.02, 40, 1e-2, 5, 3)
+    whole_flags, whole = experiments._stability_chunk(*args, 0, 8)
+    assert whole.shape == (3, 41)
+    flags, part = experiments._stability_chunk(*args, 2, 6)
+    assert np.array_equal(flags, whole_flags[2:6]) and np.array_equal(part, whole[2:])
+    assert experiments._stability_chunk(*args, 4, 8)[1].shape == (0, 41)
+    model = tm.builtin_model("stable_quintic")
+    for record_paths, shape in ((0, None), (3, (3, 41)), (50, (8, 41))):
+        rep = tm.run_stability_ensemble(model, quintic_cfg, delta=0.02, n_paths=8,
+                                        horizon_steps=40, tol_stab=1e-2, master_seed=5,
+                                        record_paths=record_paths)
+        got = rep.recorded_magnitudes
+        assert (got is None) if shape is None else got.shape == shape
 
 
 # ---------------------------------------------------------------------------

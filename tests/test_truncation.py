@@ -1,6 +1,7 @@
 """Truncation pair, ball projection, and step-size condition calculators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import truncmil as tm
-from conftest import config_for
+from conftest import _coupled_col, config_for
 from truncmil.model import l_op_terms, row_norm, sigma_matrix
 from truncmil.truncation import (coefficient_bound_margin, fit_lambda2,
                                  new_error_bound, preservation_margin, project,
@@ -201,6 +202,32 @@ def test_preservation_margin_with_fitted_lambda2(cubic_cfg):
     lam2 = fit_lambda2(model, p_bar=2.0, points=ball)
     wide = rng.normal(scale=50.0, size=(500, 1))
     assert preservation_margin(model, cubic_cfg, 0.01, 2.0, lam2, wide) <= 0
+
+
+def test_preservation_margin_evaluates_only_drift_and_diffusion():
+    # a 2-d, 2-driver model without an analytic L-operator: the diffusion
+    # matrix takes one call per driver and point, its L-operator would take
+    # 2 m d more per point
+    calls = []
+
+    def col(x, j):
+        calls.append(j)
+        return _coupled_col(x, j)
+    model = tm.SdeModel(d=2, m=2, drift=lambda x: -x - x**3, diffusion_col=col,
+                        initial_value=np.array([1.0, 0.5]), polynomial_degree_r=2.0)
+    cfg = tm.TruncationConfig(4.0, 3.0, 2.0, 0.2, 2.0)
+    pts = np.random.default_rng(3).standard_normal((100, 2)) * 5.0
+    preservation_margin(model, cfg, 0.01, 1.5, 0.7, pts)
+    assert len(calls) == 200
+
+
+def test_preservation_margin_ignores_the_l_operator(cubic_cfg):
+    # the inequality has no L-operator term, so a non-finite one cannot fail it
+    model = tm.builtin_model("cubic_quintic")
+    broken = replace(model, l_op=lambda x, j1, j2: np.full_like(x, np.nan))
+    pts = np.random.default_rng(4).normal(scale=5.0, size=(50, 1))
+    margin = preservation_margin(broken, cubic_cfg, 0.01, 2.0, 1.0, pts)
+    assert margin == preservation_margin(model, cubic_cfg, 0.01, 2.0, 1.0, pts)
 
 
 @given(d=st.integers(1, 5), n=st.integers(1, 8), c=st.floats(1e-3, 1e3),
