@@ -19,8 +19,6 @@ import sys
 import tempfile
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .model import (Assumption, KFunction, ProbeSpec, BUILTIN_MODEL_NAMES,
                     builtin_model, check_assumption)
@@ -143,10 +141,11 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, cfg: dict, seed: int, columns, rows) -> None:
+    """Write `rows` of native Python values, each as its `str` (for a float its
+    shortest round-trip text)."""
+    row_text = ",".join(["{}"] * len(columns)).format
     lines = _header_lines(cfg, seed) + [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row))
+    lines += (row_text(*row) for row in rows)
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -182,7 +181,8 @@ def _run_rate(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
     fit = run_rate_experiment(spec, n_workers=workers)
     _write_csv(os.path.join(out_dir, "rates.csv"), cfg, seed,
                ["delta", "error", "se", "norm_error"],
-               zip(fit.deltas, fit.errors, fit.standard_errors, fit.norm_errors))
+               zip(fit.deltas.tolist(), fit.errors.tolist(), fit.standard_errors.tolist(),
+                   fit.norm_errors.tolist()))
     _write_summary(os.path.join(out_dir, "fit.json"), cfg, seed, {
         "slope": fit.slope, "slope_se": fit.slope_se, "q": fit.q,
         "n_paths": fit.n_paths, "model": model_name, "scheme": spec.scheme.value,
@@ -225,13 +225,9 @@ def _run_stability(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
                                        record_paths=record, constants=constants)
     except ValueError as exc:
         raise ValidationError(str(exc))
-    rows = []
-    if decay.recorded_magnitudes is not None:
-        for p_idx, series in enumerate(decay.recorded_magnitudes):
-            for k, mag in enumerate(series):
-                rows.append((p_idx, k, mag))
-    _write_csv(os.path.join(out_dir, "stability.csv"), cfg, seed,
-               ["path", "k", "abs_y"], rows)
+    mags = [] if decay.recorded_magnitudes is None else decay.recorded_magnitudes.tolist()
+    _write_csv(os.path.join(out_dir, "stability.csv"), cfg, seed, ["path", "k", "abs_y"],
+               ((p, k, mag) for p, series in enumerate(mags) for k, mag in enumerate(series)))
     _write_summary(os.path.join(out_dir, "fit.json"), cfg, seed, {
         "H": constants.H, "delta_1": constants.delta_1,
         "radius_at_one": constants.radius_at_one,

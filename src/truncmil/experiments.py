@@ -382,6 +382,12 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
     """
     if n_paths < 1:
         raise ValueError(f"paths = {n_paths}: a stability ensemble needs at least one path")
+    if horizon_steps < 1:
+        raise ValueError(f"horizon_steps = {horizon_steps}: a stability ensemble needs "
+                         "at least one step")
+    if record_paths < 0:
+        raise ValueError(f"record_paths = {record_paths}: cannot record a negative "
+                         "number of paths")
     if not tol_stab > 0:
         raise ValueError("tol_stab must be positive")
     if not model.is_scalar:

@@ -15,8 +15,10 @@ the coefficients by `model._evaluate`, one (d,) row per call.
 One batched driver, `_simulate_batch`, steps every ensemble.  It reads one
 row of increments per step by plain slicing while every path is alive, and
 does blow-up bookkeeping only after a step that produced a non-finite value:
-a path that blew up is dropped from the batch.  `simulate` is its one-path
-view and `simulate_scalar_ensemble` its scalar view.
+a path that blew up is dropped from the batch.  Recorded states are kept
+step-major, one contiguous row per step, and returned as a transposed
+(n_paths, n_steps + 1, d) view.  `simulate` is its one-path view and
+`simulate_scalar_ensemble` its scalar view.
 """
 
 from __future__ import annotations
@@ -164,7 +166,9 @@ class EnsembleResult:
     finals: np.ndarray          # (n_paths,) or (n_paths, d); NaN where blown up
     alive: np.ndarray           # (n_paths,) bool, False once a path went non-finite
     blowup_step: np.ndarray     # (n_paths,) int, -1 when the path stayed finite
-    states: Optional[np.ndarray] = None   # (n_paths, n_steps+1[, d]) when recorded; NaN after a blow-up
+    # (n_paths, n_steps+1[, d]) when recorded, a transposed view of step-major
+    # memory; NaN after a blow-up
+    states: Optional[np.ndarray] = None
 
     @property
     def blowup_fraction(self) -> float:
@@ -187,9 +191,9 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
     y = np.empty((n_paths, model.d))
     y[:] = model.initial_value if x0 is None else x0
     blowup_step = np.full(n_paths, -1, dtype=np.int64)
-    states = np.full((n_paths, n_steps + 1, model.d), np.nan) if record else None
+    states = np.full((n_steps + 1, n_paths, model.d), np.nan) if record else None
     if record:
-        states[:, 0] = y
+        states[0] = y
     live = slice(None)          # every path, until one blows up
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
@@ -201,11 +205,11 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
                 blowup_step[live[~ok]] = k
                 live, y = live[ok], y[ok]
             if record:
-                states[live, k + 1] = y
+                states[k + 1, live] = y
     finals = np.full((n_paths, model.d), np.nan)
     finals[live] = y
     return EnsembleResult(finals=finals, alive=blowup_step < 0, blowup_step=blowup_step,
-                          states=states)
+                          states=None if states is None else states.transpose(1, 0, 2))
 
 
 def simulate_scalar_ensemble(scheme: SchemeId, model: SdeModel, cfg,

@@ -104,6 +104,8 @@ def test_rate_run_writes_artifacts(tmp_path):
     data = [ln for ln in lines if not ln.startswith("#")]
     assert data[0] == "delta,error,se,norm_error"
     assert len(data) == 4
+    assert hashlib.sha256("\n".join(data).encode()).hexdigest() == (
+        "368817602cd7c9faeb168d2087711daf36c02c4d8fae33f6bc3ef48177514ecb")
     fit = json.loads((out / "fit.json").read_text())
     assert fit["n_paths"] == 64
     assert fit["scheme"] == "truncated_milstein"
@@ -171,6 +173,8 @@ def test_stability_run(tmp_path):
             if not ln.startswith("#")]
     assert data[0] == "path,k,abs_y"
     assert len(data) == 1 + 3 * 201
+    assert hashlib.sha256("\n".join(data).encode()).hexdigest() == (
+        "c47f520f321c13f1a98c05d2e4b4f2b2c7e042710095534531dcb471bb933f5c")
     # the stability constants, pinned to the per-point search they came from
     keys = ("H", "delta_1", "radius_at_one", "paper_H", "paper_delta_1", "paper_discrepancy")
     constants = json.dumps({key: payload[key] for key in keys}, sort_keys=True)
@@ -183,6 +187,24 @@ def test_stability_run_rejects_no_paths(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["--config", path, "--out", str(out), "--paths", "0"]) == cli.EXIT_VALIDATION
     assert "paths = 0" in capsys.readouterr().err
+    assert not (out / "stability.csv").exists()
+
+
+def test_stability_run_rejects_negative_record_paths(tmp_path, capsys):
+    path = write_config(tmp_path, STABILITY_CFG.replace("record_paths = 3", "record_paths = -3"))
+    out = tmp_path / "out"
+    assert cli.run(path, out=str(out)) == cli.EXIT_VALIDATION
+    assert "record_paths = -3" in capsys.readouterr().err
+    assert not (out / "stability.csv").exists()
+
+
+@pytest.mark.parametrize("horizon", [0, -5])
+def test_stability_run_rejects_horizon_below_one_step(tmp_path, capsys, horizon):
+    path = write_config(tmp_path, STABILITY_CFG.replace("horizon_steps = 200",
+                                                        f"horizon_steps = {horizon}"))
+    out = tmp_path / "out"
+    assert cli.run(path, out=str(out)) == cli.EXIT_VALIDATION
+    assert f"horizon_steps = {horizon}" in capsys.readouterr().err
     assert not (out / "stability.csv").exists()
 
 

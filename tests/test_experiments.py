@@ -539,6 +539,24 @@ def test_stability_chunks_record_only_the_recorded_prefix(quintic_cfg):
         assert (got is None) if shape is None else got.shape == shape
 
 
+# each tol_stab splits the 16 paths' tail maxima at that horizon
+@pytest.mark.parametrize("horizon,tol", [(9, 0.4), (40, 0.16), (95, 0.06)])
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_decay_flags_match_per_path_simulation(quintic_cfg, horizon, tol, n_workers):
+    model, delta, seed = tm.builtin_model("stable_quintic"), 0.02, 5
+    rep = tm.run_stability_ensemble(model, quintic_cfg, delta=delta, n_paths=16,
+                                    horizon_steps=horizon, tol_stab=tol, master_seed=seed,
+                                    n_workers=n_workers, record_paths=5)
+    mags = [np.abs(tm.simulate("truncated_milstein", model, quintic_cfg,
+                               tm.generate(seed, p, 1, delta * horizon, horizon)).states[:, 0])
+            for p in range(16)]
+    tail = max(1, horizon // 10)
+    flags = [bool(np.all(m[-tail:] < tol)) for m in mags]
+    assert 0 < sum(flags) < 16
+    assert rep.decay_flags.tolist() == flags
+    assert np.array_equal(rep.recorded_magnitudes, mags[:5])
+
+
 # ---------------------------------------------------------------------------
 # probes
 
