@@ -10,8 +10,7 @@ from .truncation import (TruncatedCoeffs, TruncationConfig, dominant_rate,
                          new_error_bound, old_condition_threshold, project,
                          truncated_coeffs)
 from .brownian import BrownianGrid, coarsen, generate
-from .scheme import (EnsembleResult, SchemeId, Trajectory, simulate,
-                     simulate_scalar_ensemble, step)
+from .scheme import EnsembleResult, SchemeId, Trajectory, simulate, step
 from .experiments import (DecayEnsemble, GapProbe, RateExperimentSpec, RateFit,
                           StabilityConstants, StepConditionComparison,
                           compare_step_conditions, compute_stability_constants,
@@ -28,6 +27,6 @@ __all__ = [
     "compute_stability_constants", "dominant_rate", "eval_l_op", "fit_rate",
     "generate", "interpolant_gap_probe", "new_error_bound",
     "old_condition_threshold", "project", "run_rate_experiment",
-    "run_stability_ensemble", "simulate", "simulate_scalar_ensemble", "step",
-    "terminal_moment_probe", "truncated_coeffs",
+    "run_stability_ensemble", "simulate", "step", "terminal_moment_probe",
+    "truncated_coeffs",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import brownian
 from .model import KFunction, SdeModel, _drift_ratio, resolve_model, row_norm
-from .scheme import SchemeId, _scalar_step, _simulate_batch, simulate_scalar_ensemble
+from .scheme import SchemeId, _scalar_step, _simulate_batch
 from .truncation import TruncationConfig, dominant_rate, old_condition_threshold
 
 # bytes of per-path arrays one chunk may hold; only chunks of a single path exceed it
@@ -156,17 +156,10 @@ def _rate_chunk(spec: RateExperimentSpec, lo: int, hi: int) -> np.ndarray:
     sup = spec.error_at == "sup"
     inc = brownian.generate_batch(spec.master_seed, range(lo, hi), model.m,
                                   spec.t_final, spec.n_fine)
-    if model.is_scalar:
-        inc = inc[:, :, 0]
-        x0 = float(model.initial_value[0])
 
-        def run(increments, delta):
-            return simulate_scalar_ensemble(spec.scheme, model, spec.cfg, increments,
-                                            delta, x0, record=sup)
-    else:
-        def run(increments, delta):
-            return _simulate_batch(spec.scheme, model, spec.cfg, increments, delta,
-                                   record=sup)
+    def run(increments, delta):
+        return _simulate_batch(spec.scheme, model, spec.cfg, increments, delta,
+                               model.initial_value, record=sup)
     ref = run(inc, spec.delta_ref)
     if not np.all(ref.alive):
         raise RuntimeError("reference path blew up; the truncated schemes should "
@@ -178,15 +171,15 @@ def _rate_chunk(spec: RateExperimentSpec, lo: int, hi: int) -> np.ndarray:
         res = run(cinc, spec.delta_ref * f)
         diff = ref.states[:, ::f] - res.states if sup else ref.finals - res.finals
         if model.is_scalar:
-            err = np.abs(diff)
+            err = np.abs(diff[..., 0])
             out[:, i] = (np.max(err, axis=1) if sup else err) ** p
         else:
             # each path's error as its one-path trajectories give it: the same
             # norms (np.linalg.norm along an axis sums squares, unlike row_norm)
-            # and a float power per sample (numpy's array power can differ in the
+            # and libm's power per sample (numpy's array power can differ in the
             # last bit)
             err = np.max(np.linalg.norm(diff, axis=-1), axis=1) if sup else row_norm(diff)
-            out[:, i] = [e ** p for e in err.tolist()]
+            out[:, i] = np.float_power(err, p)
     return out
 
 
@@ -360,12 +353,12 @@ def _stability_chunk(model_name: str, cfg, delta: float, horizon_steps: int,
     below `record_paths` as (n_recorded, horizon_steps + 1), maybe empty."""
     model = resolve_model(model_name)
     t_final = delta * horizon_steps
-    inc = brownian.generate_batch(master_seed, range(lo, hi), 1, t_final, horizon_steps)[:, :, 0]
-    res = simulate_scalar_ensemble(SchemeId.truncated_milstein, model, cfg, inc,
-                                   delta, float(model.initial_value[0]), record=True)
+    inc = brownian.generate_batch(master_seed, range(lo, hi), 1, t_final, horizon_steps)
+    res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, inc, delta,
+                          model.initial_value, record=True)
     tail = max(1, horizon_steps // 10)
-    flags = np.all(np.abs(res.states[:, -tail:]) < tol_stab, axis=1)
-    return flags, np.abs(res.states[:max(0, record_paths - lo)])
+    flags = np.all(np.abs(res.states[:, -tail:, 0]) < tol_stab, axis=1)
+    return flags, np.abs(res.states[:max(0, record_paths - lo), :, 0])
 
 
 def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
@@ -426,7 +419,7 @@ def _ladder_increments(master_seed: int, n_paths: int, t_final: float, ns: Seque
     scaled by its sqrt(step); the finest rung, the draw's last use, scales it
     in place, so no second full-size array is held beside it.
     """
-    z = brownian.standard_normals(master_seed, range(n_paths), 1, max(ns, default=1))[:, :, 0]
+    z = brownian.standard_normals(master_seed, range(n_paths), 1, max(ns, default=1))
     order = sorted(range(len(ns)), key=lambda i: ns[i])
     for i in order:
         inc = z[:, :ns[i]]
@@ -459,12 +452,11 @@ def interpolant_gap_probe(model: SdeModel, cfg, deltas: Sequence[float],
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     ns = _rung_steps(t_final, deltas)
     gaps = np.empty(len(deltas))
-    x0 = float(model.initial_value[0])
     for idx, inc in _ladder_increments(master_seed, n_paths, t_final, [2 * n for n in ns]):
         delta, n = deltas[idx], ns[idx]
         coarse = brownian.block_sums(inc, 2, axis=1)
-        res = simulate_scalar_ensemble(SchemeId.truncated_milstein, model, cfg,
-                                       coarse, delta, x0, record=True)
+        res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, coarse, delta,
+                              model.initial_value, record=True)
         knots = res.states[:, :n]
         half = inc[:, 0::2]
         stepped = _scalar_step(SchemeId.truncated_milstein, model, cfg, delta / 2.0, knots, half)
@@ -486,13 +478,14 @@ def terminal_moment_probe(model: SdeModel, cfg, deltas: Sequence[float],
 
     Every rung's increments are a prefix of one draw for the finest rung.
     """
+    if not model.is_scalar:
+        raise ValueError("moment probe is implemented for scalar models")
     ns = _rung_steps(t_final, deltas)
     out = np.empty(len(deltas))
-    x0 = float(model.initial_value[0])
     for i, inc in _ladder_increments(master_seed, n_paths, t_final, ns):
-        res = simulate_scalar_ensemble(SchemeId.truncated_milstein, model, cfg, inc,
-                                       deltas[i], x0)
+        res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, inc, deltas[i],
+                              model.initial_value)
         if not np.all(res.alive):
             raise RuntimeError("blow-up during moment probe")
-        out[i] = float(np.mean(np.abs(res.finals) ** power))
+        out[i] = float(np.mean(np.abs(res.finals[:, 0]) ** power))
     return out

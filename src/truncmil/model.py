@@ -175,7 +175,8 @@ def eval_l_op(model: SdeModel, x, j1: int, j2: int) -> np.ndarray:
     return _finite(finite_difference_l_op(model, x, j1, j2), "L-operator", x)
 
 
-def l_op_terms(model: SdeModel, x, sig: np.ndarray) -> np.ndarray:
+def l_op_terms(model: SdeModel, x, sig: np.ndarray,
+               what: Optional[str] = "L-operator") -> np.ndarray:
     """L^{j1} sigma_{j2}(x) for every driver pair, shape (..., m, m, d), [..., j1-1, j2-1].
 
     ``x`` is one point (d,) or a batch of points (n, d), and ``sig`` the
@@ -186,6 +187,8 @@ def l_op_terms(model: SdeModel, x, sig: np.ndarray) -> np.ndarray:
     diffusion matrix and the neighbours too, since any non-finite input reaches
     it.  The error lists the failing rows and names the first one's culprit:
     the point itself, or its first neighbour whose diffusion is not finite.
+    With `what=None` there is no check, as in `_evaluate`: a non-finite value
+    passes through (a classical step's blow-up).
     """
     x = np.asarray(x, dtype=float)
     d, m = model.d, model.m
@@ -208,15 +211,14 @@ def l_op_terms(model: SdeModel, x, sig: np.ndarray) -> np.ndarray:
             _evaluate(model, model.diffusion_col, nbrs.reshape(-1, d), j + 1, out=nb[j])
         nb = nb.reshape(m, n, d, 2, d)
         half = (2.0 * delta)[:, None, None, None]
-        with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows fail below
+        with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows are handled below
             diff = (nb[:, :, :, 0] - nb[:, :, :, 1]).transpose(1, 2, 0, 3)   # (n, l, j2, d)
             for l in range(d):
                 out += sig[:, l, :, None, None] * diff[:, l, None] / half
-    bad = ~np.isfinite(out).all(axis=(1, 2, 3))
-    if bad.any():
-        rows = np.flatnonzero(bad)
+    if what is not None and not np.isfinite(out).all():
+        rows = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2, 3)))
         i = rows[0]
-        what, at = "L-operator", pts[i]
+        at = pts[i]
         if model.l_op is None:
             if not np.all(np.isfinite(sig[i])):
                 what = "diffusion"

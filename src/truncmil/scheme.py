@@ -17,8 +17,7 @@ row of increments per step by plain slicing while every path is alive, and
 does blow-up bookkeeping only after a step that produced a non-finite value:
 a path that blew up is dropped from the batch.  Recorded states are kept
 step-major, one contiguous row per step, and returned as a transposed
-(n_paths, n_steps + 1, d) view.  `simulate` is its one-path view and
-`simulate_scalar_ensemble` its scalar view.
+(n_paths, n_steps + 1, d) view.  `simulate` is its one-path view.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .brownian import BrownianGrid, coarsen
-from .model import EvaluationError, SdeModel, _evaluate, l_op_terms, scalar_l_op
+from .model import SdeModel, _evaluate, l_op_terms, scalar_l_op
 from .truncation import _check_delta, project, project_scalar_batch
 
 
@@ -104,17 +103,7 @@ def _general_step(scheme: SchemeId, model: SdeModel, cfg, delta: float,
     for j in range(model.m):
         incr = incr + _evaluate(model, model.diffusion_col, z, j + 1, out=sig[:, :, j]) * dB[:, j, None]
     if scheme.has_milstein_term:
-        try:
-            l_terms = l_op_terms(model, z, sig)
-        except EvaluationError as exc:
-            if scheme.truncates or exc.rows is None:
-                raise
-            # a classical blow-up of the failing rows; the others step on
-            ok = np.ones(len(z), dtype=bool)
-            ok[exc.rows] = False
-            l_terms = np.full((len(z), model.m, model.m, model.d), np.nan)
-            if ok.any():
-                l_terms[ok] = l_op_terms(model, z[ok], sig[ok])
+        l_terms = l_op_terms(model, z, sig, what="L-operator" if scheme.truncates else None)
         for j1, j2 in product(range(model.m), repeat=2):
             w = dB[:, j1] * dB[:, j2] - (delta if j1 == j2 else 0.0)
             incr = incr + 0.5 * l_terms[:, j1, j2] * w[:, None]
@@ -133,9 +122,8 @@ def step(scheme: SchemeId, model: SdeModel, cfg, delta: float, y, dB) -> np.ndar
     dB = np.atleast_1d(np.asarray(dB, dtype=float))
     if dB.shape != (model.m,):
         raise ValueError(f"need {model.m} Brownian increments, got shape {dB.shape}")
-    if model.is_scalar:
-        return _scalar_step(scheme, model, cfg, delta, y, dB)
-    return _general_step(scheme, model, cfg, delta, y[None], dB[None])[0]
+    stepper = _scalar_step if model.is_scalar else _general_step
+    return stepper(scheme, model, cfg, delta, y[None], dB[None])[0]
 
 
 def simulate(scheme: SchemeId, model: SdeModel, cfg, grid: BrownianGrid,
@@ -146,9 +134,8 @@ def simulate(scheme: SchemeId, model: SdeModel, cfg, grid: BrownianGrid,
     delta = g.t_final / g.n_fine
     if delta > 1:
         raise ValueError(f"coarsened step size {delta} exceeds 1")
-    if g.m != model.m:
-        raise ValueError(f"need {model.m} Brownian increments, got shape {(g.m,)}")
-    run = _simulate_batch(scheme, model, cfg, g.increments[None], delta, record=True)
+    run = _simulate_batch(scheme, model, cfg, g.increments[None], delta, model.initial_value,
+                          record=True)
     blew_up = not run.alive[0]
     k_last = int(run.blowup_step[0]) if blew_up else g.n_fine
     return Trajectory(times=np.arange(k_last + 1) * delta, states=run.states[0, :k_last + 1],
@@ -157,16 +144,13 @@ def simulate(scheme: SchemeId, model: SdeModel, cfg, grid: BrownianGrid,
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """An ensemble's terminal states and blow-up bookkeeping.
+    """An ensemble's terminal states and blow-up bookkeeping; `finals` and
+    `states` keep the trailing (d,) axis for every model, scalar ones too."""
 
-    `_simulate_batch` gives `finals` and `states` a trailing (d,) axis; its
-    scalar view `simulate_scalar_ensemble` drops it.
-    """
-
-    finals: np.ndarray          # (n_paths,) or (n_paths, d); NaN where blown up
+    finals: np.ndarray          # (n_paths, d); NaN where blown up
     alive: np.ndarray           # (n_paths,) bool, False once a path went non-finite
     blowup_step: np.ndarray     # (n_paths,) int, -1 when the path stayed finite
-    # (n_paths, n_steps+1[, d]) when recorded, a transposed view of step-major
+    # (n_paths, n_steps+1, d) when recorded, a transposed view of step-major
     # memory; NaN after a blow-up
     states: Optional[np.ndarray] = None
 
@@ -176,9 +160,8 @@ class EnsembleResult:
 
 
 def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarray,
-                    delta: float, x0=None, record: bool = False) -> EnsembleResult:
-    """Step all paths of any model from x0 (the model's initial value by
-    default) as one batch.
+                    delta: float, x0, record: bool = False) -> EnsembleResult:
+    """Step all paths of any model from x0 as one batch.
 
     `increments` has shape (n_paths, n_steps, m); step-major memory, where
     `increments[:, k]` is contiguous, is the fast layout.  A path that goes
@@ -186,10 +169,14 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
     models take `_scalar_step` on (n_paths, 1) columns, general ones
     `_general_step`.
     """
+    if increments.ndim != 3 or increments.shape[2] != model.m:
+        raise ValueError(f"increments must have shape (n_paths, n_steps, {model.m}), "
+                         f"got {increments.shape}")
+    scheme = SchemeId(scheme)
     stepper = _scalar_step if model.is_scalar else _general_step
     n_paths, n_steps, _ = increments.shape
     y = np.empty((n_paths, model.d))
-    y[:] = model.initial_value if x0 is None else x0
+    y[:] = x0
     blowup_step = np.full(n_paths, -1, dtype=np.int64)
     states = np.full((n_steps + 1, n_paths, model.d), np.nan) if record else None
     if record:
@@ -212,15 +199,5 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
                           states=None if states is None else states.transpose(1, 0, 2))
 
 
-def simulate_scalar_ensemble(scheme: SchemeId, model: SdeModel, cfg,
-                             increments: np.ndarray, delta: float, x0: float,
-                             record: bool = False) -> EnsembleResult:
-    """`_simulate_batch` for a scalar model on (n_paths, n_steps) increments,
-    with one value per path and step in `finals` and `states`."""
-    if not model.is_scalar:
-        raise ValueError("scalar ensembles require a scalar model")
-    run = _simulate_batch(SchemeId(scheme), model, cfg, increments[:, :, None], delta,
-                          x0, record)
-    return EnsembleResult(finals=run.finals[:, 0], alive=run.alive,
-                          blowup_step=run.blowup_step,
-                          states=None if run.states is None else run.states[:, :, 0])
+# the name `bench/tracing.py` wraps as its ensemble span
+simulate_scalar_ensemble = _simulate_batch

@@ -10,6 +10,7 @@ import truncmil as tm
 from truncmil import cli
 from truncmil.brownian import generate_batch
 from truncmil.experiments import RateExperimentSpec
+from truncmil.scheme import _simulate_batch
 from truncmil.truncation import (coefficient_bound_margin, fit_lambda2,
                                  preservation_margin)
 
@@ -150,13 +151,11 @@ def test_criterion_6_classical_em_blowup(cubic_cfg):
     # divergence of the unprojected Euler scheme at a large step; started from
     # x0 = 2 every path leaves any bounded set within a few steps
     model = tm.builtin_model("cubic_quintic")
-    inc = generate_batch(12, range(200), 1, 8.0, 32)[:, :, 0]
-    res = tm.simulate_scalar_ensemble(tm.SchemeId.classical_em, model, cubic_cfg,
-                                      inc, 0.25, 2.0)
+    inc = generate_batch(12, range(200), 1, 8.0, 32)
+    res = _simulate_batch(tm.SchemeId.classical_em, model, cubic_cfg, inc, 0.25, 2.0)
     assert res.blowup_fraction == 1.0
     # the truncated scheme on the same paths stays finite
-    safe = tm.simulate_scalar_ensemble(tm.SchemeId.truncated_milstein, model,
-                                       cubic_cfg, inc, 0.25, 2.0)
+    safe = _simulate_batch(tm.SchemeId.truncated_milstein, model, cubic_cfg, inc, 0.25, 2.0)
     assert np.all(safe.alive)
 
 

@@ -17,7 +17,7 @@ from truncmil.experiments import (RateExperimentSpec, _chunk_bounds, _directions
                                   _golden_max, _map_chunks, _path_error_samples,
                                   _rate_chunk, _rung_increments)
 from truncmil.model import register_model
-from truncmil.scheme import _scalar_step
+from truncmil.scheme import _scalar_step, _simulate_batch
 
 
 def test_fit_rate_synthetic_slope_one():
@@ -279,13 +279,13 @@ def _per_rung_samples(spec):
     if model.is_scalar:
         inc = generate_batch(spec.master_seed, range(spec.n_paths), 1, spec.t_final,
                              spec.n_fine)[:, :, 0]
-        ref = tm.simulate_scalar_ensemble(spec.scheme, model, spec.cfg, inc, spec.delta_ref,
-                                          1.0, record=True)
+        ref = _simulate_batch(spec.scheme, model, spec.cfg, inc[:, :, None], spec.delta_ref,
+                              1.0, record=True)
         for i, f in enumerate(spec.factors):
-            run = tm.simulate_scalar_ensemble(spec.scheme, model, spec.cfg,
-                                              block_sums(inc, f, axis=1), spec.delta_ref * f,
-                                              1.0, record=True)
-            diff = np.abs(ref.states[:, ::f] - run.states)
+            run = _simulate_batch(spec.scheme, model, spec.cfg,
+                                  block_sums(inc, f, axis=1)[:, :, None], spec.delta_ref * f,
+                                  1.0, record=True)
+            diff = np.abs(ref.states[:, ::f, 0] - run.states[..., 0])
             out[:, i] = (diff[:, -1] if spec.error_at == "terminal" else diff.max(axis=1)) ** p
         return out
     for path in range(spec.n_paths):
@@ -597,10 +597,10 @@ def _per_rung_moments(model, cfg, deltas, n_paths, t_final, power, seed):
     out = []
     for delta in deltas:
         n = int(round(t_final / delta))
-        inc = generate_batch(seed, range(n_paths), 1, t_final, n)[:, :, 0]
-        res = tm.simulate_scalar_ensemble(tm.SchemeId.truncated_milstein, model, cfg, inc,
-                                          delta, float(model.initial_value[0]))
-        out.append(float(np.mean(np.abs(res.finals) ** power)))
+        inc = generate_batch(seed, range(n_paths), 1, t_final, n)
+        res = _simulate_batch(tm.SchemeId.truncated_milstein, model, cfg, inc, delta,
+                              float(model.initial_value[0]))
+        out.append(float(np.mean(np.abs(res.finals[:, 0]) ** power)))
     return np.array(out)
 
 
@@ -609,10 +609,10 @@ def _per_rung_gaps(model, cfg, deltas, n_paths, t_final, seed):
     for delta in sorted(deltas, reverse=True):
         n = int(round(t_final / delta))
         inc = generate_batch(seed, range(n_paths), 1, t_final, 2 * n)[:, :, 0]
-        res = tm.simulate_scalar_ensemble(tm.SchemeId.truncated_milstein, model, cfg,
-                                          block_sums(inc, 2, axis=1), delta,
-                                          float(model.initial_value[0]), record=True)
-        knots = res.states[:, :n]
+        res = _simulate_batch(tm.SchemeId.truncated_milstein, model, cfg,
+                              block_sums(inc, 2, axis=1)[:, :, None], delta,
+                              float(model.initial_value[0]), record=True)
+        knots = res.states[:, :n, 0]
         stepped = _scalar_step(tm.SchemeId.truncated_milstein, model, cfg, delta / 2.0,
                                knots, inc[:, 0::2])
         out.append(float(np.mean((stepped - knots) ** 2)))
@@ -631,6 +631,15 @@ def test_probes_match_per_rung_regeneration(cubic_cfg, deltas):
     probe = tm.interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=64, master_seed=7)
     assert np.array_equal(probe.mean_square_gaps,
                           _per_rung_gaps(model, cubic_cfg, deltas, 64, 1.0, 7))
+
+
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, tm.interpolant_gap_probe])
+def test_probes_reject_vector_model(cubic_cfg, probe):
+    model = tm.SdeModel(d=2, m=1, drift=lambda x: -x,
+                        diffusion_col=lambda x, j: 0.0 * x,
+                        initial_value=np.array([1.0, 1.0]), polynomial_degree_r=0.0)
+    with pytest.raises(ValueError, match="scalar"):
+        probe(model, cubic_cfg, [0.25], n_paths=2)
 
 
 @pytest.mark.parametrize("deltas", [[0.3], [0.25, 0.3]])

@@ -5,7 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import truncmil
-from truncmil import brownian, experiments
+from truncmil import brownian, experiments, scheme
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -28,6 +28,13 @@ def test_batch_block_sums_is_not_an_alias():
     # the tracer replaces names by object identity: an alias of block_sums
     # would be wrapped twice and its time counted twice
     assert experiments._batch_block_sums is not brownian.block_sums
+
+
+def test_ensemble_span_name_is_the_driver():
+    # the tracer wraps `simulate_scalar_ensemble` as its ensemble span; as an
+    # alias of the one driver every ensemble passes that span, and is counted, once
+    assert scheme.simulate_scalar_ensemble is scheme._simulate_batch
+    assert "simulate_scalar_ensemble" not in truncmil.__all__
 
 
 def test_public_names_resolve():

@@ -164,9 +164,8 @@ def test_truncated_milstein_never_blows_up(cubic_cfg, damped_cfg, quintic_cfg):
     from truncmil.brownian import generate_batch
     for name, cfg in configs.items():
         model = tm.builtin_model(name)
-        inc = generate_batch(2, range(1000), 1, 1.0, 100)[:, :, 0]
-        res = tm.simulate_scalar_ensemble(tm.SchemeId.truncated_milstein, model, cfg,
-                                          inc, 0.01, 1.0)
+        inc = generate_batch(2, range(1000), 1, 1.0, 100)
+        res = _simulate_batch(tm.SchemeId.truncated_milstein, model, cfg, inc, 0.01, 1.0)
         assert np.all(res.alive)
         assert np.all(np.isfinite(res.finals))
 
@@ -174,14 +173,14 @@ def test_truncated_milstein_never_blows_up(cubic_cfg, damped_cfg, quintic_cfg):
 def test_ensemble_matches_per_path_bitwise(cubic_cfg):
     model = tm.builtin_model("cubic_quintic")
     from truncmil.brownian import generate_batch
-    inc = generate_batch(6, range(16), 1, 1.0, 64)[:, :, 0]
-    res = tm.simulate_scalar_ensemble(tm.SchemeId.truncated_milstein, model, cubic_cfg,
-                                      inc, 1.0 / 64, 1.0, record=True)
+    inc = generate_batch(6, range(16), 1, 1.0, 64)
+    res = _simulate_batch(tm.SchemeId.truncated_milstein, model, cubic_cfg, inc, 1.0 / 64, 1.0,
+                          record=True)
     for p in range(16):
         grid = tm.generate(6, p, 1, 1.0, 64)
         traj = tm.simulate(tm.SchemeId.truncated_milstein, model, cubic_cfg, grid)
-        assert res.finals[p] == traj.terminal[0]
-        assert np.array_equal(res.states[p], traj.states[:, 0])
+        assert res.finals[p, 0] == traj.terminal[0]
+        assert np.array_equal(res.states[p, :, 0], traj.states[:, 0])
 
 
 def _reference_scalar_step(scheme, model, cfg, delta, y, dB):
@@ -221,11 +220,11 @@ def _reference_ensemble(scheme, model, cfg, increments, delta, x0):
 
 def _assert_matches_reference(res, ref, record):
     finals, alive, blowup_step, states = ref
-    assert np.array_equal(res.finals, finals, equal_nan=True)
+    assert np.array_equal(res.finals[:, 0], finals, equal_nan=True)
     assert np.array_equal(res.alive, alive)
     assert np.array_equal(res.blowup_step, blowup_step)
     if record:
-        assert np.array_equal(res.states, states, equal_nan=True)
+        assert np.array_equal(res.states[..., 0], states, equal_nan=True)
     else:
         assert res.states is None
 
@@ -239,8 +238,8 @@ def test_ensemble_matches_reference_loop_bitwise(cubic_cfg, scheme, record):
     ref = _reference_ensemble(scheme, model, cubic_cfg, inc, 1.0 / 64, 1.0)
     # step-major increments, as drawn, and a path-major copy
     for layout in (inc, np.ascontiguousarray(inc)):
-        res = tm.simulate_scalar_ensemble(scheme, model, cubic_cfg, layout, 1.0 / 64, 1.0,
-                                          record=record)
+        res = _simulate_batch(scheme, model, cubic_cfg, layout[:, :, None], 1.0 / 64, 1.0,
+                              record=record)
         _assert_matches_reference(res, ref, record)
 
 
@@ -257,7 +256,7 @@ def test_ensemble_blowup_matches_reference_loop_bitwise(cubic_cfg, scheme, x0, r
     dead = ~ref[1]
     assert np.any(dead) and np.all(ref[2][dead] > 0)
     assert x0 == 2.0 or (np.any(~dead) and len(np.unique(ref[2][dead])) > 1)
-    res = tm.simulate_scalar_ensemble(scheme, model, cubic_cfg, inc, 0.25, x0, record=record)
+    res = _simulate_batch(scheme, model, cubic_cfg, inc[:, :, None], 0.25, x0, record=record)
     _assert_matches_reference(res, ref, record)
 
 
@@ -271,8 +270,8 @@ def test_constant_coefficients_step_alike_everywhere(cubic_cfg, scheme, l_op, re
                         l_op=l_op, initial_value=np.array([1.5]), polynomial_degree_r=0.0)
     inc = generate_batch(3, range(8), 1, 1.0, 16)[:, :, 0]
     ref = _reference_ensemble(scheme, model, cubic_cfg, inc, 1.0 / 16, 1.5)
-    res = tm.simulate_scalar_ensemble(scheme, model, cubic_cfg, inc, 1.0 / 16, 1.5,
-                                      record=record)
+    res = _simulate_batch(scheme, model, cubic_cfg, inc[:, :, None], 1.0 / 16, 1.5,
+                          record=record)
     _assert_matches_reference(res, ref, record)
     for p in range(8):
         grid = tm.generate(3, p, 1, 1.0, 16)
@@ -286,9 +285,8 @@ def test_constant_coefficients_step_alike_everywhere(cubic_cfg, scheme, l_op, re
 def test_ensemble_blowup_bookkeeping(cubic_cfg):
     model = tm.builtin_model("cubic_quintic")
     from truncmil.brownian import generate_batch
-    inc = generate_batch(0, range(50), 1, 8.0, 32)[:, :, 0]
-    res = tm.simulate_scalar_ensemble(tm.SchemeId.classical_em, model, cubic_cfg,
-                                      inc, 0.25, 2.0)
+    inc = generate_batch(0, range(50), 1, 8.0, 32)
+    res = _simulate_batch(tm.SchemeId.classical_em, model, cubic_cfg, inc, 0.25, 2.0)
     assert res.blowup_fraction > 0.5
     dead = ~res.alive
     assert np.all(np.isnan(res.finals[dead]))
@@ -296,13 +294,16 @@ def test_ensemble_blowup_bookkeeping(cubic_cfg):
     assert np.all(res.blowup_step[res.alive] == -1)
 
 
-def test_ensemble_rejects_vector_model(cubic_cfg):
-    model = tm.SdeModel(d=2, m=1, drift=lambda x: -x,
+@pytest.mark.parametrize("d", [1, 2])
+def test_driver_rejects_increments_for_another_driver_count(cubic_cfg, d):
+    # one driver: (n, s, 2) increments are refused, not partly read or broadcast
+    model = tm.SdeModel(d=d, m=1, drift=lambda x: -x,
                         diffusion_col=lambda x, j: 0.0 * x,
-                        initial_value=np.array([1.0, 1.0]), polynomial_degree_r=0.0)
-    with pytest.raises(ValueError, match="scalar"):
-        tm.simulate_scalar_ensemble(tm.SchemeId.truncated_em, model, cubic_cfg,
-                                    np.zeros((2, 4)), 0.1, 1.0)
+                        initial_value=np.ones(d), polynomial_degree_r=0.0)
+    for shape in [(2, 4, 2), (2, 4)]:
+        with pytest.raises(ValueError, match=r"\(n_paths, n_steps, 1\), got \(2, 4"):
+            _simulate_batch(tm.SchemeId.truncated_em, model, cubic_cfg, np.zeros(shape),
+                            0.1, model.initial_value)
 
 
 
@@ -472,7 +473,8 @@ def test_batch_driver_mixed_blowup_matches_per_path_reference(scheme):
     model = replace(_diagonal_quintic_2d(), initial_value=np.array([1.2, 1.2]))
     cfg = config_for("cubic_quintic")
     inc = generate_batch(0, range(24), 2, 8.0, 32)
-    res = _simulate_batch(tm.SchemeId(scheme), model, cfg, inc, 0.25, record=True)
+    res = _simulate_batch(tm.SchemeId(scheme), model, cfg, inc, 0.25, model.initial_value,
+                          record=True)
     assert np.any(~res.alive) and np.any(res.alive)
     assert len(np.unique(res.blowup_step[~res.alive])) > 1
     for p in range(24):
@@ -553,11 +555,11 @@ def test_scalar_ensemble_strong_order_against_exact_gbm_solution(scheme, window)
     exact = np.exp((-1.0 - GBM_S**2 / 2) * t_final + GBM_S * block_sums(inc, n_fine, axis=1)[:, 0])
     errors = []
     for f in factors:
-        res = tm.simulate_scalar_ensemble(scheme, model, cfg, block_sums(inc, f, axis=1),
-                                          t_final / n_fine * f, 1.0, record=True)
+        res = _simulate_batch(scheme, model, cfg, block_sums(inc, f, axis=1)[:, :, None],
+                              t_final / n_fine * f, 1.0, record=True)
         assert np.all(res.alive)
         assert np.max(np.abs(res.states)) < cfg.radius(t_final / n_fine * f)   # never projects
-        errors.append(np.mean(np.abs(res.finals - exact)))
+        errors.append(np.mean(np.abs(res.finals[:, 0] - exact)))
     deltas = t_final / n_fine * np.array(factors)
     slope = np.polyfit(np.log(deltas), np.log(errors), 1)[0]
     assert window[0] <= slope <= window[1]
