@@ -16,6 +16,7 @@ layout.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,8 @@ class BrownianGrid:
             raise ValueError("increment array shape does not match (n_fine, m)")
 
 
-# raw draws per block of paths, which bounds the uint64 scratch array
+# values per block of work: it bounds the uint64 scratch array of a block of
+# paths' raw draws, and the pairwise-halving scratch of one block-sum slab
 _BLOCK_DRAWS = 1 << 16
 
 
@@ -113,21 +115,36 @@ def block_sums(x: np.ndarray, factor: int, axis: int = 0) -> np.ndarray:
 
     Power-of-two factors reduce by repeated pairwise halving, so coarsening by
     2 then 2 is bit-identical to coarsening by 4 directly; any odd residual
-    factor is folded left to right.
+    factor is folded left to right.  The output is filled a slab of output
+    steps at a time, so the halving scratch holds at most `_BLOCK_DRAWS`
+    values whatever the size of `x`; where one output step's blocks are
+    wider than that, a slab also covers only some of the other axes' columns.
+    Each output entry's sum is the same whatever the slab, and the output has
+    the layout of `x` (a step-major input gives a step-major output).
     """
     n = x.shape[axis]
     if factor < 1 or n % factor:
         raise ValueError(f"factor {factor} does not divide {n} fine steps")
-    out = x.reshape(x.shape[:axis] + (n // factor, factor) + x.shape[axis + 1:])
-    out = np.moveaxis(out, axis + 1, 0)     # entry i of every block is out[i]
-    f = factor
-    while f % 2 == 0:
-        out = out[0::2] + out[1::2]
-        f //= 2
-    acc = out[0].copy(order="K")     # keeps a step-major input step-major
-    for i in range(1, f):
-        acc += out[i]
-    return acc
+    blocks = x.reshape(x.shape[:axis] + (n // factor, factor) + x.shape[axis + 1:])
+    blocks = np.moveaxis(blocks, axis + 1, 0)   # entry i of every block is blocks[i]
+    out = np.empty_like(blocks[0])
+    # slab extents: the other axes whole, the last first, while the budget
+    # lasts, then as many output steps as it still allows
+    extent, room = [1] * out.ndim, max(1, _BLOCK_DRAWS // factor)
+    for k in [k for k in reversed(range(out.ndim)) if k != axis] + [axis]:
+        extent[k] = max(1, min(out.shape[k], room))
+        room = max(1, room // extent[k])
+    for corner in itertools.product(*(range(0, s, e) for s, e in zip(out.shape, extent))):
+        slab = tuple(slice(c, c + e) for c, e in zip(corner, extent))
+        part, f = blocks[(slice(None),) + slab], factor
+        while f % 2 == 0:
+            part = part[0::2] + part[1::2]
+            f //= 2
+        acc = out[slab]
+        acc[...] = part[0]
+        for i in range(1, f):
+            acc += part[i]
+    return out
 
 
 def coarsen(grid: BrownianGrid, factor: int) -> BrownianGrid:

@@ -141,11 +141,10 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, cfg: dict, seed: int, columns, rows) -> None:
-    """Write `rows` of native Python values, each as its `str` (for a float its
-    shortest round-trip text)."""
-    row_text = ",".join(["{}"] * len(columns)).format
+    """Write the header, the column names and `rows`, each row one line of
+    its values' `str` texts (for a float its shortest round-trip text)."""
     lines = _header_lines(cfg, seed) + [",".join(columns)]
-    lines += (row_text(*row) for row in rows)
+    lines += rows
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -181,8 +180,8 @@ def _run_rate(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
     fit = run_rate_experiment(spec, n_workers=workers)
     _write_csv(os.path.join(out_dir, "rates.csv"), cfg, seed,
                ["delta", "error", "se", "norm_error"],
-               zip(fit.deltas.tolist(), fit.errors.tolist(), fit.standard_errors.tolist(),
-                   fit.norm_errors.tolist()))
+               map("{},{},{},{}".format, fit.deltas.tolist(), fit.errors.tolist(),
+                   fit.standard_errors.tolist(), fit.norm_errors.tolist()))
     _write_summary(os.path.join(out_dir, "fit.json"), cfg, seed, {
         "slope": fit.slope, "slope_se": fit.slope_se, "q": fit.q,
         "n_paths": fit.n_paths, "model": model_name, "scheme": spec.scheme.value,
@@ -227,7 +226,9 @@ def _run_stability(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
         raise ValidationError(str(exc))
     mags = [] if decay.recorded_magnitudes is None else decay.recorded_magnitudes.tolist()
     _write_csv(os.path.join(out_dir, "stability.csv"), cfg, seed, ["path", "k", "abs_y"],
-               ((p, k, mag) for p, series in enumerate(mags) for k, mag in enumerate(series)))
+               # a float's repr is its str, and cheaper to reach than through format
+               (f"{p},{k},{mag}" for p, series in enumerate(mags)
+                for k, mag in enumerate(map(repr, series))))
     _write_summary(os.path.join(out_dir, "fit.json"), cfg, seed, {
         "H": constants.H, "delta_1": constants.delta_1,
         "radius_at_one": constants.radius_at_one,
@@ -257,12 +258,12 @@ def _run_check(cfg: dict, out_dir: str, seed: int) -> str:
                          p_bar=_get(cfg, "p_bar", float, default=2.0),
                          constants=constants)
         rep = check_assumption(model, assumption, spec)
-        rows.append((assumption.value, rep.sampled_points, rep.worst_margin))
+        rows.append(f"{assumption.value},{rep.sampled_points},{rep.worst_margin}")
         worst = max(worst, rep.worst_margin)
     if "k.coeff" in cfg:
         spec = ProbeSpec(n_points=n_points, radius=radius, k_fn=_k_fn(cfg))
         rep = check_assumption(model, Assumption.A4_1_dissipative, spec)
-        rows.append((rep.assumption_id.value, rep.sampled_points, rep.worst_margin))
+        rows.append(f"{rep.assumption_id.value},{rep.sampled_points},{rep.worst_margin}")
         worst = max(worst, rep.worst_margin)
     _write_csv(os.path.join(out_dir, "checks.csv"), cfg, seed,
                ["assumption", "sampled_points", "worst_margin"], rows)

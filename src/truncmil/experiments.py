@@ -30,8 +30,11 @@ from .model import KFunction, SdeModel, _drift_ratio, resolve_model, row_norm
 from .scheme import SchemeId, _scalar_step, _simulate_batch
 from .truncation import TruncationConfig, dominant_rate, old_condition_threshold
 
-# bytes of per-path arrays one chunk may hold; only chunks of a single path exceed it
-_CHUNK_BYTES = 8 << 20
+# bytes of per-path arrays one chunk may hold; only chunks of a single path exceed it.
+# Block sums work in slabs of at most `brownian._BLOCK_DRAWS` values, so a rate
+# chunk's traced peak stays near these bytes (about 1.15 times them); 16 MiB runs
+# 4000 criterion-3 paths of 1024 steps on 2 workers as 2 chunks of 2000
+_CHUNK_BYTES = 16 << 20
 
 
 # bench/tracing.py wraps this name too; a partial, not an alias, so block sums count once

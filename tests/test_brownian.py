@@ -1,6 +1,7 @@
 """Deterministic Brownian grids: reproducibility, moments, exact coarsening."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import truncmil as tm
+from truncmil import brownian
 from truncmil.brownian import (_open_unit, block_sums, generate_batch, standard_normals,
                                total_increment)
 
@@ -118,6 +120,43 @@ def test_block_sums_compose_over_power_of_two_chains(exponents, odd, axis, seed)
     for k in exponents:
         chained = block_sums(chained, 2**k, axis=axis)
     assert np.array_equal(chained, block_sums(x, total, axis=axis))
+
+
+def _pairwise_reference(x, factor, axis):
+    # the whole array reduced at once: halving while the factor is even, then
+    # the odd rest folded left to right
+    out = x.reshape(x.shape[:axis] + (x.shape[axis] // factor, factor) + x.shape[axis + 1:])
+    out = np.moveaxis(out, axis + 1, 0)
+    f = factor
+    while f % 2 == 0:
+        out = out[0::2] + out[1::2]
+        f //= 2
+    acc = out[0].copy()
+    for i in range(1, f):
+        acc += out[i]
+    return acc
+
+
+@given(bound=st.integers(1, 64), halvings=st.integers(0, 3), odd=st.sampled_from([1, 3, 5]),
+       n_out=st.integers(1, 5), n_paths=st.integers(1, 6), m=st.integers(1, 3),
+       axis=st.sampled_from([0, 1]), step_major=st.booleans(), seed=st.integers(0, 10**6))
+def test_block_sums_across_slab_boundaries(bound, halvings, odd, n_out, n_paths, m, axis,
+                                           step_major, seed):
+    # a bound this small splits the output steps into many slabs, and a single
+    # block (factor x paths x drivers) is often wider than it
+    factor = 2**halvings * odd
+    x = generate_batch(seed, range(n_paths), m, 1.0, n_out * factor)   # step-major
+    if not step_major:
+        x = np.ascontiguousarray(x)
+    if axis == 0:
+        x = x.transpose(1, 0, 2)        # (n_steps, n_paths, m)
+    expected = _pairwise_reference(x, factor, axis)
+    with mock.patch.object(brownian, "_BLOCK_DRAWS", bound):
+        got = block_sums(x, factor, axis=axis)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    if step_major:
+        assert all(np.moveaxis(got, axis, 0)[k].flags.c_contiguous for k in range(n_out))
 
 
 def test_block_sums_odd_factor_left_to_right():

@@ -1,6 +1,7 @@
 """Rate fits, condition comparison, stability constants and decay ensembles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -136,6 +137,31 @@ def test_chunk_bounds_cover_paths_within_budget(n, n_workers, bytes_per_path):
     if len(chunks) > n_workers:
         # one round fewer would overflow the budget
         assert -(-n // (len(chunks) - n_workers)) * bytes_per_path > budget
+
+
+def test_chunk_plans_of_the_cli_workloads():
+    # the criterion-3 ladder, 4000 paths of 1024 fine steps on 2 workers, is one
+    # chunk per worker; the criterion-5 decay ensemble, 1000 paths of horizon
+    # 1000, is too
+    assert _chunk_bounds(4000, 2, 8 * 1024) == [(0, 2000), (2000, 4000)]
+    assert _chunk_bounds(1000, 2, 8 * 2001) == [(0, 500), (500, 1000)]
+
+
+def test_rate_chunk_memory_matches_its_budget(cubic_cfg):
+    # the criterion-3 ladder: a chunk's traced peak stays near the bytes the
+    # chunk budget counts for it, the fine increments, 8 n m per path
+    spec = RateExperimentSpec(
+        model_name="cubic_quintic", cfg=cubic_cfg, scheme="truncated_milstein",
+        q=1.0, t_final=1.28, delta_ref=0.01 / 8,
+        test_deltas=tuple(0.01 * 2**i for i in range(1, 7)), n_paths=1000, master_seed=2026)
+    _rate_chunk(spec, 0, 2)
+    tracemalloc.start()
+    try:
+        _rate_chunk(spec, 0, spec.n_paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * spec.n_fine * 1 * spec.n_paths
 
 
 def _small_rate_spec(error_at):
