@@ -158,11 +158,6 @@ def coarsen(grid: BrownianGrid, factor: int) -> BrownianGrid:
                         increments=inc, master_seed=grid.master_seed, path_index=grid.path_index)
 
 
-def total_increment(grid: BrownianGrid) -> np.ndarray:
-    """B(T) per driver, reduced in the same fixed order as coarsening."""
-    return block_sums(grid.increments, grid.n_fine)[0]
-
-
 def generate_batch(master_seed: int, path_indices, m: int, t_final: float, n_fine: int) -> np.ndarray:
     """Per-path increment grids of shape (n_paths, n_fine, m), N(0, t_final/n_fine) each."""
     dt = _step(t_final, n_fine)

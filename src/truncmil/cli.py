@@ -160,8 +160,8 @@ def _run_rate(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
     trunc = _truncation(cfg)
     model_name = _model(cfg).name
     steps = _float_list(cfg, "steps")
-    if not steps:
-        raise ValidationError("field 'steps': rate runs need a nonempty step ladder")
+    if steps is None or len(set(steps)) < 3:
+        raise ValidationError("field 'steps': a rate fit needs at least 3 distinct steps")
     try:
         spec = RateExperimentSpec(
             model_name=model_name,

@@ -20,7 +20,7 @@ import functools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from . import brownian
 from .model import KFunction, SdeModel, _drift_ratio, resolve_model, row_norm
 from .scheme import SchemeId, _scalar_step, _simulate_batch
-from .truncation import TruncationConfig, dominant_rate, old_condition_threshold
+from .truncation import TruncationConfig, _check_delta, dominant_rate, old_condition_threshold
 
 # bytes of per-path arrays one chunk may hold; only chunks of a single path exceed it.
 # Block sums work in slabs of at most `brownian._BLOCK_DRAWS` values, so a rate
@@ -58,6 +58,9 @@ class RateExperimentSpec:
     master_seed: int
     error_at: str = "terminal"        # or "sup" over shared grid times
 
+    n_fine: int = field(init=False)     # fine steps on [0, t_final]
+    factors: tuple = field(init=False)  # each test step over delta_ref
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "test_deltas", tuple(float(d) for d in self.test_deltas))
         object.__setattr__(self, "scheme", SchemeId(self.scheme))
@@ -65,27 +68,12 @@ class RateExperimentSpec:
             raise ValueError(f"paths = {self.n_paths}: a standard error needs two paths")
         if self.error_at not in ("terminal", "sup"):
             raise ValueError("error_at must be 'terminal' or 'sup'")
-        for d in self.test_deltas:
-            if not 0 < d <= 1:
-                raise ValueError(f"test step {d} outside (0, 1]")
-            f = d / self.delta_ref
-            if abs(f - round(f)) > 1e-9 or round(f) < 1:
+        n_fine, *ns = _rung_steps(self.t_final, (self.delta_ref, *self.test_deltas))
+        for d, n in zip(self.test_deltas, ns):
+            if n_fine % n:
                 raise ValueError(f"test step {d} is not an integer multiple of delta_ref")
-
-    @property
-    def n_fine(self) -> int:
-        n = self.t_final / self.delta_ref
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError("t_final must be an integer multiple of delta_ref")
-        return int(round(n))
-
-    @property
-    def factors(self) -> tuple:
-        out = tuple(int(round(d / self.delta_ref)) for d in self.test_deltas)
-        for f in out:
-            if self.n_fine % f:
-                raise ValueError(f"coarsening factor {f} does not divide {self.n_fine}")
-        return out
+        object.__setattr__(self, "n_fine", n_fine)
+        object.__setattr__(self, "factors", tuple(n_fine // n for n in ns))
 
 
 @dataclass(frozen=True)
@@ -98,6 +86,32 @@ class RateFit:
     slope_se: float
     q: float
     n_paths: int
+
+
+def _rung_steps(t_final: float, deltas: Sequence[float]) -> list:
+    """Steps per rung, t_final / delta, for steps in (0, 1] that each make a
+    whole number (at least one) of steps on [0, t_final]."""
+    for delta in deltas:
+        _check_delta(delta)
+    ns = [int(round(t_final / delta)) for delta in deltas]
+    for n, delta in zip(ns, deltas):
+        if n < 1 or abs(n * delta - t_final) > 1e-9:
+            raise ValueError(f"t_final must be an integer multiple of delta={delta}")
+    return ns
+
+
+def _log2_slope(deltas: np.ndarray, values: np.ndarray) -> tuple:
+    """OLS slope of log2(values) on log2(deltas), and its standard error."""
+    if np.unique(deltas).size < 2:
+        raise ValueError("a log-log slope needs at least two distinct steps")
+    x = np.log2(deltas)
+    y = np.log2(values)
+    xc = x - x.mean()
+    slope = float(np.dot(xc, y) / np.dot(xc, xc))
+    resid = y - (y.mean() + slope * xc)
+    dof = len(x) - 2
+    s2 = float(np.dot(resid, resid)) / dof if dof > 0 else 0.0
+    return slope, math.sqrt(s2 / float(np.dot(xc, xc)))
 
 
 def fit_rate(deltas: Sequence[float], errors: Sequence[float], q: float,
@@ -115,14 +129,7 @@ def fit_rate(deltas: Sequence[float], errors: Sequence[float], q: float,
     if np.any(errors <= 0):
         raise ValueError("errors must be positive for a log-log fit")
     norm_errors = errors ** (1.0 / (2.0 * q))
-    x = np.log2(deltas)
-    y = np.log2(norm_errors)
-    xc = x - x.mean()
-    slope = float(np.dot(xc, y) / np.dot(xc, xc))
-    resid = y - (y.mean() + slope * xc)
-    dof = len(x) - 2
-    s2 = float(np.dot(resid, resid)) / dof if dof > 0 else 0.0
-    slope_se = math.sqrt(s2 / float(np.dot(xc, xc)))
+    slope, slope_se = _log2_slope(deltas, norm_errors)
     if standard_errors is None:
         standard_errors = np.full_like(errors, np.nan)
     return RateFit(deltas=deltas, errors=errors,
@@ -376,6 +383,7 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
     tenth of the horizon.  `constants`, when given, only sets the step
     ceiling above which a warning is issued.
     """
+    _check_delta(delta)
     if n_paths < 1:
         raise ValueError(f"paths = {n_paths}: a stability ensemble needs at least one path")
     if horizon_steps < 1:
@@ -404,15 +412,6 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
 
 # ---------------------------------------------------------------------------
 # interpolant-gap and moment probes
-
-
-def _rung_steps(t_final: float, deltas: Sequence[float]) -> list:
-    """Steps per rung, t_final / delta, each a positive integer."""
-    ns = [int(round(t_final / delta)) for delta in deltas]
-    for n, delta in zip(ns, deltas):
-        if n < 1 or abs(n * delta - t_final) > 1e-9:
-            raise ValueError(f"t_final must be a multiple of delta={delta}")
-    return ns
 
 
 def _ladder_increments(master_seed: int, n_paths: int, t_final: float, ns: Sequence[int]):
@@ -467,10 +466,7 @@ def interpolant_gap_probe(model: SdeModel, cfg, deltas: Sequence[float],
         gaps[idx] = float(np.mean(((stepped - knots) ** 2).ravel(order="C")))
     h2 = np.array([cfg.h(d) ** 2 for d in deltas])
     scaled = gaps / h2
-    x = np.log2(deltas)
-    y = np.log2(scaled)
-    xc = x - x.mean()
-    exponent = float(np.dot(xc, y) / np.dot(xc, xc))
+    exponent, _ = _log2_slope(deltas, scaled)
     return GapProbe(deltas=deltas, mean_square_gaps=gaps, h_scaled=scaled, exponent=exponent)
 
 

@@ -475,29 +475,6 @@ def builtin_model(name: str) -> SdeModel:
 BUILTIN_MODEL_NAMES = tuple(sorted(_BUILTIN_DRIFTS))
 
 
-def _drift_linear(x):
-    return -x
-
-
-def _sigma_linear(x, j):
-    return 0.1 * x
-
-
-def _l_sigma_linear(x, j1, j2):
-    return 0.01 * x
-
-
-def lipschitz_control_model() -> SdeModel:
-    """Globally Lipschitz scalar control problem mu = -x, sigma = 0.1 x.
-
-    Well-understood dynamics used to sanity-check the harness: the classical
-    Milstein scheme has clean strong order one here.
-    """
-    return SdeModel(d=1, m=1, drift=_drift_linear, diffusion_col=_sigma_linear,
-                    l_op=_l_sigma_linear, initial_value=np.array([1.0]),
-                    polynomial_degree_r=0.0, name="lipschitz_control")
-
-
 _MODEL_REGISTRY = {}
 
 
@@ -513,8 +490,6 @@ def register_model(model: SdeModel) -> None:
 def resolve_model(name: str) -> SdeModel:
     if name in _BUILTIN_DRIFTS:
         return builtin_model(name)
-    if name == "lipschitz_control":
-        return lipschitz_control_model()
     if name in _MODEL_REGISTRY:
         return _MODEL_REGISTRY[name]
     raise ValueError(f"unknown model {name!r}")

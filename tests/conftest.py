@@ -1,13 +1,16 @@
-"""Shared fixtures: the truncation configurations used by the builtin models
-and vector models that take the finite-difference L-operator.  Property tests
-run under a derandomised hypothesis profile, so every run draws the same
-examples."""
+"""Shared fixtures: the truncation configurations used by the builtin models,
+vector models that take the finite-difference L-operator, and the
+globally Lipschitz control model, registered as "lipschitz_control".
+Property tests run under a derandomised hypothesis profile, so every run
+draws the same examples."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import truncmil as tm
+from truncmil.brownian import block_sums
+from truncmil.model import register_model
 
 settings.register_profile("truncmil", derandomize=True, deadline=None, database=None)
 settings.load_profile("truncmil")
@@ -76,3 +79,34 @@ def make_fd_models():
 @pytest.fixture
 def fd_models():
     return make_fd_models()
+
+
+def total_increment(grid):
+    """B(T) per driver, reduced in the same fixed order as coarsening."""
+    return block_sums(grid.increments, grid.n_fine)[0]
+
+
+def _drift_linear(x):
+    return -x
+
+
+def _sigma_linear(x, j):
+    return 0.1 * x
+
+
+def _l_sigma_linear(x, j1, j2):
+    return 0.01 * x
+
+
+def lipschitz_control_model() -> tm.SdeModel:
+    """Globally Lipschitz scalar control problem mu = -x, sigma = 0.1 x.
+
+    Well-understood dynamics used to sanity-check the harness: the classical
+    Milstein scheme has clean strong order one here.
+    """
+    return tm.SdeModel(d=1, m=1, drift=_drift_linear, diffusion_col=_sigma_linear,
+                       l_op=_l_sigma_linear, initial_value=np.array([1.0]),
+                       polynomial_degree_r=0.0, name="lipschitz_control")
+
+
+register_model(lipschitz_control_model())

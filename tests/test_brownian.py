@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import truncmil as tm
+from conftest import total_increment
 from truncmil import brownian
-from truncmil.brownian import (_open_unit, block_sums, generate_batch, standard_normals,
-                               total_increment)
+from truncmil.brownian import _open_unit, block_sums, generate_batch, standard_normals
 
 
 def test_regeneration_is_bit_exact():

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from truncmil import cli
+from truncmil import cli, experiments
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -143,6 +143,32 @@ def test_rate_run_requires_steps(tmp_path, capsys):
     assert "steps" in capsys.readouterr().err
 
 
+def _refuse_pools(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+
+
+# each turns RATE_CFG's ladder (t_final 0.16, delta_ref 0.005) invalid
+@pytest.mark.parametrize("old, new", [
+    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.02, 0.03, 0.04", id="step-not-dividing-horizon"),
+    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.02, 0.032, 0.08", id="step-not-multiple-of-ref"),
+    pytest.param("t_final = 0.16", "t_final = 0.1625", id="horizon-not-multiple-of-ref"),
+    pytest.param("delta_ref = 0.005", "delta_ref = 0", id="zero-ref"),
+    pytest.param("t_final = 0.16", "t_final = -0.16", id="negative-horizon"),
+    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.02, 0.04", id="two-steps"),
+    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.04, 0.04, 0.04", id="one-distinct-step"),
+])
+def test_rate_run_rejects_bad_ladder_before_any_pool(tmp_path, capsys, monkeypatch, old, new):
+    _refuse_pools(monkeypatch)
+    path = write_config(tmp_path, RATE_CFG.replace(old, new))
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), "--workers", "2"]) == cli.EXIT_VALIDATION
+    assert "validation error:" in capsys.readouterr().err
+    assert not (out / "rates.csv").exists()
+    assert not (out / "fit.json").exists()
+
+
 STABILITY_CFG = """
 kind = stability
 model = stable_quintic
@@ -205,6 +231,16 @@ def test_stability_run_rejects_horizon_below_one_step(tmp_path, capsys, horizon)
     out = tmp_path / "out"
     assert cli.run(path, out=str(out)) == cli.EXIT_VALIDATION
     assert f"horizon_steps = {horizon}" in capsys.readouterr().err
+    assert not (out / "stability.csv").exists()
+
+
+@pytest.mark.parametrize("delta", ["0", "2.0"])
+def test_stability_run_rejects_step_outside_unit_interval(tmp_path, capsys, monkeypatch, delta):
+    _refuse_pools(monkeypatch)
+    path = write_config(tmp_path, STABILITY_CFG.replace("delta = 0.004", f"delta = {delta}"))
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), "--workers", "2"]) == cli.EXIT_VALIDATION
+    assert f"step size must lie in (0, 1], got {float(delta)}" in capsys.readouterr().err
     assert not (out / "stability.csv").exists()
 
 

@@ -46,6 +46,8 @@ def test_fit_rate_validation():
         tm.fit_rate([0.1, 0.2, 0.4], [1.0, 0.0, 2.0], q=1.0)
     with pytest.raises(ValueError, match="non-finite error at step.s. 0.2, 0.4$"):
         tm.fit_rate([0.1, 0.2, 0.4], [1.0, math.nan, math.inf], q=1.0)
+    with pytest.raises(ValueError, match="two distinct steps"):
+        tm.fit_rate([0.1, 0.1, 0.1], [1.0, 2.0, 3.0], q=1.0)
 
 
 def test_spec_validation(cubic_cfg):
@@ -536,6 +538,16 @@ def test_stability_ensemble_warns_above_ceiling(quintic_cfg):
                                   constants=constants)
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.1, 2.0])
+def test_stability_ensemble_rejects_step_outside_unit_interval(quintic_cfg, delta):
+    model = tm.builtin_model("stable_quintic")
+    with mock.patch.object(experiments, "ProcessPoolExecutor",
+                           side_effect=AssertionError("no pool for a bad step")):
+        with pytest.raises(ValueError, match=r"step size must lie in \(0, 1\]"):
+            tm.run_stability_ensemble(model, quintic_cfg, delta=delta, n_paths=8,
+                                      horizon_steps=50, tol_stab=1e-2, n_workers=2)
+
+
 def test_stability_ensemble_worker_invariance(quintic_cfg):
     model = tm.builtin_model("stable_quintic")
     one = tm.run_stability_ensemble(model, quintic_cfg, delta=0.02, n_paths=600,
@@ -675,3 +687,16 @@ def test_probes_reject_step_not_dividing_horizon(cubic_cfg, deltas):
         tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=4)
     with pytest.raises(ValueError, match="multiple of delta"):
         tm.interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=4)
+
+
+@pytest.mark.parametrize("deltas", [[0.1], [0.1, 0.1]])
+def test_gap_probe_needs_two_distinct_steps(cubic_cfg, deltas):
+    with pytest.raises(ValueError, match="two distinct steps"):
+        tm.interpolant_gap_probe(tm.builtin_model("cubic_quintic"), cubic_cfg, deltas, n_paths=4)
+
+
+@pytest.mark.parametrize("deltas", [[0.0], [0.25, 0.0]])
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, tm.interpolant_gap_probe])
+def test_probes_reject_zero_step(cubic_cfg, probe, deltas):
+    with pytest.raises(ValueError, match="step size"):
+        probe(tm.builtin_model("cubic_quintic"), cubic_cfg, deltas, n_paths=4)

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import truncmil as tm
+from conftest import lipschitz_control_model
 from truncmil.model import (ProbeSpec, _halton_ball, finite_difference_l_op, l_op_terms,
-                            lipschitz_control_model, register_model, resolve_model,
-                            scalar_l_op, sigma_matrix)
+                            register_model, resolve_model, scalar_l_op, sigma_matrix)
 
 
 def test_builtin_names():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import truncmil as tm
-from conftest import config_for, make_fd_models
-from truncmil.brownian import block_sums, coarsen, generate_batch, total_increment
+from conftest import config_for, make_fd_models, total_increment
+from truncmil.brownian import block_sums, coarsen, generate_batch
 from truncmil.model import row_norm, scalar_l_op
 from truncmil.scheme import _general_step, _simulate_batch
 from truncmil.truncation import project, truncated_coeffs
