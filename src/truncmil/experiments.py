@@ -12,6 +12,12 @@ as few as a per-chunk byte budget allows and a multiple of the worker count,
 in one process pool (in-process for one worker), merged in path-index order;
 per-path results depend only on the (seed, path) stream, so output is
 identical for any worker count or chunking.
+
+The moment and interpolant-gap probes step a whole step ladder as one batch
+(`_ladder_runs`): one draw for the finest rung, every unfinished rung's rows
+in one driver call per piece, and the scaled increments of a piece in one
+reused buffer of at most `_LADDER_VALUES` values, so their memory is the draw
+plus a bounded amount.
 """
 
 from __future__ import annotations
@@ -35,6 +41,10 @@ from .truncation import TruncationConfig, _check_delta, dominant_rate, old_condi
 # chunk's traced peak stays near these bytes (about 1.15 times them); 16 MiB runs
 # 4000 criterion-3 paths of 1024 steps on 2 workers as 2 chunks of 2000
 _CHUNK_BYTES = 16 << 20
+
+# scaled increments one piece of a probe's step ladder holds (2 MiB); the
+# ladder's traced peak stays near its standard normals plus this
+_LADDER_VALUES = 1 << 18
 
 
 # bench/tracing.py wraps this name too; a partial, not an alias, so block sums count once
@@ -68,10 +78,14 @@ class RateExperimentSpec:
             raise ValueError(f"paths = {self.n_paths}: a standard error needs two paths")
         if self.error_at not in ("terminal", "sup"):
             raise ValueError("error_at must be 'terminal' or 'sup'")
-        n_fine, *ns = _rung_steps(self.t_final, (self.delta_ref, *self.test_deltas))
+        n_fine, = _rung_steps(self.t_final, (self.delta_ref,), "delta_ref")
+        ns = _rung_steps(self.t_final, self.test_deltas, "test step")
         for d, n in zip(self.test_deltas, ns):
             if n_fine % n:
                 raise ValueError(f"test step {d} is not an integer multiple of delta_ref")
+        if len(set(self.test_deltas)) < 3:
+            raise ValueError(f"a rate fit needs at least 3 distinct test steps, "
+                             f"got {len(set(self.test_deltas))}")
         object.__setattr__(self, "n_fine", n_fine)
         object.__setattr__(self, "factors", tuple(n_fine // n for n in ns))
 
@@ -88,22 +102,31 @@ class RateFit:
     n_paths: int
 
 
-def _rung_steps(t_final: float, deltas: Sequence[float]) -> list:
+def _rung_steps(t_final: float, deltas: Sequence[float], name: str = "delta") -> list:
     """Steps per rung, t_final / delta, for steps in (0, 1] that each make a
-    whole number (at least one) of steps on [0, t_final]."""
+    whole number (at least one) of steps on [0, t_final]; errors call a step
+    `name`."""
     for delta in deltas:
-        _check_delta(delta)
+        try:
+            _check_delta(delta)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
     ns = [int(round(t_final / delta)) for delta in deltas]
     for n, delta in zip(ns, deltas):
         if n < 1 or abs(n * delta - t_final) > 1e-9:
-            raise ValueError(f"t_final must be an integer multiple of delta={delta}")
+            raise ValueError(f"t_final = {t_final} is not a positive integer multiple "
+                             f"of {name} = {delta}")
     return ns
+
+
+def _check_slope_steps(deltas) -> None:
+    if np.unique(deltas).size < 2:
+        raise ValueError("a log-log slope needs at least two distinct steps")
 
 
 def _log2_slope(deltas: np.ndarray, values: np.ndarray) -> tuple:
     """OLS slope of log2(values) on log2(deltas), and its standard error."""
-    if np.unique(deltas).size < 2:
-        raise ValueError("a log-log slope needs at least two distinct steps")
+    _check_slope_steps(deltas)
     x = np.log2(deltas)
     y = np.log2(values)
     xc = x - x.mean()
@@ -414,22 +437,53 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
 # interpolant-gap and moment probes
 
 
-def _ladder_increments(master_seed: int, n_paths: int, t_final: float, ns: Sequence[int]):
-    """Yield (i, increments) for a rung of ns[i] steps on [0, t_final], finest last.
+def _ladder_runs(model: SdeModel, cfg, deltas: Sequence[float], ns: Sequence[int],
+                 n_paths: int, t_final: float, master_seed: int, substeps: int = 1,
+                 record: bool = False):
+    """Step truncated Milstein over every rung of a step ladder as one batch.
 
-    Every rung is a prefix of one draw of standard normals for the finest rung,
-    scaled by its sqrt(step); the finest rung, the draw's last use, scales it
-    in place, so no second full-size array is held beside it.
+    Rung i makes ns[i] steps of deltas[i] on [0, t_final], each from the sum of
+    `substeps` increments: one draw of standard normals for the finest grid,
+    scaled by the rung's sqrt(t_final / (substeps * ns[i])).  The rungs are
+    stacked finest first, n_paths rows each, and cut at the rung ends into
+    segments, so a finished rung drops off the end and the live rows stay a
+    prefix.  A segment is stepped in pieces whose scaled increments fill at
+    most `_LADDER_VALUES` of one reused step-major buffer; each piece is one
+    driver call from the previous piece's finals, with each row's rung step.
+
+    Yields (lo, hi, rungs, inc, res) per piece: it steps [lo, hi) of the rungs
+    `rungs`, rung rungs[j] in rows [j * n_paths, (j + 1) * n_paths); `inc`
+    holds its (rows, (hi - lo) * substeps, 1) scaled increments and `res` is
+    the driver's result.
     """
-    z = brownian.standard_normals(master_seed, range(n_paths), 1, max(ns, default=1))
-    order = sorted(range(len(ns)), key=lambda i: ns[i])
-    for i in order:
-        inc = z[:, :ns[i]]
-        if i == order[-1]:
-            inc *= np.sqrt(t_final / ns[i])
-        else:
-            inc = inc * np.sqrt(t_final / ns[i])
-        yield i, inc
+    if not ns:
+        return
+    order = sorted(range(len(ns)), key=lambda i: -ns[i])
+    pieces, start = [], 0
+    for end in sorted(set(ns)):
+        live = sum(n >= end for n in ns)
+        width = max(1, _LADDER_VALUES // (live * n_paths * substeps))
+        pieces += [(a, min(a + width, end), live) for a in range(start, end, width)]
+        start = end
+    # step-major (steps, paths) normals
+    z = brownian.standard_normals(master_seed, range(n_paths), 1, substeps * ns[order[0]])
+    z = z.transpose(1, 0, 2)[:, :, 0]
+    buf = np.empty(max((hi - lo) * live for lo, hi, live in pieces) * n_paths * substeps)
+    scales = [np.sqrt(t_final / (substeps * ns[i])) for i in order]
+    steps = np.repeat([deltas[i] for i in order], n_paths)
+    finals = np.broadcast_to(model.initial_value, (len(steps), 1))
+    for lo, hi, live in pieces:
+        rows = live * n_paths
+        inc = buf[:(hi - lo) * substeps * rows].reshape(-1, rows)
+        for j, scale in enumerate(scales[:live]):
+            np.multiply(z[lo * substeps:hi * substeps], scale,
+                        out=inc[:, j * n_paths:(j + 1) * n_paths])
+        inc = inc.T[:, :, None]
+        driven = brownian.block_sums(inc, substeps, axis=1) if substeps > 1 else inc
+        res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, driven, steps[:rows],
+                              finals[:rows], record=record)
+        yield lo, hi, order[:live], inc, res
+        finals = res.finals
 
 
 @dataclass(frozen=True)
@@ -447,23 +501,26 @@ def interpolant_gap_probe(model: SdeModel, cfg, deltas: Sequence[float],
 
     Each half step reuses the first half of the refined noise for its knot, so
     the statistic measures the within-step fluctuation of the interpolant.
-    Every rung's refined grid is a prefix of one draw for the finest rung.
+    The rungs step on their refined grids' pair sums as one batch
+    (`_ladder_runs`).
     """
     if not model.is_scalar:
         raise ValueError("gap probe is implemented for scalar models")
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     ns = _rung_steps(t_final, deltas)
-    gaps = np.empty(len(deltas))
-    for idx, inc in _ladder_increments(master_seed, n_paths, t_final, [2 * n for n in ns]):
-        delta, n = deltas[idx], ns[idx]
-        coarse = brownian.block_sums(inc, 2, axis=1)
-        res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, coarse, delta,
-                              model.initial_value, record=True)
-        knots = res.states[:, :n]
-        half = inc[:, 0::2]
-        stepped = _scalar_step(SchemeId.truncated_milstein, model, cfg, delta / 2.0, knots, half)
-        # reduced in path-major order, whatever the layouts of states and increments
-        gaps[idx] = float(np.mean(((stepped - knots) ** 2).ravel(order="C")))
+    _check_slope_steps(deltas)
+    squares = [np.empty((n_paths, n)) for n in ns]
+    for lo, hi, rungs, inc, res in _ladder_runs(model, cfg, deltas, ns, n_paths, t_final,
+                                                master_seed, substeps=2, record=True):
+        knots = res.states[:, :-1]
+        half = np.repeat(deltas[rungs] / 2.0, n_paths)[:, None, None]
+        stepped = _scalar_step(SchemeId.truncated_milstein, model, cfg, half, knots,
+                               inc[:, 0::2])
+        piece = (stepped - knots) ** 2
+        for j, i in enumerate(rungs):
+            squares[i][:, lo:hi] = piece[j * n_paths:(j + 1) * n_paths, :, 0]
+    # each rung reduced in path-major order
+    gaps = np.array([float(np.mean(sq.ravel())) for sq in squares])
     h2 = np.array([cfg.h(d) ** 2 for d in deltas])
     scaled = gaps / h2
     exponent, _ = _log2_slope(deltas, scaled)
@@ -475,16 +532,19 @@ def terminal_moment_probe(model: SdeModel, cfg, deltas: Sequence[float],
                           master_seed: int = 0) -> np.ndarray:
     """Monte-Carlo truncated-Milstein E|Y_N|^power at each step size (moment bound).
 
-    Every rung's increments are a prefix of one draw for the finest rung.
+    Every rung steps on one draw for the finest rung, all rungs as one batch
+    (`_ladder_runs`).
     """
     if not model.is_scalar:
         raise ValueError("moment probe is implemented for scalar models")
     ns = _rung_steps(t_final, deltas)
     out = np.empty(len(deltas))
-    for i, inc in _ladder_increments(master_seed, n_paths, t_final, ns):
-        res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, inc, deltas[i],
-                              model.initial_value)
+    for _, hi, rungs, _, res in _ladder_runs(model, cfg, deltas, ns, n_paths, t_final,
+                                             master_seed):
         if not np.all(res.alive):
             raise RuntimeError("blow-up during moment probe")
-        out[i] = float(np.mean(np.abs(res.finals[:, 0]) ** power))
+        for j, i in enumerate(rungs):
+            if ns[i] == hi:
+                finals = res.finals[j * n_paths:(j + 1) * n_paths, 0]
+                out[i] = float(np.mean(np.abs(finals) ** power))
     return out

@@ -15,9 +15,12 @@ the coefficients by `model._evaluate`, one (d,) row per call.
 One batched driver, `_simulate_batch`, steps every ensemble.  It reads one
 row of increments per step by plain slicing while every path is alive, and
 does blow-up bookkeeping only after a step that produced a non-finite value:
-a path that blew up is dropped from the batch.  Recorded states are kept
-step-major, one contiguous row per step, and returned as a transposed
-(n_paths, n_steps + 1, d) view.  `simulate` is its one-path view.
+a path that blew up is dropped from the batch, with its step and radius when
+each path has its own.  A scalar model's batch may mix step sizes, one per
+path, so a whole step ladder runs as one batch; the radii are looked up once
+per call, not per step.  Recorded states are kept step-major, one contiguous
+row per step, and returned as a transposed (n_paths, n_steps + 1, d) view.
+`simulate` is its one-path view.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .brownian import BrownianGrid, coarsen
 from .model import SdeModel, _evaluate, l_op_terms, scalar_l_op
-from .truncation import _check_delta, project, project_scalar_batch
+from .truncation import _check_delta, _clamp, project
 
 
 class SchemeId(str, enum.Enum):
@@ -68,14 +71,31 @@ class Trajectory:
         return self.states[-1]
 
 
-def _scalar_step(scheme: SchemeId, model: SdeModel, cfg, delta: float,
-                 y: np.ndarray, dB: np.ndarray) -> np.ndarray:
-    """One step for scalar models; y and dB may be whole ensembles.
+def _radii(cfg, delta):
+    """`cfg.radius` of a step, or of each entry of an array of steps, looked
+    up once per run of equal entries (a ladder's rows come in runs)."""
+    if np.ndim(delta) == 0:
+        return cfg.radius(delta)
+    flat = np.ravel(delta)
+    starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+    radii = [cfg.radius(float(flat[i])) for i in starts]
+    return np.repeat(radii, np.diff(np.r_[starts, flat.size])).reshape(np.shape(delta))
 
-    Per element it computes mu*delta + sigma*dB + (0.5*L sigma)*(dB*dB - delta)
-    in that order, then y + incr, in two temporaries and the result array.
+
+def _scalar_step(scheme: SchemeId, model: SdeModel, cfg, delta, y: np.ndarray,
+                 dB: np.ndarray, radius=None) -> np.ndarray:
+    """One step for scalar models; y and dB may be whole ensembles, and delta
+    one step or an array of steps broadcasting against them.
+
+    A truncated scheme clamps y to `radius`, the radius of delta, looked up
+    here when not given.  Per element it computes
+    mu*delta + sigma*dB + (0.5*L sigma)*(dB*dB - delta) in that order, then
+    y + incr, in two temporaries and the result array.
     """
-    z = project_scalar_batch(cfg, delta, y) if scheme.truncates else y
+    if scheme.truncates:
+        z = _clamp(y, _radii(cfg, delta) if radius is None else radius)
+    else:
+        z = y
     shape = np.broadcast(y, dB).shape
     incr, term, out = np.empty(shape), np.empty(shape), np.empty(shape)
     np.multiply(np.asarray(model.drift(z), dtype=float), delta, out=incr)
@@ -160,21 +180,31 @@ class EnsembleResult:
 
 
 def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarray,
-                    delta: float, x0, record: bool = False) -> EnsembleResult:
+                    delta, x0, record: bool = False) -> EnsembleResult:
     """Step all paths of any model from x0 as one batch.
 
     `increments` has shape (n_paths, n_steps, m); step-major memory, where
-    `increments[:, k]` is contiguous, is the fast layout.  A path that goes
-    non-finite is marked dead at that step and is not stepped again.  Scalar
-    models take `_scalar_step` on (n_paths, 1) columns, general ones
+    `increments[:, k]` is contiguous, is the fast layout.  `delta` is one step
+    for every path or, for a scalar model, an (n_paths,) array of each path's
+    step.  A path that goes non-finite is marked dead at that step and is not
+    stepped again.  Scalar models take `_scalar_step` on (n_paths, 1) columns
+    with the truncation radii looked up once per call, general ones
     `_general_step`.
     """
     if increments.ndim != 3 or increments.shape[2] != model.m:
         raise ValueError(f"increments must have shape (n_paths, n_steps, {model.m}), "
                          f"got {increments.shape}")
     scheme = SchemeId(scheme)
-    stepper = _scalar_step if model.is_scalar else _general_step
     n_paths, n_steps, _ = increments.shape
+    scalar = model.is_scalar
+    if np.ndim(delta):
+        if not scalar:
+            raise ValueError(f"a step per path needs a scalar model, not d = {model.d}")
+        if np.shape(delta) != (n_paths,):
+            raise ValueError(f"need one step per path, shape ({n_paths},), "
+                             f"got {np.shape(delta)}")
+        delta = np.asarray(delta, dtype=float)[:, None]
+    radius = _radii(cfg, delta) if scalar and scheme.truncates else None
     y = np.empty((n_paths, model.d))
     y[:] = x0
     blowup_step = np.full(n_paths, -1, dtype=np.int64)
@@ -184,13 +214,17 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
     live = slice(None)          # every path, until one blows up
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            y = stepper(scheme, model, cfg, delta, y, increments[live, k])
+            dB = increments[live, k]
+            y = (_scalar_step(scheme, model, cfg, delta, y, dB, radius) if scalar
+                 else _general_step(scheme, model, cfg, delta, y, dB))
             # a finite sum means every entry is finite
             if not np.isfinite(np.add.reduce(y, axis=None)):
                 ok = np.isfinite(y).all(axis=1)
                 live = np.arange(n_paths)[live]
                 blowup_step[live[~ok]] = k
                 live, y = live[ok], y[ok]
+                # per-path steps and radii leave with their paths
+                delta, radius = (c if np.ndim(c) == 0 else c[ok] for c in (delta, radius))
             if record:
                 states[k + 1, live] = y
     finals = np.full((n_paths, model.d), np.nan)

@@ -97,8 +97,13 @@ def project(cfg, delta: float, x) -> np.ndarray:
 
 def project_scalar_batch(cfg, delta: float, y: np.ndarray) -> np.ndarray:
     """Elementwise projection for batches of scalar states (clamping to [-r, r])."""
-    r = cfg.radius(delta)
-    return np.minimum(np.maximum(y, -r), r)
+    return _clamp(y, cfg.radius(delta))
+
+
+def _clamp(y: np.ndarray, radius) -> np.ndarray:
+    """y clamped to [-radius, radius] elementwise; radius is a number or an
+    array broadcasting against y (one radius per path)."""
+    return np.minimum(np.maximum(y, -radius), radius)
 
 
 @dataclass(frozen=True)

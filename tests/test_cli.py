@@ -149,22 +149,30 @@ def _refuse_pools(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
 
 
-# each turns RATE_CFG's ladder (t_final 0.16, delta_ref 0.005) invalid
-@pytest.mark.parametrize("old, new", [
-    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.02, 0.03, 0.04", id="step-not-dividing-horizon"),
-    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.02, 0.032, 0.08", id="step-not-multiple-of-ref"),
-    pytest.param("t_final = 0.16", "t_final = 0.1625", id="horizon-not-multiple-of-ref"),
-    pytest.param("delta_ref = 0.005", "delta_ref = 0", id="zero-ref"),
-    pytest.param("t_final = 0.16", "t_final = -0.16", id="negative-horizon"),
-    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.02, 0.04", id="two-steps"),
-    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.04, 0.04, 0.04", id="one-distinct-step"),
+# each turns RATE_CFG's ladder (t_final 0.16, delta_ref 0.005) invalid; the
+# message names the field at fault
+@pytest.mark.parametrize("old, new, field", [
+    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.02, 0.03, 0.04", "test step = 0.03",
+                 id="step-not-dividing-horizon"),
+    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.02, 0.032, 0.08", "test step 0.032",
+                 id="step-not-multiple-of-ref"),
+    pytest.param("t_final = 0.16", "t_final = 0.1625", "t_final = 0.1625",
+                 id="horizon-not-multiple-of-ref"),
+    pytest.param("delta_ref = 0.005", "delta_ref = 0", "delta_ref: step size", id="zero-ref"),
+    pytest.param("t_final = 0.16", "t_final = -0.16", "t_final = -0.16", id="negative-horizon"),
+    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.02, 0.04", "field 'steps'",
+                 id="two-steps"),
+    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.04, 0.04, 0.04", "field 'steps'",
+                 id="one-distinct-step"),
 ])
-def test_rate_run_rejects_bad_ladder_before_any_pool(tmp_path, capsys, monkeypatch, old, new):
+def test_rate_run_rejects_bad_ladder_before_any_pool(tmp_path, capsys, monkeypatch, old, new,
+                                                     field):
     _refuse_pools(monkeypatch)
     path = write_config(tmp_path, RATE_CFG.replace(old, new))
     out = tmp_path / "out"
     assert cli.main(["--config", path, "--out", str(out), "--workers", "2"]) == cli.EXIT_VALIDATION
-    assert "validation error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "validation error:" in err and field in err
     assert not (out / "rates.csv").exists()
     assert not (out / "fit.json").exists()
 

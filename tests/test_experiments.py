@@ -63,10 +63,10 @@ def test_spec_validation(cubic_cfg):
                            master_seed=0, error_at="midpoint")
     spec = RateExperimentSpec(model_name="cubic_quintic", cfg=cubic_cfg,
                               scheme="truncated_milstein", q=1.0, t_final=1.0,
-                              delta_ref=0.01, test_deltas=(0.02, 0.05), n_paths=10,
+                              delta_ref=0.01, test_deltas=(0.02, 0.05, 0.1), n_paths=10,
                               master_seed=0)
     assert spec.n_fine == 100
-    assert spec.factors == (2, 5)
+    assert spec.factors == (2, 5, 10)
     # a standard error needs two samples
     with pytest.raises(ValueError, match="needs two paths"):
         replace(spec, n_paths=1)
@@ -118,10 +118,23 @@ def test_rate_experiment_sup_error_at_least_terminal(cubic_cfg):
 def test_reference_blowup_aborts(cubic_cfg):
     spec = RateExperimentSpec(
         model_name="cubic_quintic", cfg=cubic_cfg, scheme="classical_em",
-        q=1.0, t_final=8.0, delta_ref=0.25, test_deltas=(0.5, 1.0), n_paths=64,
+        q=1.0, t_final=8.0, delta_ref=0.25, test_deltas=(0.25, 0.5, 1.0), n_paths=64,
         master_seed=0)
     with pytest.raises(RuntimeError, match="blew up"):
         tm.run_rate_experiment(spec)
+
+
+@pytest.mark.parametrize("test_deltas", [(0.02, 0.04), (0.02, 0.04, 0.04)])
+def test_spec_with_fewer_than_three_distinct_steps_simulates_nothing(monkeypatch, cubic_cfg,
+                                                                     test_deltas):
+    def no_chunk(*args):
+        raise AssertionError("a path was simulated")
+    monkeypatch.setattr(experiments, "_rate_chunk", no_chunk)
+    with pytest.raises(ValueError, match="at least 3 distinct test steps, got 2"):
+        tm.run_rate_experiment(RateExperimentSpec(
+            model_name="cubic_quintic", cfg=cubic_cfg, scheme="truncated_milstein",
+            q=1.0, t_final=0.16, delta_ref=0.005, test_deltas=test_deltas, n_paths=500,
+            master_seed=0))
 
 
 @given(n=st.integers(1, 5000), n_workers=st.integers(1, 8),
@@ -661,6 +674,7 @@ def _per_rung_gaps(model, cfg, deltas, n_paths, t_final, seed):
     [2.0 ** -k for k in range(2, 7)],
     [0.25, 0.2, 0.1],            # n = 4, 5, 10: step counts not nested
     [0.1, 0.25, 0.0625, 0.2],    # unsorted
+    [0.1, 0.1, 0.25],            # a step twice
 ])
 def test_probes_match_per_rung_regeneration(cubic_cfg, deltas):
     model = tm.builtin_model("cubic_quintic")
@@ -669,6 +683,58 @@ def test_probes_match_per_rung_regeneration(cubic_cfg, deltas):
     probe = tm.interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=64, master_seed=7)
     assert np.array_equal(probe.mean_square_gaps,
                           _per_rung_gaps(model, cubic_cfg, deltas, 64, 1.0, 7))
+
+
+@pytest.mark.parametrize("cap", [1, 40, 100])
+def test_probes_split_ladder_segments_within_the_buffer_cap(monkeypatch, cubic_cfg, cap):
+    # a cap this small splits every segment into pieces, and at 1 a piece is
+    # one step wider than the cap; every path-step is stepped once, and the
+    # probes still equal per-rung regeneration
+    model, deltas, n_paths = tm.builtin_model("cubic_quintic"), [0.1, 0.25, 0.0625, 0.2], 8
+    calls = []
+
+    def spy(scheme, model, cfg, increments, delta, x0, record=False):
+        calls.append(increments.shape)
+        return _simulate_batch(scheme, model, cfg, increments, delta, x0, record)
+    monkeypatch.setattr(experiments, "_LADDER_VALUES", cap)
+    monkeypatch.setattr(experiments, "_simulate_batch", spy)
+    moments = tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=n_paths, master_seed=7)
+    assert np.array_equal(moments,
+                          _per_rung_moments(model, cubic_cfg, deltas, n_paths, 1.0, 4.0, 7))
+    assert sum(rows * steps for rows, steps, _ in calls) == n_paths * (10 + 4 + 16 + 5)
+    assert len(calls) > len(deltas)
+    assert all(rows * steps <= max(cap, rows) for rows, steps, _ in calls)
+    probe = tm.interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=n_paths, master_seed=7)
+    assert np.array_equal(probe.mean_square_gaps,
+                          _per_rung_gaps(model, cubic_cfg, deltas, n_paths, 1.0, 7))
+
+
+def _traced_peak(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_moment_probe_memory_stays_near_its_normals(cubic_cfg):
+    # the criterion-6 ladder: one draw of 1024 normals per path, and the rungs'
+    # scaled increments in a buffer of bounded size beside it
+    model, deltas = tm.builtin_model("cubic_quintic"), [2.0 ** -k for k in range(4, 11)]
+    peak = _traced_peak(tm.terminal_moment_probe, model, cubic_cfg, deltas, n_paths=2500,
+                        master_seed=11)
+    assert peak <= 1.3 * 8 * 1024 * 2500
+
+
+def test_gap_probe_memory_below_rung_at_a_time(cubic_cfg):
+    # the refined draw (2048 normals per path) and every rung's squared gaps
+    # (2032 per path) beside bounded pieces; stepping one rung at a time with
+    # its full increments, states and gaps held 5.25 times the normals
+    model, deltas = tm.builtin_model("cubic_quintic"), [2.0 ** -k for k in range(4, 11)]
+    peak = _traced_peak(tm.interpolant_gap_probe, model, cubic_cfg, deltas, n_paths=500,
+                        master_seed=11)
+    assert peak <= 4.0 * 8 * 2048 * 500
 
 
 @pytest.mark.parametrize("probe", [tm.terminal_moment_probe, tm.interpolant_gap_probe])
@@ -690,7 +756,10 @@ def test_probes_reject_step_not_dividing_horizon(cubic_cfg, deltas):
 
 
 @pytest.mark.parametrize("deltas", [[0.1], [0.1, 0.1]])
-def test_gap_probe_needs_two_distinct_steps(cubic_cfg, deltas):
+def test_gap_probe_needs_two_distinct_steps(monkeypatch, cubic_cfg, deltas):
+    def no_draws(*args):
+        raise AssertionError("normals were drawn")
+    monkeypatch.setattr(experiments.brownian, "standard_normals", no_draws)
     with pytest.raises(ValueError, match="two distinct steps"):
         tm.interpolant_gap_probe(tm.builtin_model("cubic_quintic"), cubic_cfg, deltas, n_paths=4)
 

@@ -294,6 +294,45 @@ def test_ensemble_blowup_bookkeeping(cubic_cfg):
     assert np.all(res.blowup_step[res.alive] == -1)
 
 
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("scheme", list(tm.SchemeId))
+def test_driver_with_a_step_per_path_equals_one_run_per_group(cubic_cfg, scheme, record):
+    # groups of paths with their own step and start, stacked in one batch; at
+    # step 0.25 a classical group dies mid-run (every path at step 4 from
+    # x0 = 2), so the later steps run on the other groups' rows alone
+    model = tm.builtin_model("cubic_quintic")
+    groups = [(1.0 / 64, 1.0), (0.25, 2.0), (0.25, 0.8), (1.0 / 32, 1.0)]
+    runs, incs = [], []
+    for g, (delta, x0) in enumerate(groups):
+        inc = generate_batch(g, range(8), 1, 32 * delta, 32)
+        runs.append(_simulate_batch(scheme, model, cubic_cfg, inc, delta, x0, record=record))
+        incs.append(inc)
+    deltas, x0s = (np.repeat(col, 8) for col in zip(*groups))
+    res = _simulate_batch(scheme, model, cubic_cfg, np.concatenate(incs), deltas,
+                          x0s[:, None], record=record)
+    if not tm.SchemeId(scheme).truncates:
+        assert not runs[1].alive.any() and runs[0].alive.all()
+    for name in ("finals", "alive", "blowup_step") + (("states",) if record else ()):
+        assert np.array_equal(getattr(res, name),
+                              np.concatenate([getattr(r, name) for r in runs]), equal_nan=True)
+    if not record:
+        assert res.states is None
+
+
+def test_driver_refuses_a_step_per_path_for_a_vector_model(cubic_cfg):
+    model = tm.SdeModel(d=2, m=1, drift=lambda x: -x, diffusion_col=lambda x, j: 0.0 * x,
+                        initial_value=np.ones(2), polynomial_degree_r=0.0)
+    with pytest.raises(ValueError, match="scalar model"):
+        _simulate_batch(tm.SchemeId.truncated_em, model, cubic_cfg, np.zeros((2, 4, 1)),
+                        np.array([0.1, 0.2]), model.initial_value)
+
+
+def test_driver_refuses_a_step_array_of_another_length(cubic_cfg):
+    with pytest.raises(ValueError, match=r"one step per path, shape \(2,\), got \(3,\)"):
+        _simulate_batch(tm.SchemeId.truncated_em, tm.builtin_model("cubic_quintic"), cubic_cfg,
+                        np.zeros((2, 4, 1)), np.full(3, 0.1), 1.0)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_driver_rejects_increments_for_another_driver_count(cubic_cfg, d):
     # one driver: (n, s, 2) increments are refused, not partly read or broadcast
