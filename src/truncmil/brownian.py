@@ -5,10 +5,12 @@ stream, so ensemble members can be generated in any order, on any worker, and
 regenerate bit-exactly.  Gaussians come from the inverse normal CDF applied to
 64-bit uniforms: the sample count per coordinate is fixed, so streams never
 desynchronise.  A stream is one fixed sequence, so the n-step grid of a path
-is a prefix of every longer grid of the same path up to the sqrt(dt) scale;
-step ladders draw the longest grid once and slice it.  Coarse grids are exact
-block sums of the fine increments, which is what lets strong-error
-experiments couple coarse and fine solutions on the same underlying path.
+is a prefix of every longer grid of the same path up to the sqrt(dt) scale.
+A stream is also resumable: any window of its steps can be drawn on its own,
+so step ladders draw the longest grid a bounded window at a time.  Coarse
+grids are exact block sums of the fine increments, which is what lets
+strong-error experiments couple coarse and fine solutions on the same
+underlying path.
 Batches are step-major in memory: the draws of one step across all paths are
 contiguous, which is the row an ensemble step reads, and block sums keep that
 layout.
@@ -56,37 +58,55 @@ def _open_unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.minimum(out, 1.0 - 2.0**-53, out=out)
 
 
-def standard_normals(master_seed: int, path_indices, m: int, n: int) -> np.ndarray:
-    """The first n*m draws of each path's stream as N(0, 1), shape (n_paths, n, m).
+def standard_normals(master_seed: int, path_indices, m: int, n: int, start: int = 0,
+                     scale: float = 1.0) -> np.ndarray:
+    """Steps [start, start + n) of each path's stream as N(0, scale^2) draws,
+    shape (n_paths, n, m).
 
-    One Philox bit generator is reset to the key (master_seed mod 2^64,
-    path_index) with a zero counter for each path, which is the stream a fresh
-    Philox(key=...) produces, without the seed-sequence set-up it would
-    discard.  The result is a transposed view of step-major (n, n_paths, m)
-    memory, so `z[:, k]`, the draws of step k across paths, is contiguous.
+    A path's stream is the one a fresh Philox(key=(master_seed mod 2^64,
+    path_index)) produces.  Philox is counter-based, so any window of it is
+    reached by setting the counter: one bit generator is reset for each path
+    to the path's key and to the 4-word block that holds word start * m, and
+    the words before that one are dropped.  The reset goes through a state of
+    plain lists, which the setter reads faster than numpy arrays.  A block
+    of paths is scaled while it is in cache, then copied into step-major
+    (n, n_paths, m) memory, and the result is a transposed view of it, so
+    `z[:, k]`, the draws of step k across paths, is contiguous.
     """
     if n < 1:
         raise ValueError("n_fine must be >= 1")
+    if start < 0:
+        raise ValueError("start must be nonnegative")
     paths = [int(p) for p in path_indices]
     if any(p < 0 for p in paths):
         raise ValueError("path_index must be nonnegative")
     draws = n * m
+    skip = start * m % 4
     z = np.empty((n, len(paths), m))
     bitgen = np.random.Philox(key=0)
-    state = bitgen.state            # zero counter, empty buffer; the setter copies it
-    key = state["state"]["key"]
-    key[0] = master_seed & (2**64 - 1)
+    key = [master_seed & (2**64 - 1), 0]
+    # Philox steps its counter before each block it draws, so counter c with
+    # an empty buffer draws words 4c, 4c + 1, ... of the stream next
+    state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0,
+             "state": {"counter": [start * m // 4, 0, 0, 0], "key": key}}
     per_block = max(1, _BLOCK_DRAWS // draws)
-    raw = np.empty((min(per_block, len(paths)), draws), dtype=np.uint64)
-    scratch = np.empty(raw.shape)
+    raw = np.empty((min(per_block, len(paths)), skip + draws), dtype=np.uint64)
+    scratch = np.empty((len(raw), draws))
     for lo in range(0, len(paths), per_block):
         block = paths[lo:lo + per_block]
-        bits, u = raw[:len(block)], scratch[:len(block)]
-        for row, p in zip(bits, block):
+        words = []
+        for p in block:
             key[1] = p
             bitgen.state = state
-            row[:] = bitgen.random_raw(draws)
+            words.append(bitgen.random_raw(skip + draws))
+        bits = raw[:len(block)]
+        np.concatenate(words, out=bits.reshape(-1))
+        bits = bits[:, skip:]
+        u = scratch[:len(block)]
         ndtri(_open_unit(bits, u), out=u)
+        if scale != 1.0:
+            u *= scale      # while the block is in cache
         z[:, lo:lo + len(block)] = u.reshape(len(block), n, m).transpose(1, 0, 2)
     return z.transpose(1, 0, 2)
 
@@ -102,8 +122,7 @@ def _step(t_final: float, n_fine: int) -> float:
 def generate(master_seed: int, path_index: int, m: int, t_final: float, n_fine: int) -> BrownianGrid:
     """Fill an (n_fine, m) increment grid from the (seed, path) keyed stream."""
     dt = _step(t_final, n_fine)
-    increments = standard_normals(master_seed, (path_index,), m, n_fine)[0]
-    increments *= np.sqrt(dt)
+    increments = standard_normals(master_seed, (path_index,), m, n_fine, scale=np.sqrt(dt))[0]
     increments.setflags(write=False)
     return BrownianGrid(m=m, t_final=t_final, n_fine=n_fine, dt_fine=dt,
                         increments=increments, master_seed=master_seed, path_index=path_index)
@@ -161,6 +180,4 @@ def coarsen(grid: BrownianGrid, factor: int) -> BrownianGrid:
 def generate_batch(master_seed: int, path_indices, m: int, t_final: float, n_fine: int) -> np.ndarray:
     """Per-path increment grids of shape (n_paths, n_fine, m), N(0, t_final/n_fine) each."""
     dt = _step(t_final, n_fine)
-    z = standard_normals(master_seed, path_indices, m, n_fine)
-    z *= np.sqrt(dt)
-    return z
+    return standard_normals(master_seed, path_indices, m, n_fine, scale=np.sqrt(dt))

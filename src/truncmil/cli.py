@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -127,12 +128,14 @@ def _header_lines(cfg: dict, seed: int) -> list:
     ]
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks) -> None:
+    """Write the strings of `chunks` in turn to a temporary file beside
+    `path`, then move it into place."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -140,12 +143,13 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(path: str, cfg: dict, seed: int, columns, rows) -> None:
-    """Write the header, the column names and `rows`, each row one line of
-    its values' `str` texts (for a float its shortest round-trip text)."""
-    lines = _header_lines(cfg, seed) + [",".join(columns)]
-    lines += rows
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, cfg: dict, seed: int, columns, blocks) -> None:
+    """Write the header, the column names and the rows of each of `blocks`, a
+    nonempty list of rows, in turn, so only one block's text is held at a
+    time; each row is one line of its values' `str` texts (for a float its
+    shortest round-trip text)."""
+    head = _header_lines(cfg, seed) + [",".join(columns)]
+    _write_atomic(path, ("\n".join(lines) + "\n" for lines in itertools.chain([head], blocks)))
 
 
 def _write_summary(path: str, cfg: dict, seed: int, payload: dict) -> None:
@@ -153,7 +157,7 @@ def _write_summary(path: str, cfg: dict, seed: int, payload: dict) -> None:
     payload["artifact_version"] = __version__
     payload["config_hash"] = config_hash(cfg)
     payload["seed"] = seed
-    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    _write_atomic(path, [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"])
 
 
 def _run_rate(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
@@ -180,8 +184,8 @@ def _run_rate(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
     fit = run_rate_experiment(spec, n_workers=workers)
     _write_csv(os.path.join(out_dir, "rates.csv"), cfg, seed,
                ["delta", "error", "se", "norm_error"],
-               map("{},{},{},{}".format, fit.deltas.tolist(), fit.errors.tolist(),
-                   fit.standard_errors.tolist(), fit.norm_errors.tolist()))
+               [list(map("{},{},{},{}".format, fit.deltas.tolist(), fit.errors.tolist(),
+                         fit.standard_errors.tolist(), fit.norm_errors.tolist()))])
     _write_summary(os.path.join(out_dir, "fit.json"), cfg, seed, {
         "slope": fit.slope, "slope_se": fit.slope_se, "q": fit.q,
         "n_paths": fit.n_paths, "model": model_name, "scheme": spec.scheme.value,
@@ -224,11 +228,12 @@ def _run_stability(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
                                        record_paths=record, constants=constants)
     except ValueError as exc:
         raise ValidationError(str(exc))
-    mags = [] if decay.recorded_magnitudes is None else decay.recorded_magnitudes.tolist()
+    mags = () if decay.recorded_magnitudes is None else decay.recorded_magnitudes
     _write_csv(os.path.join(out_dir, "stability.csv"), cfg, seed, ["path", "k", "abs_y"],
-               # a float's repr is its str, and cheaper to reach than through format
-               (f"{p},{k},{mag}" for p, series in enumerate(mags)
-                for k, mag in enumerate(map(repr, series))))
+               # one block per recorded path; a float's repr is its str, and
+               # cheaper to reach than through format
+               ([f"{p},{k},{mag}" for k, mag in enumerate(map(repr, series.tolist()))]
+                for p, series in enumerate(mags)))
     _write_summary(os.path.join(out_dir, "fit.json"), cfg, seed, {
         "H": constants.H, "delta_1": constants.delta_1,
         "radius_at_one": constants.radius_at_one,
@@ -266,7 +271,7 @@ def _run_check(cfg: dict, out_dir: str, seed: int) -> str:
         rows.append(f"{rep.assumption_id.value},{rep.sampled_points},{rep.worst_margin}")
         worst = max(worst, rep.worst_margin)
     _write_csv(os.path.join(out_dir, "checks.csv"), cfg, seed,
-               ["assumption", "sampled_points", "worst_margin"], rows)
+               ["assumption", "sampled_points", "worst_margin"], [rows])
     status = "no violation found" if worst <= 0 else "VIOLATION FOUND"
     return f"worst margin = {worst:.6g} ({status})"
 

@@ -14,10 +14,11 @@ per-path results depend only on the (seed, path) stream, so output is
 identical for any worker count or chunking.
 
 The moment and interpolant-gap probes step a whole step ladder as one batch
-(`_ladder_runs`): one draw for the finest rung, every unfinished rung's rows
-in one driver call per piece, and the scaled increments of a piece in one
-reused buffer of at most `_LADDER_VALUES` values, so their memory is the draw
-plus a bounded amount.
+(`_ladder_runs`): one stream for the finest rung, drawn a window of at most
+`_LADDER_NORMALS` normals at a time, every unfinished rung's rows in one
+driver call per piece, and the scaled increments of a piece in one reused
+buffer of at most `_LADDER_VALUES` values, so their memory is bounded
+whatever the ladder's length.
 """
 
 from __future__ import annotations
@@ -42,9 +43,15 @@ from .truncation import TruncationConfig, _check_delta, dominant_rate, old_condi
 # 4000 criterion-3 paths of 1024 steps on 2 workers as 2 chunks of 2000
 _CHUNK_BYTES = 16 << 20
 
-# scaled increments one piece of a probe's step ladder holds (2 MiB); the
-# ladder's traced peak stays near its standard normals plus this
+# scaled increments one piece of a probe's step ladder holds (2 MiB)
 _LADDER_VALUES = 1 << 18
+
+# standard normals one window of a probe's draw holds (8 MiB), unless that is
+# fewer than `_LADDER_MIN_WINDOW` steps of every path: each window costs one
+# key reset and one raw draw per path, so short windows cost time.  A
+# ladder's traced peak stays near one window plus the piece buffer
+_LADDER_NORMALS = 1 << 20
+_LADDER_MIN_WINDOW = 256
 
 
 # bench/tracing.py wraps this name too; a partial, not an alias, so block sums count once
@@ -443,13 +450,17 @@ def _ladder_runs(model: SdeModel, cfg, deltas: Sequence[float], ns: Sequence[int
     """Step truncated Milstein over every rung of a step ladder as one batch.
 
     Rung i makes ns[i] steps of deltas[i] on [0, t_final], each from the sum of
-    `substeps` increments: one draw of standard normals for the finest grid,
-    scaled by the rung's sqrt(t_final / (substeps * ns[i])).  The rungs are
-    stacked finest first, n_paths rows each, and cut at the rung ends into
-    segments, so a finished rung drops off the end and the live rows stay a
-    prefix.  A segment is stepped in pieces whose scaled increments fill at
-    most `_LADDER_VALUES` of one reused step-major buffer; each piece is one
+    `substeps` increments: the standard normals of the finest grid, scaled by
+    the rung's sqrt(t_final / (substeps * ns[i])).  The rungs are stacked
+    finest first, n_paths rows each, and cut at the rung ends into segments,
+    so a finished rung drops off the end and the live rows stay a prefix.  A
+    segment is stepped in pieces whose scaled increments fill at most
+    `_LADDER_VALUES` of one reused step-major buffer; each piece is one
     driver call from the previous piece's finals, with each row's rung step.
+    The normals are drawn in windows of the resumable streams, each from the
+    first piece it must cover, `_LADDER_NORMALS // n_paths` steps long (at
+    least `_LADDER_MIN_WINDOW`, and longer if that piece is), so a ladder
+    whose draw fits the budget is drawn at once.
 
     Yields (lo, hi, rungs, inc, res) per piece: it steps [lo, hi) of the rungs
     `rungs`, rung rungs[j] in rows [j * n_paths, (j + 1) * n_paths); `inc`
@@ -465,19 +476,23 @@ def _ladder_runs(model: SdeModel, cfg, deltas: Sequence[float], ns: Sequence[int
         width = max(1, _LADDER_VALUES // (live * n_paths * substeps))
         pieces += [(a, min(a + width, end), live) for a in range(start, end, width)]
         start = end
-    # step-major (steps, paths) normals
-    z = brownian.standard_normals(master_seed, range(n_paths), 1, substeps * ns[order[0]])
-    z = z.transpose(1, 0, 2)[:, :, 0]
+    n_draw = substeps * ns[order[0]]
+    window = max(_LADDER_NORMALS // n_paths, _LADDER_MIN_WINDOW)
+    z, w0, w1 = None, 0, 0      # step-major (steps, paths) normals of [w0, w1)
     buf = np.empty(max((hi - lo) * live for lo, hi, live in pieces) * n_paths * substeps)
     scales = [np.sqrt(t_final / (substeps * ns[i])) for i in order]
     steps = np.repeat([deltas[i] for i in order], n_paths)
     finals = np.broadcast_to(model.initial_value, (len(steps), 1))
     for lo, hi, live in pieces:
+        a, b = lo * substeps, hi * substeps
+        if b > w1:      # a window from this piece on, drawn once the last is dropped
+            z, w0, w1 = None, a, min(n_draw, max(b, a + window))
+            z = brownian.standard_normals(master_seed, range(n_paths), 1, w1 - w0, start=w0)
+            z = z.transpose(1, 0, 2)[:, :, 0]
         rows = live * n_paths
         inc = buf[:(hi - lo) * substeps * rows].reshape(-1, rows)
         for j, scale in enumerate(scales[:live]):
-            np.multiply(z[lo * substeps:hi * substeps], scale,
-                        out=inc[:, j * n_paths:(j + 1) * n_paths])
+            np.multiply(z[a - w0:b - w0], scale, out=inc[:, j * n_paths:(j + 1) * n_paths])
         inc = inc.T[:, :, None]
         driven = brownian.block_sums(inc, substeps, axis=1) if substeps > 1 else inc
         res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, driven, steps[:rows],

@@ -18,7 +18,8 @@ does blow-up bookkeeping only after a step that produced a non-finite value:
 a path that blew up is dropped from the batch, with its step and radius when
 each path has its own.  A scalar model's batch may mix step sizes, one per
 path, so a whole step ladder runs as one batch; the radii are looked up once
-per call, not per step.  Recorded states are kept step-major, one contiguous
+per call, not per step, and the scalar step's work arrays are allocated
+once per call too.  Recorded states are kept step-major, one contiguous
 row per step, and returned as a transposed (n_paths, n_steps + 1, d) view.
 `simulate` is its one-path view.
 """
@@ -83,21 +84,26 @@ def _radii(cfg, delta):
 
 
 def _scalar_step(scheme: SchemeId, model: SdeModel, cfg, delta, y: np.ndarray,
-                 dB: np.ndarray, radius=None) -> np.ndarray:
+                 dB: np.ndarray, radius=None, neg_radius=None, work=None) -> np.ndarray:
     """One step for scalar models; y and dB may be whole ensembles, and delta
     one step or an array of steps broadcasting against them.
 
-    A truncated scheme clamps y to `radius`, the radius of delta, looked up
-    here when not given.  Per element it computes
+    A truncated scheme clamps y to [-radius, radius], with radius the radius
+    of delta, looked up here when not given, and `neg_radius` its negation,
+    worked out here when not given.  Per element it computes
     mu*delta + sigma*dB + (0.5*L sigma)*(dB*dB - delta) in that order, then
-    y + incr, in two temporaries and the result array.
+    y + incr.  `work` is four arrays of the broadcast shape of y and dB: the
+    clamped state, two temporaries and the result, which must not be y; they
+    are allocated here when not given.
     """
+    if work is None:
+        shape = np.broadcast(y, dB).shape
+        work = [np.empty(shape) for _ in range(4)]
+    z, incr, term, out = work
     if scheme.truncates:
-        z = _clamp(y, _radii(cfg, delta) if radius is None else radius)
+        z = _clamp(y, _radii(cfg, delta) if radius is None else radius, neg_radius, out=z)
     else:
         z = y
-    shape = np.broadcast(y, dB).shape
-    incr, term, out = np.empty(shape), np.empty(shape), np.empty(shape)
     np.multiply(np.asarray(model.drift(z), dtype=float), delta, out=incr)
     np.multiply(np.asarray(model.diffusion_col(z, 1), dtype=float), dB, out=term)
     incr += term
@@ -205,8 +211,12 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
                              f"got {np.shape(delta)}")
         delta = np.asarray(delta, dtype=float)[:, None]
     radius = _radii(cfg, delta) if scalar and scheme.truncates else None
+    neg_radius = None if radius is None else -radius
     y = np.empty((n_paths, model.d))
     y[:] = x0
+    # the scalar step's clamped state, two temporaries and the state it writes
+    # next; the state buffers alternate, and all are cut to the live rows
+    work = [np.empty_like(y) for _ in range(4)] if scalar else None
     blowup_step = np.full(n_paths, -1, dtype=np.int64)
     states = np.full((n_steps + 1, n_paths, model.d), np.nan) if record else None
     if record:
@@ -215,8 +225,11 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             dB = increments[live, k]
-            y = (_scalar_step(scheme, model, cfg, delta, y, dB, radius) if scalar
-                 else _general_step(scheme, model, cfg, delta, y, dB))
+            if scalar:
+                y, work[3] = (_scalar_step(scheme, model, cfg, delta, y, dB, radius,
+                                           neg_radius, work), y)
+            else:
+                y = _general_step(scheme, model, cfg, delta, y, dB)
             # a finite sum means every entry is finite
             if not np.isfinite(np.add.reduce(y, axis=None)):
                 ok = np.isfinite(y).all(axis=1)
@@ -224,7 +237,10 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
                 blowup_step[live[~ok]] = k
                 live, y = live[ok], y[ok]
                 # per-path steps and radii leave with their paths
-                delta, radius = (c if np.ndim(c) == 0 else c[ok] for c in (delta, radius))
+                delta, radius, neg_radius = (c if np.ndim(c) == 0 else c[ok]
+                                             for c in (delta, radius, neg_radius))
+                if scalar:
+                    work = [w[:len(live)] for w in work]
             if record:
                 states[k + 1, live] = y
     finals = np.full((n_paths, model.d), np.nan)

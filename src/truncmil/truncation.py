@@ -100,10 +100,12 @@ def project_scalar_batch(cfg, delta: float, y: np.ndarray) -> np.ndarray:
     return _clamp(y, cfg.radius(delta))
 
 
-def _clamp(y: np.ndarray, radius) -> np.ndarray:
-    """y clamped to [-radius, radius] elementwise; radius is a number or an
-    array broadcasting against y (one radius per path)."""
-    return np.minimum(np.maximum(y, -radius), radius)
+def _clamp(y: np.ndarray, radius, neg_radius=None, out=None) -> np.ndarray:
+    """y clamped to [-radius, radius] elementwise, into `out` when given;
+    radius is a number or an array broadcasting against y (one radius per
+    path), and `neg_radius`, when given, is its negation."""
+    lo = -radius if neg_radius is None else neg_radius
+    return np.minimum(np.maximum(y, lo, out=out), radius, out=out)
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,33 @@ def test_normals_are_prefix_consistent():
         assert np.array_equal(generate_batch(3, [4, 0], 2, 1.0, n), z[:, :n] * np.sqrt(1.0 / n))
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("start", [0, 1, 3, 5, 64])
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1, -3])
+def test_normals_from_a_start_step_are_a_slice_of_the_full_draw(monkeypatch, seed, start, m):
+    # paths out of order, and blocks of 3 paths, so the keys are reset
+    # across more than one block
+    monkeypatch.setattr(brownian, "_BLOCK_DRAWS", 3 * 9 * m)
+    paths, n = [5, 0, 9, 2, 7, 1, 3], 9
+    full = standard_normals(seed, paths, m, start + n)
+    assert np.array_equal(standard_normals(seed, paths, m, n, start=start), full[:, start:])
+
+
+def test_normals_start_must_be_nonnegative():
+    with pytest.raises(ValueError, match="start"):
+        standard_normals(1, [0], 1, 4, start=-1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_generate_batch_scales_inside_the_draw_bitwise(m):
+    # the sqrt(dt) scale is applied as each block is copied, the same single
+    # multiply as scaling the normals afterwards
+    for n in (1, 7, 100):
+        want = standard_normals(31, [3, 0, 8], m, n) * np.sqrt(0.7 / n)
+        assert np.array_equal(generate_batch(31, [3, 0, 8], m, 0.7, n), want)
+        assert np.array_equal(tm.generate(31, 8, m, 0.7, n).increments, want[2])
+
+
 def test_generate_batch_validation():
     with pytest.raises(ValueError):
         generate_batch(1, [0, -1], 1, 1.0, 8)

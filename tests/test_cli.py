@@ -3,7 +3,9 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from truncmil import cli, experiments
@@ -214,6 +216,34 @@ def test_stability_run(tmp_path):
     constants = json.dumps({key: payload[key] for key in keys}, sort_keys=True)
     assert hashlib.sha256(constants.encode()).hexdigest() == (
         "fc895cd3ebf96a8e1155254aef572de89e5de02f4824550012bf2e0318d7462d")
+
+
+def test_stability_csv_is_written_a_recorded_path_at_a_time(tmp_path, monkeypatch):
+    # a 200-path x 2000-step record: formatting the whole record before the
+    # write held every row string at once, about 68 MB traced; a path at a
+    # time holds one path's rows
+    n_paths, horizon = 200, 2000
+    record = np.random.default_rng(1).random((n_paths, horizon + 1))
+    decay = experiments.DecayEnsemble(
+        decay_flags=np.ones(n_paths, dtype=bool), decay_fraction=1.0, tol_stab=1e-2,
+        delta=0.04, horizon_steps=horizon, recorded_magnitudes=record)
+    constants = experiments.StabilityConstants(H=60.5, delta_1=1.0 / 121.0,
+                                               radius_at_one=1.0, argmax_norm=0.5)
+    monkeypatch.setattr(cli, "compute_stability_constants", lambda *args: constants)
+    monkeypatch.setattr(cli, "run_stability_ensemble", lambda *args, **kwargs: decay)
+    path = write_config(tmp_path, STABILITY_CFG)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert cli.run(path, seed=2, out=str(out)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
+    data = [ln for ln in (out / "stability.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert data == ["path,k,abs_y"] + [f"{p},{k},{mag!r}" for p, series in enumerate(record)
+                                       for k, mag in enumerate(series.tolist())]
 
 
 def test_stability_run_rejects_no_paths(tmp_path, capsys):

@@ -670,12 +670,15 @@ def _per_rung_gaps(model, cfg, deltas, n_paths, t_final, seed):
     return np.array(out)
 
 
-@pytest.mark.parametrize("deltas", [
+_LADDERS = [
     [2.0 ** -k for k in range(2, 7)],
     [0.25, 0.2, 0.1],            # n = 4, 5, 10: step counts not nested
     [0.1, 0.25, 0.0625, 0.2],    # unsorted
     [0.1, 0.1, 0.25],            # a step twice
-])
+]
+
+
+@pytest.mark.parametrize("deltas", _LADDERS)
 def test_probes_match_per_rung_regeneration(cubic_cfg, deltas):
     model = tm.builtin_model("cubic_quintic")
     moments = tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=64, master_seed=7)
@@ -709,6 +712,65 @@ def test_probes_split_ladder_segments_within_the_buffer_cap(monkeypatch, cubic_c
                           _per_rung_gaps(model, cubic_cfg, deltas, n_paths, 1.0, 7))
 
 
+def _spy_windows(monkeypatch):
+    """Record the (start, n) window of each draw of standard normals."""
+    windows, draw = [], experiments.brownian.standard_normals
+
+    def spy(master_seed, path_indices, m, n, start=0, scale=1.0):
+        windows.append((start, n))
+        return draw(master_seed, path_indices, m, n, start, scale)
+    monkeypatch.setattr(experiments.brownian, "standard_normals", spy)
+    return windows
+
+
+def _covers(windows, n_draw) -> bool:
+    """Windows that start at 0, never skip a step and end at the last one."""
+    ends = [start + n for start, n in windows]
+    return (windows[0][0] == 0 and ends[-1] == n_draw
+            and all(start <= end for (start, _), end in zip(windows[1:], ends)))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40, 2**20])
+@pytest.mark.parametrize("deltas", _LADDERS)
+def test_probes_drawn_in_windows_match_per_rung_regeneration(monkeypatch, cubic_cfg, deltas,
+                                                             budget):
+    # with no minimum length a window holds budget // n_paths steps, or the
+    # one piece it starts at, so at 1, 7 and 40 normals the draw comes in
+    # several windows, and at 2^20 in one; pieces of a few steps each (the
+    # piece buffer holds 64 values) let a window span some pieces but not all
+    model, n_paths = tm.builtin_model("cubic_quintic"), 8
+    want_moments = _per_rung_moments(model, cubic_cfg, deltas, n_paths, 1.0, 4.0, 7)
+    want_gaps = _per_rung_gaps(model, cubic_cfg, deltas, n_paths, 1.0, 7)
+    monkeypatch.setattr(experiments, "_LADDER_NORMALS", budget)
+    monkeypatch.setattr(experiments, "_LADDER_MIN_WINDOW", 1)
+    monkeypatch.setattr(experiments, "_LADDER_VALUES", 64)
+    windows = _spy_windows(monkeypatch)
+    n_fine = max(round(1.0 / d) for d in deltas)
+    moments = tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=n_paths, master_seed=7)
+    assert np.array_equal(moments, want_moments)
+    assert _covers(windows, n_fine)
+    assert (len(windows) == 1) == (budget == 2**20)
+    windows.clear()
+    probe = tm.interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=n_paths, master_seed=7)
+    assert np.array_equal(probe.mean_square_gaps, want_gaps)
+    assert _covers(windows, 2 * n_fine)
+    assert (len(windows) == 1) == (budget == 2**20)
+
+
+def test_probe_windows_keep_their_minimum_length(monkeypatch, cubic_cfg):
+    # the criterion-6 ladder, 1024 steps, with a budget of one normal: every
+    # window but the last is at least `_LADDER_MIN_WINDOW` steps long, starts
+    # at a rung end (a piece is a whole segment at this width), and the
+    # moments are those of one whole draw
+    model, deltas = tm.builtin_model("cubic_quintic"), [2.0 ** -k for k in range(4, 11)]
+    whole = tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=8, master_seed=3)
+    monkeypatch.setattr(experiments, "_LADDER_NORMALS", 1)
+    windows = _spy_windows(monkeypatch)
+    moments = tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=8, master_seed=3)
+    assert np.array_equal(moments, whole)
+    assert windows == [(0, 256), (256, 256), (512, 512)]
+
+
 def _traced_peak(fn, *args, **kwargs) -> int:
     tracemalloc.start()
     try:
@@ -725,6 +787,15 @@ def test_moment_probe_memory_stays_near_its_normals(cubic_cfg):
     peak = _traced_peak(tm.terminal_moment_probe, model, cubic_cfg, deltas, n_paths=2500,
                         master_seed=11)
     assert peak <= 1.3 * 8 * 1024 * 2500
+
+
+def test_moment_probe_memory_is_below_its_normals(cubic_cfg):
+    # the same ladder drawn in windows of `_LADDER_NORMALS` normals (419 steps
+    # at 2500 paths): one window and the piece buffer, not the whole draw
+    model, deltas = tm.builtin_model("cubic_quintic"), [2.0 ** -k for k in range(4, 11)]
+    peak = _traced_peak(tm.terminal_moment_probe, model, cubic_cfg, deltas, n_paths=2500,
+                        master_seed=11)
+    assert peak <= 0.7 * 8 * 1024 * 2500
 
 
 def test_gap_probe_memory_below_rung_at_a_time(cubic_cfg):

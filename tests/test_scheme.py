@@ -319,6 +319,27 @@ def test_driver_with_a_step_per_path_equals_one_run_per_group(cubic_cfg, scheme,
         assert res.states is None
 
 
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("scheme", list(tm.SchemeId))
+def test_driver_results_do_not_alias_its_work_buffers(cubic_cfg, scheme, record):
+    # the scalar step writes into buffers the driver allocates per call and
+    # cuts after a blow-up (a classical group dies mid-run at step 0.25 from
+    # x0 = 2); a second call must leave the first call's results as they were
+    model = tm.builtin_model("cubic_quintic")
+    deltas = np.repeat([1.0 / 64, 0.25, 1.0 / 32], 8)
+    x0s = np.repeat([1.0, 2.0, 0.8], 8)[:, None]
+    inc = generate_batch(4, range(24), 1, 1.0, 32)
+    first = _simulate_batch(scheme, model, cubic_cfg, inc, deltas, x0s, record=record)
+    kept = {name: np.copy(getattr(first, name)) for name in ("finals", "alive", "blowup_step")
+            + (("states",) if record else ())}
+    if not tm.SchemeId(scheme).truncates:
+        assert not first.alive[8:16].any() and first.alive[:8].all()
+    second = _simulate_batch(scheme, model, cubic_cfg, -inc, deltas, x0s, record=record)
+    assert not np.array_equal(second.finals, first.finals, equal_nan=True)
+    for name, value in kept.items():
+        assert np.array_equal(getattr(first, name), value, equal_nan=True)
+
+
 def test_driver_refuses_a_step_per_path_for_a_vector_model(cubic_cfg):
     model = tm.SdeModel(d=2, m=1, drift=lambda x: -x, diffusion_col=lambda x, j: 0.0 * x,
                         initial_value=np.ones(2), polynomial_degree_r=0.0)
