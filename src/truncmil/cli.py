@@ -24,8 +24,7 @@ from . import __version__
 from .model import (Assumption, KFunction, ProbeSpec, BUILTIN_MODEL_NAMES,
                     builtin_model, check_assumption)
 from .experiments import (RateExperimentSpec, compare_step_conditions,
-                          compute_stability_constants, run_rate_experiment,
-                          run_stability_ensemble)
+                          run_rate_experiment, run_stability_ensemble)
 from .scheme import SchemeId
 from .truncation import TruncationConfig
 
@@ -222,12 +221,17 @@ def _run_stability(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
     n_paths = _get(cfg, "paths", int, default=1000)
     record = _get(cfg, "record_paths", int, default=10)
     try:
-        constants = compute_stability_constants(model, trunc, k_fn)
         decay = run_stability_ensemble(model, trunc, delta, n_paths, horizon, tol,
                                        master_seed=seed, n_workers=workers,
-                                       record_paths=record, constants=constants)
+                                       record_paths=record, k_fn=k_fn)
     except ValueError as exc:
         raise ValidationError(str(exc))
+    if decay.blowup_fraction > 0:
+        # the truncated scheme must not blow up; a decay fraction with blown-up
+        # paths counted as not decayed would hide that
+        raise RuntimeError(f"{decay.blowup_fraction:.6g} of the paths blew up "
+                           "under the truncated scheme")
+    constants = decay.constants
     mags = () if decay.recorded_magnitudes is None else decay.recorded_magnitudes
     _write_csv(os.path.join(out_dir, "stability.csv"), cfg, seed, ["path", "k", "abs_y"],
                # one block per recorded path; a float's repr is its str, and
@@ -239,7 +243,7 @@ def _run_stability(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
         "radius_at_one": constants.radius_at_one,
         "paper_H": constants.paper_H, "paper_delta_1": constants.paper_delta_1,
         "paper_discrepancy": constants.paper_discrepancy,
-        "decay_fraction": decay.decay_fraction,
+        "decay_fraction": decay.decay_fraction, "blowup_fraction": decay.blowup_fraction,
         "tol_stab": decay.tol_stab, "delta": delta,
         "horizon_steps": horizon, "n_paths": n_paths,
     })

@@ -11,7 +11,9 @@ Path-level work runs through `_map_chunks` alone: contiguous chunks of paths,
 as few as a per-chunk byte budget allows and a multiple of the worker count,
 in one process pool (in-process for one worker), merged in path-index order;
 per-path results depend only on the (seed, path) stream, so output is
-identical for any worker count or chunking.
+identical for any worker count or chunking.  The caller may work in the
+parent while the pool runs: a stability ensemble computes its constants
+there, in blocks of `_GRID_BLOCK` radii.
 
 The moment and interpolant-gap probes step a whole step ladder as one batch
 (`_ladder_runs`): one stream for the finest rung, drawn a window of at most
@@ -42,6 +44,10 @@ from .truncation import TruncationConfig, _check_delta, dominant_rate, old_condi
 # chunk's traced peak stays near these bytes (about 1.15 times them); 16 MiB runs
 # 4000 criterion-3 paths of 1024 steps on 2 workers as 2 chunks of 2000
 _CHUNK_BYTES = 16 << 20
+
+# radii of the stability-constant grid evaluated per drift call (64 KiB a
+# block), so the search holds the grid and its ratios plus a few blocks
+_GRID_BLOCK = 8192
 
 # scaled increments one piece of a probe's step ladder holds (2 MiB)
 _LADDER_VALUES = 1 << 18
@@ -238,14 +244,28 @@ def _chunk_bounds(n_paths: int, n_workers: int, bytes_per_path: int) -> list:
     return [(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
-def _map_chunks(fn, n_paths: int, n_workers: int, bytes_per_path: int, *args) -> list:
+def _map_chunks(fn, n_paths: int, n_workers: int, bytes_per_path: int, *args,
+                meanwhile=lambda: None) -> list:
     """fn(*args, lo, hi) for each chunk of `_chunk_bounds`, in path order: in one
-    process pool when n_workers > 1, else in-process."""
+    process pool when n_workers > 1, else in-process.
+
+    `meanwhile()` is the caller's work in this process: it runs after every
+    chunk is submitted and before any is awaited, or, with one worker, before
+    the chunks.  If it raises, the pool is shut down with the chunks not yet
+    started cancelled, and the error propagates.
+    """
     calls = [(*args, lo, hi) for lo, hi in _chunk_bounds(n_paths, n_workers, bytes_per_path)]
     if n_workers <= 1:
+        meanwhile()
         return [fn(*call) for call in calls]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, *zip(*calls)))
+        results = pool.map(fn, *zip(*calls))       # submits every chunk
+        try:
+            meanwhile()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        return list(results)
 
 
 def _path_error_samples(spec: RateExperimentSpec, n_workers: int) -> np.ndarray:
@@ -315,6 +335,8 @@ class DecayEnsemble:
     delta: float
     horizon_steps: int
     recorded_magnitudes: Optional[np.ndarray]   # (record_paths, horizon+1)
+    blowup_fraction: float = 0.0      # share of paths that went non-finite
+    constants: Optional[StabilityConstants] = None   # when a k-function was given
 
 
 def _directions(d: int) -> np.ndarray:
@@ -351,6 +373,9 @@ def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
     """Grid-plus-golden search for H = sup |mu(x)|^2 / k(|x|) on the radius-one
     ball of the method, and the step ceiling derived from it.
 
+    The grid is evaluated `_GRID_BLOCK` radii at a time; every ratio is
+    elementwise in the radius, so the result does not depend on the block.
+
     For the stable_quintic builtin the report also carries the published
     reference constants and flags any disagreement instead of adopting them.
     """
@@ -362,7 +387,9 @@ def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
 
     grid = np.logspace(-6, math.log10(radius1), n_grid)
     grid[-1] = radius1
-    vals = _drift_ratio(model, k_fn, grid, dirs)
+    vals = np.empty_like(grid)
+    for lo in range(0, n_grid, _GRID_BLOCK):
+        vals[lo:lo + _GRID_BLOCK] = _drift_ratio(model, k_fn, grid[lo:lo + _GRID_BLOCK], dirs)
     if not np.all(np.isfinite(vals)) or np.max(vals) > _RATIO_CAP:
         raise ValueError("drift/k ratio exceeds cap; the small-state boundedness "
                          "condition appears violated")
@@ -389,8 +416,9 @@ def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
 def _stability_chunk(model_name: str, cfg, delta: float, horizon_steps: int,
                      tol_stab: float, master_seed: int, record_paths: int,
                      lo: int, hi: int) -> tuple:
-    """Decay flags of the paths [lo, hi), and the magnitudes of those of them
-    below `record_paths` as (n_recorded, horizon_steps + 1), maybe empty."""
+    """Decay flags and alive flags of the paths [lo, hi), and the magnitudes
+    of those of them below `record_paths` as (n_recorded, horizon_steps + 1),
+    maybe empty.  A path that blew up has not decayed."""
     model = resolve_model(model_name)
     t_final = delta * horizon_steps
     inc = brownian.generate_batch(master_seed, range(lo, hi), 1, t_final, horizon_steps)
@@ -398,20 +426,22 @@ def _stability_chunk(model_name: str, cfg, delta: float, horizon_steps: int,
                           model.initial_value, record=True)
     tail = max(1, horizon_steps // 10)
     flags = np.all(np.abs(res.states[:, -tail:, 0]) < tol_stab, axis=1)
-    return flags, np.abs(res.states[:max(0, record_paths - lo), :, 0])
+    return flags, res.alive, np.abs(res.states[:max(0, record_paths - lo), :, 0])
 
 
 def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
                            horizon_steps: int, tol_stab: float,
                            master_seed: int = 0, n_workers: int = 1,
                            record_paths: int = 10,
-                           constants: Optional[StabilityConstants] = None) -> DecayEnsemble:
+                           k_fn: Optional[KFunction] = None) -> DecayEnsemble:
     """Simulate truncated-Milstein paths and report the threshold-tail decay
     fraction, the finite-horizon surrogate for almost-sure convergence to 0.
 
     A path counts as decayed when |Y_k| stays below tol_stab over the last
-    tenth of the horizon.  `constants`, when given, only sets the step
-    ceiling above which a warning is issued.
+    tenth of the horizon; a path that blew up has not decayed, and counts in
+    `blowup_fraction`.  With `k_fn`, the stability constants are computed in
+    this process while the pool steps the paths (before them, for one
+    worker), returned as `constants`, and a step above their ceiling warns.
     """
     _check_delta(delta)
     if n_paths < 1:
@@ -426,18 +456,28 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
         raise ValueError("tol_stab must be positive")
     if not model.is_scalar:
         raise ValueError("stability ensembles are implemented for scalar models")
+    found = []
+
+    def compute_constants():
+        if k_fn is not None:
+            found.append(compute_stability_constants(model, cfg, k_fn))
+
+    # the increments and the recorded states
+    per_path = 8 * (2 * horizon_steps + 1)
+    flags, alive, recorded = zip(*_map_chunks(_stability_chunk, n_paths, n_workers, per_path,
+                                              model.name, cfg, delta, horizon_steps, tol_stab,
+                                              master_seed, record_paths,
+                                              meanwhile=compute_constants))
+    constants = found[0] if found else None
     if constants is not None and delta > constants.delta_1:
         warnings.warn(f"step size {delta} exceeds the computed stability ceiling "
                       f"{constants.delta_1:.6g}; decay is not guaranteed", stacklevel=2)
-    # the increments and the recorded states
-    per_path = 8 * (2 * horizon_steps + 1)
-    flags, recorded = zip(*_map_chunks(_stability_chunk, n_paths, n_workers, per_path,
-                                       model.name, cfg, delta, horizon_steps, tol_stab,
-                                       master_seed, record_paths))
     flags, recorded = np.concatenate(flags), np.vstack(recorded)
     return DecayEnsemble(decay_flags=flags, decay_fraction=float(np.mean(flags)),
                          tol_stab=tol_stab, delta=delta, horizon_steps=horizon_steps,
-                         recorded_magnitudes=recorded if len(recorded) else None)
+                         recorded_magnitudes=recorded if len(recorded) else None,
+                         blowup_fraction=1.0 - float(np.mean(np.concatenate(alive))),
+                         constants=constants)
 
 
 # ---------------------------------------------------------------------------

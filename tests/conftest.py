@@ -1,8 +1,13 @@
 """Shared fixtures: the truncation configurations used by the builtin models,
-vector models that take the finite-difference L-operator, and the
-globally Lipschitz control model, registered as "lipschitz_control".
-Property tests run under a derandomised hypothesis profile, so every run
-draws the same examples."""
+vector models that take the finite-difference L-operator, the globally
+Lipschitz control model, registered as "lipschitz_control", and a stable
+quintic whose drift is NaN outside its radius-one ball, registered as
+"quintic_nan_outside".  Property tests run under a derandomised hypothesis
+profile, so every run draws the same examples.  A test that leaves a child
+process alive fails."""
+
+import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +30,17 @@ BUILTIN_CONFIGS = {
 
 def config_for(name: str) -> tm.TruncationConfig:
     return tm.TruncationConfig(*BUILTIN_CONFIGS[name])
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fail a test that leaves a child process (a pool worker) running."""
+    yield
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.terminate()
+        child.join()
+    assert not leaked, f"child processes left running: {leaked}"
 
 
 @pytest.fixture
@@ -110,3 +126,15 @@ def lipschitz_control_model() -> tm.SdeModel:
 
 
 register_model(lipschitz_control_model())
+
+
+_QUINTIC = tm.builtin_model("stable_quintic")
+
+
+def _drift_nan_outside(x):
+    # NaN for |x| > 1.05: outside the radius-one ball of the stability
+    # constants, inside the truncation ball of small steps
+    return np.where(np.abs(x) > 1.05, np.nan, _QUINTIC.drift(x))
+
+
+register_model(replace(_QUINTIC, drift=_drift_nan_outside, name="quintic_nan_outside"))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import tracemalloc
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from truncmil import cli, experiments
+from truncmil.model import resolve_model
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -205,6 +207,7 @@ def test_stability_run(tmp_path):
     assert payload["paper_H"] == 25.0
     assert payload["paper_discrepancy"] is True
     assert 0.0 <= payload["decay_fraction"] <= 1.0
+    assert payload["blowup_fraction"] == 0.0
     data = [ln for ln in (out / "stability.csv").read_text().splitlines()
             if not ln.startswith("#")]
     assert data[0] == "path,k,abs_y"
@@ -224,12 +227,11 @@ def test_stability_csv_is_written_a_recorded_path_at_a_time(tmp_path, monkeypatc
     # time holds one path's rows
     n_paths, horizon = 200, 2000
     record = np.random.default_rng(1).random((n_paths, horizon + 1))
-    decay = experiments.DecayEnsemble(
-        decay_flags=np.ones(n_paths, dtype=bool), decay_fraction=1.0, tol_stab=1e-2,
-        delta=0.04, horizon_steps=horizon, recorded_magnitudes=record)
     constants = experiments.StabilityConstants(H=60.5, delta_1=1.0 / 121.0,
                                                radius_at_one=1.0, argmax_norm=0.5)
-    monkeypatch.setattr(cli, "compute_stability_constants", lambda *args: constants)
+    decay = experiments.DecayEnsemble(
+        decay_flags=np.ones(n_paths, dtype=bool), decay_fraction=1.0, tol_stab=1e-2,
+        delta=0.04, horizon_steps=horizon, recorded_magnitudes=record, constants=constants)
     monkeypatch.setattr(cli, "run_stability_ensemble", lambda *args, **kwargs: decay)
     path = write_config(tmp_path, STABILITY_CFG)
     out = tmp_path / "out"
@@ -244,6 +246,30 @@ def test_stability_csv_is_written_a_recorded_path_at_a_time(tmp_path, monkeypatc
             if not ln.startswith("#")]
     assert data == ["path,k,abs_y"] + [f"{p},{k},{mag!r}" for p, series in enumerate(record)
                                        for k, mag in enumerate(series.tolist())]
+
+
+def test_stability_run_with_blown_up_paths_is_an_experiment_error(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a registered stable quintic whose drift is NaN beyond |x| = 1.05, inside
+    # the truncation ball of delta = 0.004: 3 of the 32 paths blow up
+    monkeypatch.setattr(cli, "_model", lambda cfg: resolve_model("quintic_nan_outside"))
+    path = write_config(tmp_path, STABILITY_CFG)
+    out = tmp_path / "out"
+    assert cli.run(path, seed=2, workers=2, out=str(out)) == cli.EXIT_RUNTIME
+    assert "0.09375 of the paths blew up" in capsys.readouterr().err
+    assert not (out / "stability.csv").exists()
+    assert not (out / "fit.json").exists()
+
+
+def test_stability_run_with_constants_over_the_cap_leaves_no_workers(tmp_path, capsys):
+    # k(u) = 1e-30 u^2 puts the drift/k ratio over its cap; the constants
+    # fail while the two workers step the paths
+    path = write_config(tmp_path, STABILITY_CFG.replace("k.coeff = 2", "k.coeff = 1e-30"))
+    out = tmp_path / "out"
+    assert cli.run(path, seed=2, workers=2, out=str(out)) == cli.EXIT_VALIDATION
+    assert "exceeds cap" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_stability_run_rejects_no_paths(tmp_path, capsys):

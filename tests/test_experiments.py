@@ -1,6 +1,8 @@
 """Rate fits, condition comparison, stability constants and decay ensembles."""
 
 import math
+import multiprocessing
+import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -17,7 +19,7 @@ from truncmil.brownian import block_sums, generate_batch
 from truncmil.experiments import (RateExperimentSpec, _chunk_bounds, _directions,
                                   _golden_max, _map_chunks, _path_error_samples,
                                   _rate_chunk, _rung_increments)
-from truncmil.model import register_model
+from truncmil.model import register_model, resolve_model
 from truncmil.scheme import _scalar_step, _simulate_batch
 
 
@@ -491,19 +493,28 @@ def test_stability_ratio_nan_along_a_later_direction_raises():
 
 
 def test_stability_constants_scalar_drift_calls():
-    # one call per direction for the whole grid, then two per refinement step
+    # one call per direction for each block of the grid, then two per
+    # refinement step
     base = tm.builtin_model("cubic_quintic")
     calls = []
 
     def drift(x):
-        calls.append(np.shape(x))
+        signs = set(np.sign(x).ravel().tolist())
+        assert len(signs) == 1          # a call holds radii along one direction
+        calls.append((signs.pop(), np.shape(x)))
         return base.drift(x)
 
     rep = tm.compute_stability_constants(replace(base, drift=drift), _INTERIOR_MAX_CFG,
                                          tm.KFunction(1.0, 2.0))
-    assert calls[:2] == [(100_000, 1), (100_000, 1)]
-    assert set(calls[2:]) == {(1, 1)}
-    assert len(calls) <= 100
+    n_grid_calls = 2 * -(-100_000 // experiments._GRID_BLOCK)
+    grid, refine = calls[:n_grid_calls], calls[n_grid_calls:]
+    assert all(1 <= shape[0] <= experiments._GRID_BLOCK and shape[1:] == (1,)
+               for _, shape in grid)
+    assert [sign for sign, _ in grid] == [1.0, -1.0] * (n_grid_calls // 2)
+    for direction in (1.0, -1.0):
+        assert sum(shape[0] for sign, shape in grid if sign == direction) == 100_000
+    assert refine and {shape for _, shape in refine} == {(1, 1)}
+    assert len(refine) <= 98
     assert rep.argmax_norm == pytest.approx(8.0 ** -0.5, rel=1e-6)
     assert rep.H == pytest.approx(1.0 / 256.0, rel=1e-9)
 
@@ -544,11 +555,12 @@ def test_stability_ensemble_zero_fixed_point(quintic_cfg):
 
 def test_stability_ensemble_warns_above_ceiling(quintic_cfg):
     model = tm.builtin_model("stable_quintic")
-    constants = tm.compute_stability_constants(model, quintic_cfg, tm.KFunction(2.0, 2.0))
+    k_fn = tm.KFunction(2.0, 2.0)
     with pytest.warns(UserWarning, match="exceeds"):
-        tm.run_stability_ensemble(model, quintic_cfg, delta=0.04, n_paths=8,
-                                  horizon_steps=50, tol_stab=1e-2, master_seed=1,
-                                  constants=constants)
+        rep = tm.run_stability_ensemble(model, quintic_cfg, delta=0.04, n_paths=8,
+                                        horizon_steps=50, tol_stab=1e-2, master_seed=1,
+                                        k_fn=k_fn)
+    assert rep.constants == tm.compute_stability_constants(model, quintic_cfg, k_fn)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, 2.0])
@@ -576,11 +588,11 @@ def test_stability_ensemble_worker_invariance(quintic_cfg):
 def test_stability_chunks_record_only_the_recorded_prefix(quintic_cfg):
     # every chunk returns an array of magnitudes, empty past the recorded paths
     args = ("stable_quintic", quintic_cfg, 0.02, 40, 1e-2, 5, 3)
-    whole_flags, whole = experiments._stability_chunk(*args, 0, 8)
-    assert whole.shape == (3, 41)
-    flags, part = experiments._stability_chunk(*args, 2, 6)
+    whole_flags, alive, whole = experiments._stability_chunk(*args, 0, 8)
+    assert whole.shape == (3, 41) and alive.tolist() == [True] * 8
+    flags, _, part = experiments._stability_chunk(*args, 2, 6)
     assert np.array_equal(flags, whole_flags[2:6]) and np.array_equal(part, whole[2:])
-    assert experiments._stability_chunk(*args, 4, 8)[1].shape == (0, 41)
+    assert experiments._stability_chunk(*args, 4, 8)[2].shape == (0, 41)
     model = tm.builtin_model("stable_quintic")
     for record_paths, shape in ((0, None), (3, (3, 41)), (50, (8, 41))):
         rep = tm.run_stability_ensemble(model, quintic_cfg, delta=0.02, n_paths=8,
@@ -588,6 +600,96 @@ def test_stability_chunks_record_only_the_recorded_prefix(quintic_cfg):
                                         record_paths=record_paths)
         got = rep.recorded_magnitudes
         assert (got is None) if shape is None else got.shape == shape
+
+
+def test_stability_ensemble_reports_blown_up_paths(quintic_cfg):
+    # the drift is NaN beyond |x| = 1.05, which some paths reach inside the
+    # truncation ball of this step (radius about 1.32)
+    model, delta, horizon = resolve_model("quintic_nan_outside"), 0.004, 200
+    rep = tm.run_stability_ensemble(model, quintic_cfg, delta=delta, n_paths=32,
+                                    horizon_steps=horizon, tol_stab=0.5, master_seed=2,
+                                    n_workers=2)
+    runs = [tm.simulate("truncated_milstein", model, quintic_cfg,
+                        tm.generate(2, p, 1, delta * horizon, horizon)) for p in range(32)]
+    blew_up = np.array([run.blew_up for run in runs])
+    assert 0 < blew_up.sum() < 32
+    assert rep.blowup_fraction == blew_up.mean()
+    assert not rep.decay_flags[blew_up].any() and rep.decay_flags[~blew_up].any()
+    assert rep.constants is None
+
+
+def test_stability_constants_traced_peak_is_block_bounded(quintic_cfg):
+    # the whole-grid evaluation peaked at 5.6 MB: the drift's temporaries of
+    # all 100 000 radii; in blocks they are block-sized beside the grid and
+    # its ratios (1.6 MB)
+    model, k_fn = tm.builtin_model("stable_quintic"), tm.KFunction(2.0, 2.0)
+    tm.compute_stability_constants(model, quintic_cfg, k_fn, n_grid=100)
+    tracemalloc.start()
+    try:
+        rep = tm.compute_stability_constants(model, quintic_cfg, k_fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.8e6
+    assert (rep.H, rep.delta_1, rep.argmax_norm) == (60.5, 1.0 / 121.0, 1.0)
+
+
+def test_map_chunks_with_one_worker_runs_meanwhile_first():
+    events = []
+    got = _map_chunks(lambda lo, hi: events.append((lo, hi)), 10, 1, 8,
+                      meanwhile=lambda: events.append("meanwhile"))
+    assert events[0] == "meanwhile" and len(got) == len(events) - 1
+
+
+def _submit_spy(events):
+    class SpyPool(experiments.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            future = super().submit(fn, *args, **kwargs)
+            events.append(future)
+            return future
+    return SpyPool
+
+
+def test_stability_chunks_are_submitted_before_the_constants(monkeypatch, quintic_cfg):
+    # the spy drift runs only in this process: the workers resolve the
+    # builtin model by name
+    events = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _submit_spy(events))
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 8 * 81 * 2)
+    quintic, k_fn = tm.builtin_model("stable_quintic"), tm.KFunction(2.0, 2.0)
+
+    def drift(x):
+        events.append("drift")
+        return quintic.drift(x)
+
+    rep = tm.run_stability_ensemble(replace(quintic, drift=drift), quintic_cfg, delta=0.004,
+                                    n_paths=16, horizon_steps=40, tol_stab=1e-2,
+                                    n_workers=2, k_fn=k_fn)
+    n_chunks = len(_chunk_bounds(16, 2, 8 * 81))
+    assert n_chunks == 8
+    first_drift = events.index("drift")
+    assert first_drift == n_chunks and "drift" not in events[:n_chunks]
+    assert rep.constants == tm.compute_stability_constants(quintic, quintic_cfg, k_fn)
+
+
+def _sleep_chunk(lo, hi):
+    time.sleep(0.05)
+    return lo
+
+
+def test_failing_meanwhile_cancels_pending_chunks(monkeypatch):
+    events = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _submit_spy(events))
+
+    def fail():
+        raise ValueError("constants failed")
+
+    # one path per chunk: 20 chunks, of which the two workers start a few
+    with pytest.raises(ValueError, match="constants failed"):
+        _map_chunks(_sleep_chunk, 20, 2, experiments._CHUNK_BYTES, meanwhile=fail)
+    assert len(events) == 20
+    assert sum(future.cancelled() for future in events) >= 10
+    assert multiprocessing.active_children() == []
 
 
 # each tol_stab splits the 16 paths' tail maxima at that horizon
