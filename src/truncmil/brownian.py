@@ -75,6 +75,8 @@ def standard_normals(master_seed: int, path_indices, m: int, n: int, start: int 
     """
     if n < 1:
         raise ValueError("n_fine must be >= 1")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if start < 0:
         raise ValueError("start must be nonnegative")
     paths = [int(p) for p in path_indices]

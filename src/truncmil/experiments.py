@@ -7,20 +7,16 @@ one fine increment grid).  The fitted slope is reported on the L^{2q}-norm
 scale, i.e. the slope of log(e_i^(1/2q)) against log(step), so an order-one
 scheme reads as slope one regardless of the moment exponent.
 
-Path-level work runs through `_map_chunks` alone: contiguous chunks of paths,
-as few as a per-chunk byte budget allows and a multiple of the worker count,
-in one process pool (in-process for one worker), merged in path-index order;
-per-path results depend only on the (seed, path) stream, so output is
-identical for any worker count or chunking.  The caller may work in the
-parent while the pool runs: a stability ensemble computes its constants
-there, in blocks of `_GRID_BLOCK` radii.
-
-The moment and interpolant-gap probes step a whole step ladder as one batch
-(`_ladder_runs`): one stream for the finest rung, drawn a window of at most
-`_LADDER_NORMALS` normals at a time, every unfinished rung's rows in one
-driver call per piece, and the scaled increments of a piece in one reused
-buffer of at most `_LADDER_VALUES` values, so their memory is bounded
-whatever the ladder's length.
+Path-level work runs through `_map_chunks` alone: one contiguous chunk of
+paths per worker, in one process pool (in-process for one worker), merged in
+path-index order.  Every ensemble holds memory by one rule: it draws its
+normals a bounded window of the resumable streams at a time
+(`_step_windows`) and steps each window from the last one's finals.
+Per-path results depend only on the (seed, path) stream, so output is
+identical for any worker count, chunking or window.  The caller may work in
+the parent while the pool runs: a stability ensemble computes its constants
+there, in blocks of `_GRID_BLOCK` radii.  The moment and interpolant-gap
+probes step a whole step ladder as one batch (`_ladder_runs`).
 """
 
 from __future__ import annotations
@@ -39,11 +35,12 @@ from .model import KFunction, SdeModel, _drift_ratio, resolve_model, row_norm
 from .scheme import SchemeId, _scalar_step, _simulate_batch
 from .truncation import TruncationConfig, _check_delta, dominant_rate, old_condition_threshold
 
-# bytes of per-path arrays one chunk may hold; only chunks of a single path exceed it.
-# Block sums work in slabs of at most `brownian._BLOCK_DRAWS` values, so a rate
-# chunk's traced peak stays near these bytes (about 1.15 times them); 16 MiB runs
-# 4000 criterion-3 paths of 1024 steps on 2 workers as 2 chunks of 2000
-_CHUNK_BYTES = 16 << 20
+# standard normals one window of a chunk's draw holds (8 MiB), unless that is
+# fewer than `_WINDOW_MIN_STEPS` steps of each path or one alignment unit:
+# each window costs one key reset and one raw draw per path (about 2 us), and
+# at 10 000 paths ten 104-step windows made a probe 11-15% slower
+_WINDOW_NORMALS = 1 << 20
+_WINDOW_MIN_STEPS = 256
 
 # radii of the stability-constant grid evaluated per drift call (64 KiB a
 # block), so the search holds the grid and its ratios plus a few blocks
@@ -51,13 +48,6 @@ _GRID_BLOCK = 8192
 
 # scaled increments one piece of a probe's step ladder holds (2 MiB)
 _LADDER_VALUES = 1 << 18
-
-# standard normals one window of a probe's draw holds (8 MiB), unless that is
-# fewer than `_LADDER_MIN_WINDOW` steps of every path: each window costs one
-# key reset and one raw draw per path, so short windows cost time.  A
-# ladder's traced peak stays near one window plus the piece buffer
-_LADDER_NORMALS = 1 << 20
-_LADDER_MIN_WINDOW = 256
 
 
 # bench/tracing.py wraps this name too; a partial, not an alias, so block sums count once
@@ -196,83 +186,81 @@ def _rung_increments(inc: np.ndarray, factors: Sequence[int]):
         yield i, f, prev
 
 
+def _step_windows(step, master_seed: int, lo: int, hi: int, m: int, n: int,
+                  scale: float = 1.0, align: int = 1) -> None:
+    """step(a, z) for each window [a, a + k) of steps [0, n), in order, with z
+    the paths [lo, hi)'s `brownian.standard_normals` there times `scale`,
+    dropped before the next window is drawn.  k is `_WINDOW_NORMALS` normals,
+    at least `_WINDOW_MIN_STEPS`, cut to a multiple of `align` (which divides
+    n), but never below one `align`: a rate rung whose factor is the whole
+    fine grid makes the draw one window."""
+    k = max(_WINDOW_NORMALS // ((hi - lo) * m), _WINDOW_MIN_STEPS)
+    k = max(align, k - k % align)
+    for a in range(0, n, k):
+        step(a, brownian.standard_normals(master_seed, range(lo, hi), m, min(k, n - a),
+                                          start=a, scale=scale))
+
+
 def _rate_chunk(spec: RateExperimentSpec, lo: int, hi: int) -> np.ndarray:
-    """Per-path error samples |diff|^{2q}, shape (hi-lo, n_test_deltas)."""
+    """Per-path error samples |diff|^{2q}, shape (hi-lo, n_test_deltas), from
+    windows of whole steps of every rung, whose block sums are the grid's."""
     model = resolve_model(spec.model_name)
     sup = spec.error_at == "sup"
-    inc = brownian.generate_batch(spec.master_seed, range(lo, hi), model.m,
-                                  spec.t_final, spec.n_fine)
+    # where the next window starts: each rung's finals, then the reference's
+    xs = [model.initial_value] * (len(spec.factors) + 1)
+    errs = np.zeros((len(spec.factors), hi - lo))
 
-    def run(increments, delta):
-        return _simulate_batch(spec.scheme, model, spec.cfg, increments, delta,
-                               model.initial_value, record=sup)
-    ref = run(inc, spec.delta_ref)
-    if not np.all(ref.alive):
-        raise RuntimeError("reference path blew up; the truncated schemes should "
-                           "never blow up, so this indicates a bug or a classical "
-                           "scheme used as reference")
+    def step(_, inc):
+        ref = _simulate_batch(spec.scheme, model, spec.cfg, inc, spec.delta_ref, xs[-1],
+                              record=sup)
+        if not np.all(ref.alive):
+            raise RuntimeError("reference path blew up; the truncated schemes should "
+                               "never blow up, so this indicates a bug or a classical "
+                               "scheme used as reference")
+        xs[-1] = ref.finals
+        for i, f, cinc in _rung_increments(inc, spec.factors):
+            res = _simulate_batch(spec.scheme, model, spec.cfg, cinc, spec.delta_ref * f, xs[i],
+                                  record=sup)
+            xs[i] = res.finals
+            diff = ref.states[:, ::f] - res.states if sup else ref.finals - res.finals
+            if model.is_scalar:
+                err = np.abs(diff[..., 0])
+            else:
+                # the norms of one-path trajectories: np.linalg.norm along an
+                # axis sums squares, unlike row_norm
+                err = np.linalg.norm(diff, axis=-1) if sup else row_norm(diff)
+            errs[i] = np.maximum(errs[i], np.max(err, axis=1)) if sup else err
+    _step_windows(step, spec.master_seed, lo, hi, model.m, spec.n_fine,
+                  np.sqrt(spec.t_final / spec.n_fine), math.lcm(*spec.factors))
+    # a vector model takes libm's power per sample, as its one-path
+    # trajectories do (numpy's array power can differ in the last bit)
     p = 2.0 * spec.q
-    out = np.empty((hi - lo, len(spec.factors)))
-    for i, f, cinc in _rung_increments(inc, spec.factors):
-        res = run(cinc, spec.delta_ref * f)
-        diff = ref.states[:, ::f] - res.states if sup else ref.finals - res.finals
-        if model.is_scalar:
-            err = np.abs(diff[..., 0])
-            out[:, i] = (np.max(err, axis=1) if sup else err) ** p
-        else:
-            # each path's error as its one-path trajectories give it: the same
-            # norms (np.linalg.norm along an axis sums squares, unlike row_norm)
-            # and libm's power per sample (numpy's array power can differ in the
-            # last bit)
-            err = np.max(np.linalg.norm(diff, axis=-1), axis=1) if sup else row_norm(diff)
-            out[:, i] = np.float_power(err, p)
-    return out
+    return np.stack([e ** p if model.is_scalar else np.float_power(e, p) for e in errs], axis=1)
 
 
-def _chunk_bounds(n_paths: int, n_workers: int, bytes_per_path: int) -> list:
-    """Split the paths [0, n_paths) into contiguous (lo, hi) chunks, in path order.
-
-    Their number is the least multiple of `n_workers` that keeps every chunk
-    within `_CHUNK_BYTES`, so each worker gets an equal share, capped at one
-    path per chunk.  The cap binds only with fewer paths than workers or when
-    one path fills more than half the budget.
-    """
-    n, workers = n_paths, max(1, n_workers)
-    width = max(1, _CHUNK_BYTES // max(1, bytes_per_path))
-    k = -(-n // width)                          # fewest chunks within the budget
-    k = min(-(-k // workers) * workers, n)      # a multiple of the workers
-    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
-
-
-def _map_chunks(fn, n_paths: int, n_workers: int, bytes_per_path: int, *args,
-                meanwhile=lambda: None) -> list:
-    """fn(*args, lo, hi) for each chunk of `_chunk_bounds`, in path order: in one
-    process pool when n_workers > 1, else in-process.
+def _map_chunks(fn, n_paths: int, n_workers: int, *args, meanwhile=lambda: None) -> list:
+    """fn(*args, lo, hi) for contiguous chunks [lo, hi) of the paths, in path
+    order, one per worker but none empty, whose sizes differ by at most one:
+    in one process pool when n_workers > 1, else in-process.
 
     `meanwhile()` is the caller's work in this process: it runs after every
     chunk is submitted and before any is awaited, or, with one worker, before
-    the chunks.  If it raises, the pool is shut down with the chunks not yet
-    started cancelled, and the error propagates.
+    the chunk.  Every worker starts its chunk at once, so if `meanwhile`
+    raises, the error propagates once the pool has finished them.
     """
-    calls = [(*args, lo, hi) for lo, hi in _chunk_bounds(n_paths, n_workers, bytes_per_path)]
+    k = max(1, min(n_workers, n_paths))
+    calls = [(*args, i * n_paths // k, (i + 1) * n_paths // k) for i in range(k)]
     if n_workers <= 1:
         meanwhile()
         return [fn(*call) for call in calls]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         results = pool.map(fn, *zip(*calls))       # submits every chunk
-        try:
-            meanwhile()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        meanwhile()
         return list(results)
 
 
 def _path_error_samples(spec: RateExperimentSpec, n_workers: int) -> np.ndarray:
-    # the fine increments, plus the reference states recorded for the sup error
-    n, model = spec.n_fine, resolve_model(spec.model_name)
-    per_path = 8 * (n * model.m + ((n + 1) * model.d if spec.error_at == "sup" else 0))
-    return np.vstack(_map_chunks(_rate_chunk, spec.n_paths, n_workers, per_path, spec))
+    return np.vstack(_map_chunks(_rate_chunk, spec.n_paths, n_workers, spec))
 
 
 # the benchmark's tracer (bench/tracing.py) wraps this name too
@@ -418,15 +406,31 @@ def _stability_chunk(model_name: str, cfg, delta: float, horizon_steps: int,
                      lo: int, hi: int) -> tuple:
     """Decay flags and alive flags of the paths [lo, hi), and the magnitudes
     of those of them below `record_paths` as (n_recorded, horizon_steps + 1),
-    maybe empty.  A path that blew up has not decayed."""
+    maybe empty.  A path that blew up has not decayed.  Every path's states
+    are recorded only over the tail the decay test reads, the last tenth, in
+    pieces of a sixteenth of a window, so they stay small beside it."""
     model = resolve_model(model_name)
     t_final = delta * horizon_steps
-    inc = brownian.generate_batch(master_seed, range(lo, hi), 1, t_final, horizon_steps)
-    res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, inc, delta,
-                          model.initial_value, record=True)
-    tail = max(1, horizon_steps // 10)
-    flags = np.all(np.abs(res.states[:, -tail:, 0]) < tol_stab, axis=1)
-    return flags, res.alive, np.abs(res.states[:max(0, record_paths - lo), :, 0])
+    tail_start = horizon_steps - max(1, horizon_steps // 10)
+    n_rec = min(max(0, record_paths - lo), hi - lo)
+    flags, x = np.ones(hi - lo, dtype=bool), model.initial_value
+    mags = np.empty((n_rec, horizon_steps + 1))
+
+    def step(a, z):
+        nonlocal flags, x
+        b = a + z.shape[1]
+        cuts = sorted({a, *range(max(a, tail_start), b, max(1, (b - a) // 16)), b})
+        for s, e in zip(cuts, cuts[1:]):
+            tail = s >= tail_start
+            res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, z[:, s - a:e - a],
+                                  delta, x, record=tail or n_rec)
+            if tail:
+                flags &= np.all(np.abs(res.states[:, 1:, 0]) < tol_stab, axis=1)
+            if n_rec:
+                mags[:, s:e + 1] = np.abs(res.states[:n_rec, :, 0])
+            x = res.finals
+    _step_windows(step, master_seed, lo, hi, 1, horizon_steps, np.sqrt(t_final / horizon_steps))
+    return flags, np.isfinite(x[:, 0]), mags        # a blown-up path's finals are NaN
 
 
 def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
@@ -462,9 +466,7 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
         if k_fn is not None:
             found.append(compute_stability_constants(model, cfg, k_fn))
 
-    # the increments and the recorded states
-    per_path = 8 * (2 * horizon_steps + 1)
-    flags, alive, recorded = zip(*_map_chunks(_stability_chunk, n_paths, n_workers, per_path,
+    flags, alive, recorded = zip(*_map_chunks(_stability_chunk, n_paths, n_workers,
                                               model.name, cfg, delta, horizon_steps, tol_stab,
                                               master_seed, record_paths,
                                               meanwhile=compute_constants))
@@ -484,9 +486,9 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
 # interpolant-gap and moment probes
 
 
-def _ladder_runs(model: SdeModel, cfg, deltas: Sequence[float], ns: Sequence[int],
+def _ladder_runs(piece, model: SdeModel, cfg, deltas: Sequence[float], ns: Sequence[int],
                  n_paths: int, t_final: float, master_seed: int, substeps: int = 1,
-                 record: bool = False):
+                 record: bool = False) -> None:
     """Step truncated Milstein over every rung of a step ladder as one batch.
 
     Rung i makes ns[i] steps of deltas[i] on [0, t_final], each from the sum of
@@ -494,51 +496,42 @@ def _ladder_runs(model: SdeModel, cfg, deltas: Sequence[float], ns: Sequence[int
     the rung's sqrt(t_final / (substeps * ns[i])).  The rungs are stacked
     finest first, n_paths rows each, and cut at the rung ends into segments,
     so a finished rung drops off the end and the live rows stay a prefix.  A
-    segment is stepped in pieces whose scaled increments fill at most
-    `_LADDER_VALUES` of one reused step-major buffer; each piece is one
-    driver call from the previous piece's finals, with each row's rung step.
-    The normals are drawn in windows of the resumable streams, each from the
-    first piece it must cover, `_LADDER_NORMALS // n_paths` steps long (at
-    least `_LADDER_MIN_WINDOW`, and longer if that piece is), so a ladder
-    whose draw fits the budget is drawn at once.
+    segment is stepped in pieces, each within one window of the draw, whose
+    scaled increments fill at most `_LADDER_VALUES` of one reused step-major
+    buffer; each piece is one driver call from the previous piece's finals,
+    with each row's rung step.
 
-    Yields (lo, hi, rungs, inc, res) per piece: it steps [lo, hi) of the rungs
-    `rungs`, rung rungs[j] in rows [j * n_paths, (j + 1) * n_paths); `inc`
-    holds its (rows, (hi - lo) * substeps, 1) scaled increments and `res` is
-    the driver's result.
+    Calls piece(lo, hi, rungs, inc, res) per piece, in order: it steps [lo, hi)
+    of the rungs `rungs`, rung rungs[j] in rows [j * n_paths, (j + 1) * n_paths);
+    `inc` holds its (rows, (hi - lo) * substeps, 1) scaled increments and
+    `res` is the driver's result.
     """
-    if not ns:
-        return
     order = sorted(range(len(ns)), key=lambda i: -ns[i])
-    pieces, start = [], 0
-    for end in sorted(set(ns)):
-        live = sum(n >= end for n in ns)
-        width = max(1, _LADDER_VALUES // (live * n_paths * substeps))
-        pieces += [(a, min(a + width, end), live) for a in range(start, end, width)]
-        start = end
-    n_draw = substeps * ns[order[0]]
-    window = max(_LADDER_NORMALS // n_paths, _LADDER_MIN_WINDOW)
-    z, w0, w1 = None, 0, 0      # step-major (steps, paths) normals of [w0, w1)
-    buf = np.empty(max((hi - lo) * live for lo, hi, live in pieces) * n_paths * substeps)
+    buf = np.empty(max(_LADDER_VALUES, len(ns) * n_paths * substeps))
     scales = [np.sqrt(t_final / (substeps * ns[i])) for i in order]
     steps = np.repeat([deltas[i] for i in order], n_paths)
     finals = np.broadcast_to(model.initial_value, (len(steps), 1))
-    for lo, hi, live in pieces:
-        a, b = lo * substeps, hi * substeps
-        if b > w1:      # a window from this piece on, drawn once the last is dropped
-            z, w0, w1 = None, a, min(n_draw, max(b, a + window))
-            z = brownian.standard_normals(master_seed, range(n_paths), 1, w1 - w0, start=w0)
-            z = z.transpose(1, 0, 2)[:, :, 0]
-        rows = live * n_paths
-        inc = buf[:(hi - lo) * substeps * rows].reshape(-1, rows)
-        for j, scale in enumerate(scales[:live]):
-            np.multiply(z[a - w0:b - w0], scale, out=inc[:, j * n_paths:(j + 1) * n_paths])
-        inc = inc.T[:, :, None]
-        driven = brownian.block_sums(inc, substeps, axis=1) if substeps > 1 else inc
-        res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, driven, steps[:rows],
-                              finals[:rows], record=record)
-        yield lo, hi, order[:live], inc, res
-        finals = res.finals
+
+    def step(w, z):
+        nonlocal finals
+        z = z.transpose(1, 0, 2)[:, :, 0]       # step-major (steps, paths)
+        lo, w_end = w // substeps, (w + len(z)) // substeps
+        while lo < w_end:
+            live = sum(n > lo for n in ns)
+            rows = live * n_paths
+            hi = min(lo + max(1, _LADDER_VALUES // (rows * substeps)), w_end,
+                     min(n for n in ns if n > lo))
+            a, b = lo * substeps - w, hi * substeps - w
+            inc = buf[:(b - a) * rows].reshape(-1, rows)
+            for j, scale in enumerate(scales[:live]):
+                np.multiply(z[a:b], scale, out=inc[:, j * n_paths:(j + 1) * n_paths])
+            inc = inc.T[:, :, None]
+            driven = brownian.block_sums(inc, substeps, axis=1) if substeps > 1 else inc
+            res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, driven, steps[:rows],
+                                  finals[:rows], record=record)
+            piece(lo, hi, order[:live], inc, res)
+            finals, lo = res.finals, hi
+    _step_windows(step, master_seed, 0, n_paths, 1, substeps * max(ns, default=0), align=substeps)
 
 
 @dataclass(frozen=True)
@@ -561,19 +554,23 @@ def interpolant_gap_probe(model: SdeModel, cfg, deltas: Sequence[float],
     """
     if not model.is_scalar:
         raise ValueError("gap probe is implemented for scalar models")
+    if n_paths < 1:
+        raise ValueError(f"paths = {n_paths}: a gap probe needs at least one path")
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     ns = _rung_steps(t_final, deltas)
     _check_slope_steps(deltas)
     squares = [np.empty((n_paths, n)) for n in ns]
-    for lo, hi, rungs, inc, res in _ladder_runs(model, cfg, deltas, ns, n_paths, t_final,
-                                                master_seed, substeps=2, record=True):
+
+    def piece(lo, hi, rungs, inc, res):
         knots = res.states[:, :-1]
         half = np.repeat(deltas[rungs] / 2.0, n_paths)[:, None, None]
         stepped = _scalar_step(SchemeId.truncated_milstein, model, cfg, half, knots,
                                inc[:, 0::2])
-        piece = (stepped - knots) ** 2
+        sq = (stepped - knots) ** 2
         for j, i in enumerate(rungs):
-            squares[i][:, lo:hi] = piece[j * n_paths:(j + 1) * n_paths, :, 0]
+            squares[i][:, lo:hi] = sq[j * n_paths:(j + 1) * n_paths, :, 0]
+    _ladder_runs(piece, model, cfg, deltas, ns, n_paths, t_final, master_seed, substeps=2,
+                 record=True)
     # each rung reduced in path-major order
     gaps = np.array([float(np.mean(sq.ravel())) for sq in squares])
     h2 = np.array([cfg.h(d) ** 2 for d in deltas])
@@ -592,14 +589,17 @@ def terminal_moment_probe(model: SdeModel, cfg, deltas: Sequence[float],
     """
     if not model.is_scalar:
         raise ValueError("moment probe is implemented for scalar models")
+    if n_paths < 1:
+        raise ValueError(f"paths = {n_paths}: a moment probe needs at least one path")
     ns = _rung_steps(t_final, deltas)
     out = np.empty(len(deltas))
-    for _, hi, rungs, _, res in _ladder_runs(model, cfg, deltas, ns, n_paths, t_final,
-                                             master_seed):
+
+    def piece(_, hi, rungs, __, res):
         if not np.all(res.alive):
             raise RuntimeError("blow-up during moment probe")
         for j, i in enumerate(rungs):
             if ns[i] == hi:
                 finals = res.finals[j * n_paths:(j + 1) * n_paths, 0]
                 out[i] = float(np.mean(np.abs(finals) ** power))
+    _ladder_runs(piece, model, cfg, deltas, ns, n_paths, t_final, master_seed)
     return out

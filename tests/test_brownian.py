@@ -249,6 +249,15 @@ def test_normals_start_must_be_nonnegative():
         standard_normals(1, [0], 1, 4, start=-1)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_normals_need_a_driver(m):
+    # m = 0 divided by zero in the block planner, m = -1 made a negative shape
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        standard_normals(1, [0], m, 8)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        tm.generate(1, 0, m, 1.0, 8)
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_generate_batch_scales_inside_the_draw_bitwise(m):
     # the sqrt(dt) scale is applied as each block is copied, the same single

@@ -1,5 +1,6 @@
 """Rate fits, condition comparison, stability constants and decay ensembles."""
 
+import contextlib
 import math
 import multiprocessing
 import time
@@ -16,9 +17,9 @@ import truncmil as tm
 from conftest import _diagonal_col, config_for
 from truncmil import experiments
 from truncmil.brownian import block_sums, generate_batch
-from truncmil.experiments import (RateExperimentSpec, _chunk_bounds, _directions,
+from truncmil.experiments import (RateExperimentSpec, _directions,
                                   _golden_max, _map_chunks, _path_error_samples,
-                                  _rate_chunk, _rung_increments)
+                                  _rate_chunk, _rung_increments, _stability_chunk)
 from truncmil.model import register_model, resolve_model
 from truncmil.scheme import _scalar_step, _simulate_batch
 
@@ -139,34 +140,35 @@ def test_spec_with_fewer_than_three_distinct_steps_simulates_nothing(monkeypatch
             master_seed=0))
 
 
-@given(n=st.integers(1, 5000), n_workers=st.integers(1, 8),
-       bytes_per_path=st.integers(1, 1 << 25))
-def test_chunk_bounds_cover_paths_within_budget(n, n_workers, bytes_per_path):
-    budget = experiments._CHUNK_BYTES
-    chunks = _chunk_bounds(n, n_workers, bytes_per_path)
+def _chunk_plan(n_paths, n_workers):
+    """The (lo, hi) chunks `_map_chunks` runs, in the order it returns them."""
+    with mock.patch.object(experiments, "ProcessPoolExecutor", _InProcessPool):
+        return _map_chunks(lambda lo, hi: (lo, hi), n_paths, n_workers)
+
+
+@given(n=st.integers(1, 5000), n_workers=st.integers(1, 8))
+def test_chunk_plan_is_one_near_equal_chunk_per_worker(n, n_workers):
+    chunks = _chunk_plan(n, n_workers)
     # [0, n) in order, no gap, no empty chunk
     assert chunks[0][0] == 0 and chunks[-1][1] == n
     assert all(a < b for a, b in chunks)
     assert all(b == c for (_, b), (c, _) in zip(chunks, chunks[1:]))
-    assert all((b - a) * bytes_per_path <= budget for a, b in chunks if b - a > 1)
-    if n >= n_workers and 2 * bytes_per_path <= budget:
-        assert len(chunks) % n_workers == 0
-    if len(chunks) > n_workers:
-        # one round fewer would overflow the budget
-        assert -(-n // (len(chunks) - n_workers)) * bytes_per_path > budget
+    assert len(chunks) == min(n_workers, n)
+    sizes = [b - a for a, b in chunks]
+    assert max(sizes) - min(sizes) <= 1
 
 
 def test_chunk_plans_of_the_cli_workloads():
-    # the criterion-3 ladder, 4000 paths of 1024 fine steps on 2 workers, is one
-    # chunk per worker; the criterion-5 decay ensemble, 1000 paths of horizon
-    # 1000, is too
-    assert _chunk_bounds(4000, 2, 8 * 1024) == [(0, 2000), (2000, 4000)]
-    assert _chunk_bounds(1000, 2, 8 * 2001) == [(0, 500), (500, 1000)]
+    # the criterion-3 ladder, 4000 paths on 2 workers, and the criterion-5
+    # decay ensemble, 1000 paths, run one chunk per worker
+    assert _chunk_plan(4000, 2) == [(0, 2000), (2000, 4000)]
+    assert _chunk_plan(1000, 2) == [(0, 500), (500, 1000)]
 
 
 def test_rate_chunk_memory_matches_its_budget(cubic_cfg):
-    # the criterion-3 ladder: a chunk's traced peak stays near the bytes the
-    # chunk budget counts for it, the fine increments, 8 n m per path
+    # the criterion-3 ladder: a chunk's traced peak stays near its window of
+    # fine increments, 8 n m per path (at 1000 paths the window is the whole
+    # 1024-step grid)
     spec = RateExperimentSpec(
         model_name="cubic_quintic", cfg=cubic_cfg, scheme="truncated_milstein",
         q=1.0, t_final=1.28, delta_ref=0.01 / 8,
@@ -181,11 +183,81 @@ def test_rate_chunk_memory_matches_its_budget(cubic_cfg):
     assert peak <= 1.25 * 8 * spec.n_fine * 1 * spec.n_paths
 
 
+@pytest.mark.parametrize("error_at", ["terminal", "sup"])
+def test_rate_chunk_peak_does_not_grow_with_the_grid(cubic_cfg, error_at):
+    # 500 paths draw windows of 2048 fine steps (2^20 normals, cut to a
+    # multiple of the rungs' lcm), so a grid of 8192 steps holds no more than
+    # one of 2048 does; a chunk holding its whole grid peaked at four times it
+    def peak(delta_ref):
+        spec = RateExperimentSpec(
+            model_name="cubic_quintic", cfg=cubic_cfg, scheme="truncated_milstein", q=1.0,
+            t_final=1.0, delta_ref=delta_ref, test_deltas=(2.0**-5, 2.0**-6, 2.0**-7),
+            n_paths=500, master_seed=1, error_at=error_at)
+        return _traced_peak(_rate_chunk, spec, 0, 500)
+    assert peak(2.0**-13) <= 1.1 * peak(2.0**-11)
+
+
+def test_stability_chunk_peak_does_not_grow_with_the_horizon(quintic_cfg):
+    # 2000 paths draw windows of 524 steps, and the tail, where every path is
+    # recorded, is stepped in pieces of a sixteenth of a window: quadrupling
+    # the horizon adds only the 10 recorded paths' magnitudes
+    def peak(horizon):
+        return _traced_peak(_stability_chunk, "stable_quintic", quintic_cfg, 0.004, horizon,
+                            1e-2, 5, 10, 0, 2000)
+    assert peak(4000) <= 1.1 * peak(1000)
+
+
+def _spy_draws(monkeypatch):
+    """Record the (paths, steps, drivers) of each draw of standard normals, and
+    refuse whole-grid draws."""
+    draws, draw = [], experiments.brownian.standard_normals
+
+    def spy(master_seed, path_indices, m, n, start=0, scale=1.0):
+        draws.append((len(path_indices), n, m))
+        return draw(master_seed, path_indices, m, n, start, scale)
+
+    def whole_grid(*args):
+        raise AssertionError("a whole grid was drawn")
+    monkeypatch.setattr(experiments.brownian, "standard_normals", spy)
+    monkeypatch.setattr(experiments.brownian, "generate_batch", whole_grid)
+    return draws
+
+
+@pytest.mark.parametrize("budget", [64, None])
+def test_every_ensemble_draws_bounded_windows(monkeypatch, cubic_cfg, quintic_cfg, budget):
+    # each draw holds at most the budget of normals, or one alignment unit:
+    # the coarsest rung's 8 fine steps of a rate ladder, two refined steps of
+    # the gap probe, one step otherwise
+    limit = budget or experiments._WINDOW_NORMALS
+    if budget:
+        monkeypatch.setattr(experiments, "_WINDOW_NORMALS", budget)
+        monkeypatch.setattr(experiments, "_WINDOW_MIN_STEPS", 1)
+    draws = _spy_draws(monkeypatch)
+    model, deltas = tm.builtin_model("cubic_quintic"), [0.25, 0.125, 0.0625]
+    runs = [(lambda: tm.run_rate_experiment(_small_rate_spec("sup")), 8),
+            (lambda: tm.run_stability_ensemble(tm.builtin_model("stable_quintic"), quintic_cfg,
+                                               delta=0.04, n_paths=30, horizon_steps=60,
+                                               tol_stab=1e-2, record_paths=12), 1),
+            (lambda: tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=16), 1),
+            (lambda: tm.interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=16), 2)]
+    for run, align in runs:
+        draws.clear()
+        run()
+        assert len(draws) > (1 if budget else 0)
+        assert all(paths * n * m <= limit or n == align for paths, n, m in draws)
+
+
 def _small_rate_spec(error_at):
     return RateExperimentSpec(
         model_name="cubic_quintic", cfg=config_for("cubic_quintic"),
         scheme="truncated_milstein", q=1.0, t_final=0.16, delta_ref=0.005,
         test_deltas=(0.01, 0.02, 0.04), n_paths=24, master_seed=11, error_at=error_at)
+
+
+def _window_budget(normals):
+    """Patch the window rule to `normals` standard normals a window and no
+    minimum length, so that at 1 each window is one alignment unit."""
+    return mock.patch.multiple(experiments, _WINDOW_NORMALS=normals, _WINDOW_MIN_STEPS=1)
 
 
 class _InProcessPool:
@@ -215,19 +287,19 @@ def test_rate_samples_independent_of_chunking(budget, n_workers, lo, n, error_at
     whole = _path_error_samples(spec, 1)
     # the paths [lo, lo + n) as one chunk give the same rows of the whole run
     assert np.array_equal(_rate_chunk(spec, lo, lo + n), whole[lo:lo + n])
-    with mock.patch.object(experiments, "_CHUNK_BYTES", budget), \
+    with _window_budget(budget), \
             mock.patch.object(experiments, "ProcessPoolExecutor", _InProcessPool):
         chunked = _path_error_samples(spec, n_workers)
     assert np.array_equal(chunked, whole)
 
 
-@pytest.mark.parametrize("n_workers", [1, 2, 3])
-def test_map_chunks_calls_in_path_order_in_one_pool(monkeypatch, n_workers):
-    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 16)
+@pytest.mark.parametrize("n_workers,chunks", [(1, [(0, 10)]), (2, [(0, 5), (5, 10)]),
+                                              (3, [(0, 3), (3, 6), (6, 10)])])
+def test_map_chunks_calls_in_path_order_in_one_pool(monkeypatch, n_workers, chunks):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "created", 0)
-    got = _map_chunks(lambda tag, lo, hi: (tag, lo, hi), 10, n_workers, 8, "x")
-    assert got == [("x", lo, hi) for lo, hi in _chunk_bounds(10, n_workers, 8)]
+    got = _map_chunks(lambda tag, lo, hi: (tag, lo, hi), 10, n_workers, "x")
+    assert got == [("x", lo, hi) for lo, hi in chunks]
     assert _InProcessPool.created == (n_workers > 1)
 
 
@@ -236,19 +308,21 @@ def _chunked_results(quintic_cfg, n_workers):
             for e in ("terminal", "sup")]
     stab = tm.run_stability_ensemble(tm.builtin_model("stable_quintic"), quintic_cfg,
                                      delta=0.04, n_paths=30, horizon_steps=60, tol_stab=1e-2,
-                                     master_seed=5, n_workers=n_workers, record_paths=12)
+                                     master_seed=5, n_workers=n_workers, record_paths=20)
     return ([f.errors for f in fits] + [f.standard_errors for f in fits]
             + [stab.decay_flags, stab.recorded_magnitudes])
 
 
-# a budget of one byte puts every path in a chunk of its own
-@pytest.mark.parametrize("n_workers,budget", [(1, 1), (2, 1), (2, None)])
-def test_results_bitwise_equal_across_budgets_and_workers(monkeypatch, quintic_cfg,
-                                                          n_workers, budget):
+# a budget of one normal draws a window per alignment unit: one step of a
+# decay ensemble, whose 20 recorded paths straddle both chunks of 15, and
+# the coarsest rung's 8 fine steps of a rate ladder; at 130 normals a decay
+# chunk's windows are 8 steps, one of them straddling the tail start at 54
+@pytest.mark.parametrize("n_workers,budget", [(1, 1), (2, 1), (2, 130), (2, None)])
+def test_results_bitwise_equal_across_budgets_and_workers(quintic_cfg, n_workers, budget):
     reference = _chunked_results(quintic_cfg, 1)
-    if budget is not None:
-        monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
-    for want, got in zip(reference, _chunked_results(quintic_cfg, n_workers)):
+    with _window_budget(budget) if budget else contextlib.nullcontext():
+        results = _chunked_results(quintic_cfg, n_workers)
+    for want, got in zip(reference, results):
         assert np.array_equal(got, want)
 
 
@@ -272,34 +346,14 @@ def _rate_spec(model_name, error_at, test_deltas=(0.01, 0.02, 0.04), t_final=0.1
 
 
 @pytest.mark.parametrize("error_at", ["terminal", "sup"])
-@pytest.mark.parametrize("n_workers,budget", [(1, 1), (1, 2000), (2, 1), (2, None)])
-def test_general_rate_samples_bitwise_across_budgets_and_workers(monkeypatch, error_at,
-                                                                 n_workers, budget):
+@pytest.mark.parametrize("n_workers,budget", [(1, 1), (1, 400), (2, 1), (2, None)])
+def test_general_rate_samples_bitwise_across_budgets_and_workers(error_at, n_workers, budget):
+    # at 1 the 32 fine steps come in 4 windows of the coarsest rung's 8, at
+    # 400 normals (2 drivers of 10 paths) in 2 windows of 16
     spec = _rate_spec("test_diagonal_quintic_2d", error_at)
     whole = _path_error_samples(spec, 1)
-    if budget is not None:
-        monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
-    assert np.array_equal(_path_error_samples(spec, n_workers), whole)
-
-
-# 32 fine steps: 8 bytes per increment of each of m drivers, plus, for the
-# sup error, per coordinate of each of the 33 recorded reference states
-@pytest.mark.parametrize("model_name,error_at,per_path", [
-    ("cubic_quintic", "terminal", 8 * 32), ("cubic_quintic", "sup", 8 * (32 + 33)),
-    ("test_diagonal_quintic_2d", "terminal", 8 * 32 * 2),
-    ("test_diagonal_quintic_2d", "sup", 8 * (32 * 2 + 33 * 2)),
-])
-def test_rate_chunk_budget_counts_increments_and_recorded_states(monkeypatch, model_name,
-                                                                 error_at, per_path):
-    seen = []
-    real = experiments._chunk_bounds
-
-    def spy(n_paths, n_workers, bytes_per_path):
-        seen.append(bytes_per_path)
-        return real(n_paths, n_workers, bytes_per_path)
-    monkeypatch.setattr(experiments, "_chunk_bounds", spy)
-    _path_error_samples(_rate_spec(model_name, error_at, n_paths=2), 1)
-    assert seen == [per_path]
+    with _window_budget(budget) if budget else contextlib.nullcontext():
+        assert np.array_equal(_path_error_samples(spec, n_workers), whole)
 
 
 @pytest.mark.parametrize("factors", [(3, 6, 12), (2, 4, 8, 16), (8, 1, 4, 2), (2, 6, 4, 12)])
@@ -636,7 +690,7 @@ def test_stability_constants_traced_peak_is_block_bounded(quintic_cfg):
 
 def test_map_chunks_with_one_worker_runs_meanwhile_first():
     events = []
-    got = _map_chunks(lambda lo, hi: events.append((lo, hi)), 10, 1, 8,
+    got = _map_chunks(lambda lo, hi: events.append((lo, hi)), 10, 1,
                       meanwhile=lambda: events.append("meanwhile"))
     assert events[0] == "meanwhile" and len(got) == len(events) - 1
 
@@ -655,7 +709,6 @@ def test_stability_chunks_are_submitted_before_the_constants(monkeypatch, quinti
     # builtin model by name
     events = []
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _submit_spy(events))
-    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 8 * 81 * 2)
     quintic, k_fn = tm.builtin_model("stable_quintic"), tm.KFunction(2.0, 2.0)
 
     def drift(x):
@@ -665,10 +718,8 @@ def test_stability_chunks_are_submitted_before_the_constants(monkeypatch, quinti
     rep = tm.run_stability_ensemble(replace(quintic, drift=drift), quintic_cfg, delta=0.004,
                                     n_paths=16, horizon_steps=40, tol_stab=1e-2,
                                     n_workers=2, k_fn=k_fn)
-    n_chunks = len(_chunk_bounds(16, 2, 8 * 81))
-    assert n_chunks == 8
     first_drift = events.index("drift")
-    assert first_drift == n_chunks and "drift" not in events[:n_chunks]
+    assert first_drift == 2 and "drift" not in events[:2]
     assert rep.constants == tm.compute_stability_constants(quintic, quintic_cfg, k_fn)
 
 
@@ -677,18 +728,18 @@ def _sleep_chunk(lo, hi):
     return lo
 
 
-def test_failing_meanwhile_cancels_pending_chunks(monkeypatch):
+def test_failing_meanwhile_propagates_once_the_chunks_end(monkeypatch):
     events = []
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _submit_spy(events))
 
     def fail():
         raise ValueError("constants failed")
 
-    # one path per chunk: 20 chunks, of which the two workers start a few
+    # one chunk per worker, each started at once, so none is left to cancel
     with pytest.raises(ValueError, match="constants failed"):
-        _map_chunks(_sleep_chunk, 20, 2, experiments._CHUNK_BYTES, meanwhile=fail)
-    assert len(events) == 20
-    assert sum(future.cancelled() for future in events) >= 10
+        _map_chunks(_sleep_chunk, 20, 2, meanwhile=fail)
+    assert len(events) == 2
+    assert all(future.done() and not future.cancelled() for future in events)
     assert multiprocessing.active_children() == []
 
 
@@ -826,25 +877,26 @@ def _spy_windows(monkeypatch):
 
 
 def _covers(windows, n_draw) -> bool:
-    """Windows that start at 0, never skip a step and end at the last one."""
-    ends = [start + n for start, n in windows]
-    return (windows[0][0] == 0 and ends[-1] == n_draw
-            and all(start <= end for (start, _), end in zip(windows[1:], ends)))
+    """Windows that tile the draw: each starts where the one before ends, the
+    first at 0, and the last ends at the last step."""
+    starts = [0] + [start + n for start, n in windows]
+    return [start for start, _ in windows] == starts[:-1] and starts[-1] == n_draw
 
 
 @pytest.mark.parametrize("budget", [1, 7, 40, 2**20])
 @pytest.mark.parametrize("deltas", _LADDERS)
 def test_probes_drawn_in_windows_match_per_rung_regeneration(monkeypatch, cubic_cfg, deltas,
                                                              budget):
-    # with no minimum length a window holds budget // n_paths steps, or the
-    # one piece it starts at, so at 1, 7 and 40 normals the draw comes in
+    # with no minimum length a window holds budget // n_paths steps, at least
+    # one alignment unit (one step of the moment probe's draw, two of the gap
+    # probe's refined one), so at 1, 7 and 40 normals the draw comes in
     # several windows, and at 2^20 in one; pieces of a few steps each (the
-    # piece buffer holds 64 values) let a window span some pieces but not all
+    # piece buffer holds 64 values) are cut at the window ends too
     model, n_paths = tm.builtin_model("cubic_quintic"), 8
     want_moments = _per_rung_moments(model, cubic_cfg, deltas, n_paths, 1.0, 4.0, 7)
     want_gaps = _per_rung_gaps(model, cubic_cfg, deltas, n_paths, 1.0, 7)
-    monkeypatch.setattr(experiments, "_LADDER_NORMALS", budget)
-    monkeypatch.setattr(experiments, "_LADDER_MIN_WINDOW", 1)
+    monkeypatch.setattr(experiments, "_WINDOW_NORMALS", budget)
+    monkeypatch.setattr(experiments, "_WINDOW_MIN_STEPS", 1)
     monkeypatch.setattr(experiments, "_LADDER_VALUES", 64)
     windows = _spy_windows(monkeypatch)
     n_fine = max(round(1.0 / d) for d in deltas)
@@ -860,17 +912,16 @@ def test_probes_drawn_in_windows_match_per_rung_regeneration(monkeypatch, cubic_
 
 
 def test_probe_windows_keep_their_minimum_length(monkeypatch, cubic_cfg):
-    # the criterion-6 ladder, 1024 steps, with a budget of one normal: every
-    # window but the last is at least `_LADDER_MIN_WINDOW` steps long, starts
-    # at a rung end (a piece is a whole segment at this width), and the
-    # moments are those of one whole draw
+    # the criterion-6 ladder, 1024 steps, with a budget of one normal: the
+    # windows are `_WINDOW_MIN_STEPS` steps long, and the moments are those
+    # of one whole draw
     model, deltas = tm.builtin_model("cubic_quintic"), [2.0 ** -k for k in range(4, 11)]
     whole = tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=8, master_seed=3)
-    monkeypatch.setattr(experiments, "_LADDER_NORMALS", 1)
+    monkeypatch.setattr(experiments, "_WINDOW_NORMALS", 1)
     windows = _spy_windows(monkeypatch)
     moments = tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=8, master_seed=3)
     assert np.array_equal(moments, whole)
-    assert windows == [(0, 256), (256, 256), (512, 512)]
+    assert windows == [(0, 256), (256, 256), (512, 256), (768, 256)]
 
 
 def _traced_peak(fn, *args, **kwargs) -> int:
@@ -892,7 +943,7 @@ def test_moment_probe_memory_stays_near_its_normals(cubic_cfg):
 
 
 def test_moment_probe_memory_is_below_its_normals(cubic_cfg):
-    # the same ladder drawn in windows of `_LADDER_NORMALS` normals (419 steps
+    # the same ladder drawn in windows of `_WINDOW_NORMALS` normals (419 steps
     # at 2500 paths): one window and the piece buffer, not the whole draw
     model, deltas = tm.builtin_model("cubic_quintic"), [2.0 ** -k for k in range(4, 11)]
     peak = _traced_peak(tm.terminal_moment_probe, model, cubic_cfg, deltas, n_paths=2500,
@@ -935,6 +986,15 @@ def test_gap_probe_needs_two_distinct_steps(monkeypatch, cubic_cfg, deltas):
     monkeypatch.setattr(experiments.brownian, "standard_normals", no_draws)
     with pytest.raises(ValueError, match="two distinct steps"):
         tm.interpolant_gap_probe(tm.builtin_model("cubic_quintic"), cubic_cfg, deltas, n_paths=4)
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, tm.interpolant_gap_probe])
+def test_probes_need_a_path(monkeypatch, cubic_cfg, probe, n_paths):
+    # 0 divided by zero in the piece planner, -3 made a negative shape
+    monkeypatch.setattr(experiments.brownian, "standard_normals", None)
+    with pytest.raises(ValueError, match=f"paths = {n_paths}: a .* probe needs at least one"):
+        probe(tm.builtin_model("cubic_quintic"), cubic_cfg, [0.25, 0.125], n_paths=n_paths)
 
 
 @pytest.mark.parametrize("deltas", [[0.0], [0.25, 0.0]])
