@@ -9,11 +9,12 @@ scheme reads as slope one regardless of the moment exponent.
 
 Path-level work runs through `_map_chunks` alone: one contiguous chunk of
 paths per worker, in one process pool (in-process for one worker), merged in
-path-index order.  Every ensemble holds memory by one rule: it draws its
-normals a bounded window of the resumable streams at a time
-(`_step_windows`) and steps each window from the last one's finals.
-Per-path results depend only on the (seed, path) stream, so output is
-identical for any worker count, chunking or window.  The caller may work in
+path-index order.  A chunk takes the model itself, so it depends on its
+arguments alone and no worker reads the model registry.  Every ensemble holds
+memory by one rule: it draws its normals a bounded window of the resumable
+streams at a time (`_step_windows`) and steps each window from the last one's
+finals.  Per-path results depend only on the (seed, path) stream, so output
+is identical for any worker count, chunking or window.  The caller may work in
 the parent while the pool runs: a stability ensemble computes its constants
 there, in blocks of `_GRID_BLOCK` radii.  The moment and interpolant-gap
 probes step a whole step ladder as one batch (`_ladder_runs`).
@@ -201,10 +202,9 @@ def _step_windows(step, master_seed: int, lo: int, hi: int, m: int, n: int,
                                           start=a, scale=scale))
 
 
-def _rate_chunk(spec: RateExperimentSpec, lo: int, hi: int) -> np.ndarray:
-    """Per-path error samples |diff|^{2q}, shape (hi-lo, n_test_deltas), from
-    windows of whole steps of every rung, whose block sums are the grid's."""
-    model = resolve_model(spec.model_name)
+def _rate_chunk(spec: RateExperimentSpec, model: SdeModel, lo: int, hi: int) -> np.ndarray:
+    """Per-path error samples |diff|^{2q} of `model`, shape (hi-lo, n_test_deltas),
+    from windows of whole steps of every rung, whose block sums are the grid's."""
     sup = spec.error_at == "sup"
     # where the next window starts: each rung's finals, then the reference's
     xs = [model.initial_value] * (len(spec.factors) + 1)
@@ -260,7 +260,8 @@ def _map_chunks(fn, n_paths: int, n_workers: int, *args, meanwhile=lambda: None)
 
 
 def _path_error_samples(spec: RateExperimentSpec, n_workers: int) -> np.ndarray:
-    return np.vstack(_map_chunks(_rate_chunk, spec.n_paths, n_workers, spec))
+    model = resolve_model(spec.model_name)      # once, before any pool
+    return np.vstack(_map_chunks(_rate_chunk, spec.n_paths, n_workers, spec, model))
 
 
 # the benchmark's tracer (bench/tracing.py) wraps this name too
@@ -401,7 +402,7 @@ def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
                               paper_discrepancy=discrepancy)
 
 
-def _stability_chunk(model_name: str, cfg, delta: float, horizon_steps: int,
+def _stability_chunk(model: SdeModel, cfg, delta: float, horizon_steps: int,
                      tol_stab: float, master_seed: int, record_paths: int,
                      lo: int, hi: int) -> tuple:
     """Decay flags and alive flags of the paths [lo, hi), and the magnitudes
@@ -409,7 +410,6 @@ def _stability_chunk(model_name: str, cfg, delta: float, horizon_steps: int,
     maybe empty.  A path that blew up has not decayed.  Every path's states
     are recorded only over the tail the decay test reads, the last tenth, in
     pieces of a sixteenth of a window, so they stay small beside it."""
-    model = resolve_model(model_name)
     t_final = delta * horizon_steps
     tail_start = horizon_steps - max(1, horizon_steps // 10)
     n_rec = min(max(0, record_paths - lo), hi - lo)
@@ -467,7 +467,7 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
             found.append(compute_stability_constants(model, cfg, k_fn))
 
     flags, alive, recorded = zip(*_map_chunks(_stability_chunk, n_paths, n_workers,
-                                              model.name, cfg, delta, horizon_steps, tol_stab,
+                                              model, cfg, delta, horizon_steps, tol_stab,
                                               master_seed, record_paths,
                                               meanwhile=compute_constants))
     constants = found[0] if found else None
@@ -499,7 +499,7 @@ def _ladder_runs(piece, model: SdeModel, cfg, deltas: Sequence[float], ns: Seque
     segment is stepped in pieces, each within one window of the draw, whose
     scaled increments fill at most `_LADDER_VALUES` of one reused step-major
     buffer; each piece is one driver call from the previous piece's finals,
-    with each row's rung step.
+    with each row's rung step, and a blow-up in it raises RuntimeError.
 
     Calls piece(lo, hi, rungs, inc, res) per piece, in order: it steps [lo, hi)
     of the rungs `rungs`, rung rungs[j] in rows [j * n_paths, (j + 1) * n_paths);
@@ -529,6 +529,8 @@ def _ladder_runs(piece, model: SdeModel, cfg, deltas: Sequence[float], ns: Seque
             driven = brownian.block_sums(inc, substeps, axis=1) if substeps > 1 else inc
             res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, driven, steps[:rows],
                                   finals[:rows], record=record)
+            if not np.all(res.alive):
+                raise RuntimeError("blow-up during a step-ladder probe")
             piece(lo, hi, order[:live], inc, res)
             finals, lo = res.finals, hi
     _step_windows(step, master_seed, 0, n_paths, 1, substeps * max(ns, default=0), align=substeps)
@@ -595,8 +597,6 @@ def terminal_moment_probe(model: SdeModel, cfg, deltas: Sequence[float],
     out = np.empty(len(deltas))
 
     def piece(_, hi, rungs, __, res):
-        if not np.all(res.alive):
-            raise RuntimeError("blow-up during moment probe")
         for j, i in enumerate(rungs):
             if ns[i] == hi:
                 finals = res.finals[j * n_paths:(j + 1) * n_paths, 0]

@@ -479,10 +479,10 @@ _MODEL_REGISTRY = {}
 
 
 def register_model(model: SdeModel) -> None:
-    """Make a model addressable by name from the experiment harness.
+    """Name a model for `RateExperimentSpec`; a run resolves it once, in this process.
 
-    Coefficient callables must be module-level functions (picklable) if the
-    model is to be used with a multi-process worker pool.
+    A multi-worker run pickles its model to the workers, registered or not,
+    so the coefficient callables must be module-level functions.
     """
     _MODEL_REGISTRY[model.name] = model
 

@@ -1,10 +1,9 @@
 """Shared fixtures: the truncation configurations used by the builtin models,
 vector models that take the finite-difference L-operator, the globally
-Lipschitz control model, registered as "lipschitz_control", and a stable
-quintic whose drift is NaN outside its radius-one ball, registered as
-"quintic_nan_outside".  Property tests run under a derandomised hypothesis
-profile, so every run draws the same examples.  A test that leaves a child
-process alive fails."""
+Lipschitz control model, registered as "lipschitz_control" for rate specs,
+and a stable quintic whose drift is NaN outside its radius-one ball.
+Property tests run under a derandomised hypothesis profile, so every run
+draws the same examples.  A test that leaves a child process alive fails."""
 
 import multiprocessing
 from dataclasses import replace
@@ -137,4 +136,6 @@ def _drift_nan_outside(x):
     return np.where(np.abs(x) > 1.05, np.nan, _QUINTIC.drift(x))
 
 
-register_model(replace(_QUINTIC, drift=_drift_nan_outside, name="quintic_nan_outside"))
+def quintic_nan_outside_model() -> tm.SdeModel:
+    """The stable quintic with `_drift_nan_outside`, whose paths can blow up."""
+    return replace(_QUINTIC, drift=_drift_nan_outside, name="quintic_nan_outside")

@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import quintic_nan_outside_model
 from truncmil import cli, experiments
-from truncmil.model import resolve_model
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -250,9 +250,9 @@ def test_stability_csv_is_written_a_recorded_path_at_a_time(tmp_path, monkeypatc
 
 def test_stability_run_with_blown_up_paths_is_an_experiment_error(tmp_path, capsys,
                                                                  monkeypatch):
-    # a registered stable quintic whose drift is NaN beyond |x| = 1.05, inside
-    # the truncation ball of delta = 0.004: 3 of the 32 paths blow up
-    monkeypatch.setattr(cli, "_model", lambda cfg: resolve_model("quintic_nan_outside"))
+    # a stable quintic whose drift is NaN beyond |x| = 1.05, inside the
+    # truncation ball of delta = 0.004: 3 of the 32 paths blow up
+    monkeypatch.setattr(cli, "_model", lambda cfg: quintic_nan_outside_model())
     path = write_config(tmp_path, STABILITY_CFG)
     out = tmp_path / "out"
     assert cli.run(path, seed=2, workers=2, out=str(out)) == cli.EXIT_RUNTIME

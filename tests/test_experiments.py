@@ -1,6 +1,7 @@
 """Rate fits, condition comparison, stability constants and decay ensembles."""
 
 import contextlib
+import functools
 import math
 import multiprocessing
 import time
@@ -14,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import truncmil as tm
-from conftest import _diagonal_col, config_for
+from conftest import _diagonal_col, config_for, quintic_nan_outside_model
 from truncmil import experiments
 from truncmil.brownian import block_sums, generate_batch
 from truncmil.experiments import (RateExperimentSpec, _directions,
                                   _golden_max, _map_chunks, _path_error_samples,
                                   _rate_chunk, _rung_increments, _stability_chunk)
-from truncmil.model import register_model, resolve_model
+from truncmil.model import register_model
 from truncmil.scheme import _scalar_step, _simulate_batch
 
 
@@ -173,10 +174,11 @@ def test_rate_chunk_memory_matches_its_budget(cubic_cfg):
         model_name="cubic_quintic", cfg=cubic_cfg, scheme="truncated_milstein",
         q=1.0, t_final=1.28, delta_ref=0.01 / 8,
         test_deltas=tuple(0.01 * 2**i for i in range(1, 7)), n_paths=1000, master_seed=2026)
-    _rate_chunk(spec, 0, 2)
+    model = tm.builtin_model("cubic_quintic")
+    _rate_chunk(spec, model, 0, 2)
     tracemalloc.start()
     try:
-        _rate_chunk(spec, 0, spec.n_paths)
+        _rate_chunk(spec, model, 0, spec.n_paths)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -193,7 +195,7 @@ def test_rate_chunk_peak_does_not_grow_with_the_grid(cubic_cfg, error_at):
             model_name="cubic_quintic", cfg=cubic_cfg, scheme="truncated_milstein", q=1.0,
             t_final=1.0, delta_ref=delta_ref, test_deltas=(2.0**-5, 2.0**-6, 2.0**-7),
             n_paths=500, master_seed=1, error_at=error_at)
-        return _traced_peak(_rate_chunk, spec, 0, 500)
+        return _traced_peak(_rate_chunk, spec, tm.builtin_model("cubic_quintic"), 0, 500)
     assert peak(2.0**-13) <= 1.1 * peak(2.0**-11)
 
 
@@ -202,8 +204,8 @@ def test_stability_chunk_peak_does_not_grow_with_the_horizon(quintic_cfg):
     # recorded, is stepped in pieces of a sixteenth of a window: quadrupling
     # the horizon adds only the 10 recorded paths' magnitudes
     def peak(horizon):
-        return _traced_peak(_stability_chunk, "stable_quintic", quintic_cfg, 0.004, horizon,
-                            1e-2, 5, 10, 0, 2000)
+        return _traced_peak(_stability_chunk, tm.builtin_model("stable_quintic"), quintic_cfg,
+                            0.004, horizon, 1e-2, 5, 10, 0, 2000)
     assert peak(4000) <= 1.1 * peak(1000)
 
 
@@ -286,11 +288,32 @@ def test_rate_samples_independent_of_chunking(budget, n_workers, lo, n, error_at
     spec = replace(_small_rate_spec(error_at), n_paths=max(2, lo + n))
     whole = _path_error_samples(spec, 1)
     # the paths [lo, lo + n) as one chunk give the same rows of the whole run
-    assert np.array_equal(_rate_chunk(spec, lo, lo + n), whole[lo:lo + n])
+    model = tm.builtin_model(spec.model_name)
+    assert np.array_equal(_rate_chunk(spec, model, lo, lo + n), whole[lo:lo + n])
     with _window_budget(budget), \
             mock.patch.object(experiments, "ProcessPoolExecutor", _InProcessPool):
         chunked = _path_error_samples(spec, n_workers)
     assert np.array_equal(chunked, whole)
+
+
+def test_rate_workers_need_no_registry(monkeypatch, wide_cfg):
+    # spawned workers start with an empty registry; they step the model the
+    # parent resolved, so a registered model runs as it does in this process
+    spec = replace(_small_rate_spec("terminal"), model_name="lipschitz_control", cfg=wide_cfg,
+                   scheme="classical_milstein")
+    whole = _path_error_samples(spec, 1)
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                        functools.partial(experiments.ProcessPoolExecutor, mp_context=spawn))
+    assert np.array_equal(_path_error_samples(spec, 2), whole)
+
+
+def test_unknown_model_fails_before_any_pool(monkeypatch):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                        mock.Mock(side_effect=AssertionError("a pool was created")))
+    spec = replace(_small_rate_spec("terminal"), model_name="never_registered")
+    with pytest.raises(ValueError, match="unknown model 'never_registered'"):
+        tm.run_rate_experiment(spec, n_workers=2)
 
 
 @pytest.mark.parametrize("n_workers,chunks", [(1, [(0, 10)]), (2, [(0, 5), (5, 10)]),
@@ -436,10 +459,21 @@ def test_compare_step_conditions_precondition(damped_cfg):
 # stability
 
 
+def _decay_drift(x):
+    return -x
+
+
+def _no_noise(x, j):
+    return 0.0 * x
+
+
+def _no_l_op(x, j1, j2):
+    return 0.0 * np.asarray(x, dtype=float)
+
+
 def _linear_decay_model():
-    return tm.SdeModel(d=1, m=1, drift=lambda x: -x,
-                       diffusion_col=lambda x, j: 0.0 * x,
-                       l_op=lambda x, j1, j2: 0.0 * np.asarray(x, dtype=float),
+    # module-level coefficients, so a pool can pickle the model
+    return tm.SdeModel(d=1, m=1, drift=_decay_drift, diffusion_col=_no_noise, l_op=_no_l_op,
                        initial_value=np.array([1.0]), polynomial_degree_r=0.0,
                        name="linear_decay_test")
 
@@ -585,24 +619,25 @@ def test_stability_constants_vector_model():
     assert rep.H == pytest.approx(4.0, rel=1e-3)
 
 
-def test_stability_ensemble_deterministic_contraction():
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_stability_ensemble_deterministic_contraction(n_workers):
+    # an unregistered model: the chunks step the model they are handed
     model = _linear_decay_model()
-    register_model(model)
     cfg = tm.TruncationConfig(1.0, 1.0, 1.0, 0.1, 1.0)
-    rep = tm.run_stability_ensemble(model, cfg, delta=0.1, n_paths=20,
-                                    horizon_steps=300, tol_stab=1e-2, master_seed=4)
+    rep = tm.run_stability_ensemble(model, cfg, delta=0.1, n_paths=20, horizon_steps=300,
+                                    tol_stab=1e-2, master_seed=4, n_workers=n_workers)
     assert rep.decay_fraction == 1.0
     assert rep.recorded_magnitudes.shape == (10, 301)
     assert np.all(rep.recorded_magnitudes[:, -1] < 1e-2)
 
 
-def test_stability_ensemble_zero_fixed_point(quintic_cfg):
-    from dataclasses import replace
-    model = replace(tm.builtin_model("stable_quintic"),
-                    initial_value=np.array([0.0]), name="stable_quintic_zero")
-    register_model(model)
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_stability_ensemble_zero_fixed_point(quintic_cfg, n_workers):
+    # under the builtin's name: the chunks step this model, not the builtin
+    model = replace(tm.builtin_model("stable_quintic"), initial_value=np.array([0.0]))
     rep = tm.run_stability_ensemble(model, quintic_cfg, delta=0.01, n_paths=8,
-                                    horizon_steps=50, tol_stab=1e-2, master_seed=1)
+                                    horizon_steps=50, tol_stab=1e-2, master_seed=1,
+                                    n_workers=n_workers)
     assert np.all(rep.recorded_magnitudes == 0.0)
     assert rep.decay_fraction == 1.0
 
@@ -641,7 +676,7 @@ def test_stability_ensemble_worker_invariance(quintic_cfg):
 
 def test_stability_chunks_record_only_the_recorded_prefix(quintic_cfg):
     # every chunk returns an array of magnitudes, empty past the recorded paths
-    args = ("stable_quintic", quintic_cfg, 0.02, 40, 1e-2, 5, 3)
+    args = (tm.builtin_model("stable_quintic"), quintic_cfg, 0.02, 40, 1e-2, 5, 3)
     whole_flags, alive, whole = experiments._stability_chunk(*args, 0, 8)
     assert whole.shape == (3, 41) and alive.tolist() == [True] * 8
     flags, _, part = experiments._stability_chunk(*args, 2, 6)
@@ -659,7 +694,7 @@ def test_stability_chunks_record_only_the_recorded_prefix(quintic_cfg):
 def test_stability_ensemble_reports_blown_up_paths(quintic_cfg):
     # the drift is NaN beyond |x| = 1.05, which some paths reach inside the
     # truncation ball of this step (radius about 1.32)
-    model, delta, horizon = resolve_model("quintic_nan_outside"), 0.004, 200
+    model, delta, horizon = quintic_nan_outside_model(), 0.004, 200
     rep = tm.run_stability_ensemble(model, quintic_cfg, delta=delta, n_paths=32,
                                     horizon_steps=horizon, tol_stab=0.5, master_seed=2,
                                     n_workers=2)
@@ -705,21 +740,20 @@ def _submit_spy(events):
 
 
 def test_stability_chunks_are_submitted_before_the_constants(monkeypatch, quintic_cfg):
-    # the spy drift runs only in this process: the workers resolve the
-    # builtin model by name
-    events = []
+    # a closure drift cannot be pickled to the workers, so the spy wraps the
+    # constants, which run only in this process
+    events, constants = [], experiments.compute_stability_constants
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _submit_spy(events))
+
+    def spy(*args):
+        events.append("constants")
+        return constants(*args)
+    monkeypatch.setattr(experiments, "compute_stability_constants", spy)
     quintic, k_fn = tm.builtin_model("stable_quintic"), tm.KFunction(2.0, 2.0)
-
-    def drift(x):
-        events.append("drift")
-        return quintic.drift(x)
-
-    rep = tm.run_stability_ensemble(replace(quintic, drift=drift), quintic_cfg, delta=0.004,
-                                    n_paths=16, horizon_steps=40, tol_stab=1e-2,
-                                    n_workers=2, k_fn=k_fn)
-    first_drift = events.index("drift")
-    assert first_drift == 2 and "drift" not in events[:2]
+    rep = tm.run_stability_ensemble(quintic, quintic_cfg, delta=0.004, n_paths=16,
+                                    horizon_steps=40, tol_stab=1e-2, n_workers=2, k_fn=k_fn)
+    first_constants = events.index("constants")
+    assert first_constants == 2 and "constants" not in events[:2]
     assert rep.constants == tm.compute_stability_constants(quintic, quintic_cfg, k_fn)
 
 
@@ -986,6 +1020,13 @@ def test_gap_probe_needs_two_distinct_steps(monkeypatch, cubic_cfg, deltas):
     monkeypatch.setattr(experiments.brownian, "standard_normals", no_draws)
     with pytest.raises(ValueError, match="two distinct steps"):
         tm.interpolant_gap_probe(tm.builtin_model("cubic_quintic"), cubic_cfg, deltas, n_paths=4)
+
+
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, tm.interpolant_gap_probe])
+def test_probes_refuse_a_blow_up(quintic_cfg, probe):
+    # paths of the NaN-outside drift blow up on the coarse rung
+    with pytest.raises(RuntimeError, match="blow-up during"):
+        probe(quintic_nan_outside_model(), quintic_cfg, [0.25, 0.125], n_paths=64)
 
 
 @pytest.mark.parametrize("n_paths", [0, -3])
