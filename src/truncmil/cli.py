@@ -21,8 +21,7 @@ import tempfile
 from typing import Optional
 
 from . import __version__
-from .model import (Assumption, KFunction, ProbeSpec, BUILTIN_MODEL_NAMES,
-                    builtin_model, check_assumption)
+from .model import Assumption, KFunction, ProbeSpec, builtin_model, check_assumption
 from .experiments import (RateExperimentSpec, compare_step_conditions,
                           run_rate_experiment, run_stability_ensemble)
 from .scheme import SchemeId
@@ -104,11 +103,10 @@ def _truncation(cfg: dict) -> TruncationConfig:
 
 
 def _model(cfg: dict):
-    name = _get(cfg, "model", str, required=True)
-    if name not in BUILTIN_MODEL_NAMES:
-        raise ValidationError(f"field 'model': unknown model {name!r}; "
-                              f"choose from {', '.join(BUILTIN_MODEL_NAMES)}")
-    return builtin_model(name)
+    try:
+        return builtin_model(_get(cfg, "model", str, required=True))
+    except ValueError as exc:
+        raise ValidationError(f"field 'model': {exc}")
 
 
 def _k_fn(cfg: dict) -> KFunction:
@@ -257,22 +255,20 @@ _CHECK_SET = (Assumption.A2_1_polyLipschitz, Assumption.A2_2_khasminskii,
 
 def _run_check(cfg: dict, out_dir: str, seed: int) -> str:
     model = _model(cfg)
-    n_points = _get(cfg, "probe_points", int, default=500)
-    radius = _get(cfg, "probe_radius", float, default=2.0)
-    constants = {key: float(cfg[key]) for key in ("K1", "K2", "lambda3") if key in cfg}
-    rows = []
-    worst = -float("inf")
-    for assumption in _CHECK_SET:
-        spec = ProbeSpec(n_points=n_points, radius=radius,
+    k_fn = _k_fn(cfg) if "k.coeff" in cfg else None
+    try:
+        spec = ProbeSpec(n_points=_get(cfg, "probe_points", int, default=500),
+                         radius=_get(cfg, "probe_radius", float, default=2.0),
                          p_bar=_get(cfg, "p_bar", float, default=2.0),
-                         constants=constants)
+                         constants={key: _get(cfg, key, float)
+                                    for key in ("K1", "K2", "lambda3") if key in cfg},
+                         k_fn=k_fn)
+    except ValueError as exc:
+        raise ValidationError(str(exc))
+    rows, worst = [], -float("inf")
+    for assumption in _CHECK_SET + ((Assumption.A4_1_dissipative,) if k_fn else ()):
         rep = check_assumption(model, assumption, spec)
         rows.append(f"{assumption.value},{rep.sampled_points},{rep.worst_margin}")
-        worst = max(worst, rep.worst_margin)
-    if "k.coeff" in cfg:
-        spec = ProbeSpec(n_points=n_points, radius=radius, k_fn=_k_fn(cfg))
-        rep = check_assumption(model, Assumption.A4_1_dissipative, spec)
-        rows.append(f"{rep.assumption_id.value},{rep.sampled_points},{rep.worst_margin}")
         worst = max(worst, rep.worst_margin)
     _write_csv(os.path.join(out_dir, "checks.csv"), cfg, seed,
                ["assumption", "sampled_points", "worst_margin"], [rows])

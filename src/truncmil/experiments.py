@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import brownian
-from .model import KFunction, SdeModel, _drift_ratio, resolve_model, row_norm
+from .model import _BUILTIN_DRIFTS, KFunction, SdeModel, _drift_ratio, resolve_model, row_norm
 from .scheme import SchemeId, _scalar_step, _simulate_batch
 from .truncation import TruncationConfig, _check_delta, dominant_rate, old_condition_threshold
 
@@ -80,6 +80,8 @@ class RateExperimentSpec:
         object.__setattr__(self, "scheme", SchemeId(self.scheme))
         if self.n_paths < 2:
             raise ValueError(f"paths = {self.n_paths}: a standard error needs two paths")
+        if not 0 < self.q < math.inf:
+            raise ValueError(f"q = {self.q}: the moment exponent must be positive and finite")
         if self.error_at not in ("terminal", "sup"):
             raise ValueError("error_at must be 'terminal' or 'sup'")
         n_fine, = _rung_steps(self.t_final, (self.delta_ref,), "delta_ref")
@@ -365,7 +367,7 @@ def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
     The grid is evaluated `_GRID_BLOCK` radii at a time; every ratio is
     elementwise in the radius, so the result does not depend on the block.
 
-    For the stable_quintic builtin the report also carries the published
+    With the stable_quintic builtin's drift the report also carries the paper's
     reference constants and flags any disagreement instead of adopting them.
     """
     radius1 = cfg.radius(1.0)
@@ -393,7 +395,7 @@ def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
 
     paper_H = paper_d1 = None
     discrepancy = False
-    if model.name == "stable_quintic":
+    if model.drift is _BUILTIN_DRIFTS["stable_quintic"]:
         paper_H, paper_d1 = PAPER_STABILITY_H, PAPER_STABILITY_DELTA1
         discrepancy = (abs(H - paper_H) > 1e-2 * paper_H
                        or abs(delta_1 - paper_d1) > 1e-2 * paper_d1)
@@ -407,9 +409,9 @@ def _stability_chunk(model: SdeModel, cfg, delta: float, horizon_steps: int,
                      lo: int, hi: int) -> tuple:
     """Decay flags and alive flags of the paths [lo, hi), and the magnitudes
     of those of them below `record_paths` as (n_recorded, horizon_steps + 1),
-    maybe empty.  A path that blew up has not decayed.  Every path's states
-    are recorded only over the tail the decay test reads, the last tenth, in
-    pieces of a sixteenth of a window, so they stay small beside it."""
+    maybe empty.  A path that blew up has not decayed.  Each window is stepped
+    in pieces of at most a sixteenth of it, cut again where the tail the decay
+    test reads (the last tenth) starts; every path's states are recorded."""
     t_final = delta * horizon_steps
     tail_start = horizon_steps - max(1, horizon_steps // 10)
     n_rec = min(max(0, record_paths - lo), hi - lo)
@@ -419,15 +421,13 @@ def _stability_chunk(model: SdeModel, cfg, delta: float, horizon_steps: int,
     def step(a, z):
         nonlocal flags, x
         b = a + z.shape[1]
-        cuts = sorted({a, *range(max(a, tail_start), b, max(1, (b - a) // 16)), b})
+        cuts = sorted({*range(a, b, -(-(b - a) // 16)), min(max(a, tail_start), b), b})
         for s, e in zip(cuts, cuts[1:]):
-            tail = s >= tail_start
             res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, z[:, s - a:e - a],
-                                  delta, x, record=tail or n_rec)
-            if tail:
+                                  delta, x, record=True)
+            if s >= tail_start:
                 flags &= np.all(np.abs(res.states[:, 1:, 0]) < tol_stab, axis=1)
-            if n_rec:
-                mags[:, s:e + 1] = np.abs(res.states[:n_rec, :, 0])
+            mags[:, s:e + 1] = np.abs(res.states[:n_rec, :, 0])
             x = res.finals
     _step_windows(step, master_seed, lo, hi, 1, horizon_steps, np.sqrt(t_final / horizon_steps))
     return flags, np.isfinite(x[:, 0]), mags        # a blown-up path's finals are NaN

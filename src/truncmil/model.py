@@ -271,9 +271,9 @@ class ProbeSpec:
 
     def __post_init__(self) -> None:
         if self.n_points < 1:
-            raise ValueError("need at least one probe point")
+            raise ValueError(f"probe_points = {self.n_points}: need at least one probe point")
         if not self.radius > 0:
-            raise ValueError("probe radius must be positive")
+            raise ValueError(f"probe_radius = {self.radius}: the probe radius must be positive")
 
 
 @dataclass(frozen=True)

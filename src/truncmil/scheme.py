@@ -19,8 +19,8 @@ a path that blew up is dropped from the batch, with its step and radius when
 each path has its own.  A scalar model's batch may mix step sizes, one per
 path, so a whole step ladder runs as one batch; the radii are looked up once
 per call, not per step, and the scalar step's work arrays are allocated
-once per call too.  The states of every path, or of the first `record` ones,
-are kept step-major, one row per step, as a transposed (paths, n_steps + 1, d) view.
+once per call too.  With `record`, the states of every path are kept
+step-major, one row per step, as a transposed (paths, n_steps + 1, d) view.
 `simulate` is its one-path view.
 """
 
@@ -176,8 +176,8 @@ class EnsembleResult:
     finals: np.ndarray          # (n_paths, d); NaN where blown up
     alive: np.ndarray           # (n_paths,) bool, False once a path went non-finite
     blowup_step: np.ndarray     # (n_paths,) int, -1 when the path stayed finite
-    # (recorded paths, n_steps+1, d) when recorded, a transposed view of
-    # step-major memory; NaN after a blow-up
+    # (n_paths, n_steps+1, d) when recorded, a transposed view of step-major
+    # memory; NaN after a blow-up
     states: Optional[np.ndarray] = None
 
     @property
@@ -195,8 +195,8 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
     step.  A path that goes non-finite is marked dead at that step and is not
     stepped again.  Scalar models take `_scalar_step` on (n_paths, 1) columns
     with the truncation radii looked up once per call, general ones
-    `_general_step`.  `record` is True for every path's states, or a count
-    of leading paths whose states alone are kept.
+    `_general_step`.  With `record` every path's states are kept; without
+    it, none.
     """
     if increments.ndim != 3 or increments.shape[2] != model.m:
         raise ValueError(f"increments must have shape (n_paths, n_steps, {model.m}), "
@@ -219,12 +219,10 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
     # next; the state buffers alternate, and all are cut to the live rows
     work = [np.empty_like(y) for _ in range(4)] if scalar else None
     blowup_step = np.full(n_paths, -1, dtype=np.int64)
-    n_rec = n_paths if record is True else max(0, min(int(record), n_paths))
-    states = np.full((n_steps + 1, n_rec, model.d), np.nan) if n_rec else None
-    # every path until one blows up; the recorded live paths, a prefix of them
-    live, rec, rec_y = slice(None), slice(None), slice(n_rec)
-    if n_rec:
-        states[0] = y[rec_y]
+    states = np.full((n_steps + 1, n_paths, model.d), np.nan) if record else None
+    live = slice(None)          # every path until one blows up
+    if record:
+        states[0] = y
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             dB = increments[live, k]
@@ -239,15 +237,13 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
                 live = np.arange(n_paths)[live]
                 blowup_step[live[~ok]] = k
                 live, y = live[ok], y[ok]
-                rec_y = slice(np.searchsorted(live, n_rec))
-                rec = live[rec_y]
                 # per-path steps and radii leave with their paths
                 delta, radius, neg_radius = (c if np.ndim(c) == 0 else c[ok]
                                              for c in (delta, radius, neg_radius))
                 if scalar:
                     work = [w[:len(live)] for w in work]
-            if n_rec:
-                states[k + 1, rec] = y[rec_y]
+            if record:
+                states[k + 1, live] = y
     finals = np.full((n_paths, model.d), np.nan)
     finals[live] = y
     return EnsembleResult(finals=finals, alive=blowup_step < 0, blowup_step=blowup_step,

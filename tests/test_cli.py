@@ -317,6 +317,17 @@ def test_rate_run_rejects_a_single_path(tmp_path, capsys):
     assert not (out / "rates.csv").exists()
 
 
+@pytest.mark.parametrize("q", ["-1", "0", "nan", "inf"])
+def test_rate_run_rejects_a_bad_moment_exponent_before_any_pool(tmp_path, capsys, monkeypatch,
+                                                                 q):
+    _refuse_pools(monkeypatch)
+    path = write_config(tmp_path, RATE_CFG + f"q = {q}\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), "--workers", "2"]) == cli.EXIT_VALIDATION
+    assert f"q = {float(q)}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("workers", [0, -2])
 def test_run_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     path = write_config(tmp_path, RATE_CFG)
@@ -352,6 +363,19 @@ k.power = 2
     # the falsifiers' margins, pinned to the per-point loops they came from
     assert hashlib.sha256("\n".join(data).encode()).hexdigest() == (
         "89e2864ea2353000880a697e43c9f9ef3c56d5c4aa9750c1ac8c539ada701cee")
+
+
+@pytest.mark.parametrize("line, field", [("probe_points = 0", "probe_points = 0"),
+                                         ("probe_radius = -1", "probe_radius = -1.0"),
+                                         ("K1 = lots", "field 'K1'")],
+                         ids=["probe_points", "probe_radius", "K1"])
+def test_check_run_rejects_a_bad_probe_field(tmp_path, capsys, line, field):
+    path = write_config(tmp_path, f"kind = check\nmodel = stable_quintic\n{line}\n")
+    out = tmp_path / "out"
+    assert cli.run(path, out=str(out)) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "validation error:" in err and field in err
+    assert list(out.iterdir()) == []
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

@@ -503,6 +503,20 @@ def test_stability_constants_stable_quintic(quintic_cfg):
     assert rep.paper_discrepancy
 
 
+def test_paper_constants_follow_the_drift_not_the_name(quintic_cfg):
+    # the paper's constants belong to the stable quintic's drift: a model
+    # that keeps the name with mu = -x is not compared with them, and one
+    # that keeps the drift under another name is
+    quintic, k_fn = tm.builtin_model("stable_quintic"), tm.KFunction(2.0, 2.0)
+    rep = tm.compute_stability_constants(replace(quintic, drift=_decay_drift), quintic_cfg,
+                                         k_fn, n_grid=2000)
+    assert (rep.H, rep.delta_1) == (0.5, 1.0)
+    assert rep.paper_H is None and rep.paper_delta_1 is None and not rep.paper_discrepancy
+    rep = tm.compute_stability_constants(replace(quintic, name="renamed"), quintic_cfg, k_fn,
+                                         n_grid=2000)
+    assert (rep.paper_H, rep.paper_delta_1, rep.paper_discrepancy) == (25.0, 0.04, True)
+
+
 def test_stability_ratio_cap_violation():
     # drift with mu(0) != 0 makes |mu|^2 / u^2 diverge as u -> 0
     model = tm.SdeModel(d=1, m=1, drift=lambda x: x - 1.0,
@@ -689,6 +703,58 @@ def test_stability_chunks_record_only_the_recorded_prefix(quintic_cfg):
                                         record_paths=record_paths)
         got = rep.recorded_magnitudes
         assert (got is None) if shape is None else got.shape == shape
+
+
+@pytest.mark.parametrize("paths, horizon", [(500, 1000), (2000, 1200)])
+def test_stability_chunk_records_every_path_in_sixteenths(monkeypatch, quintic_cfg, paths,
+                                                          horizon):
+    # 500 paths draw one window of the whole horizon, 2000 paths windows of
+    # 524 steps; every driver call records every path over at most a
+    # sixteenth of its window, and together they step the horizon once
+    windows, calls = [], []
+    draw, drive = experiments.brownian.standard_normals, experiments._simulate_batch
+
+    def spy_draw(*args, **kwargs):
+        z = draw(*args, **kwargs)
+        windows.append(z.shape[1])
+        return z
+
+    def spy_drive(scheme, model, cfg, inc, *args, record=False):
+        calls.append((windows[-1], inc.shape[1], record))
+        return drive(scheme, model, cfg, inc, *args, record=record)
+    monkeypatch.setattr(experiments.brownian, "standard_normals", spy_draw)
+    monkeypatch.setattr(experiments, "_simulate_batch", spy_drive)
+    _stability_chunk(tm.builtin_model("stable_quintic"), quintic_cfg, 0.004, horizon, 1e-2, 5,
+                     10, 0, paths)
+    assert all(record is True and 1 <= n <= -(-w // 16) for w, n, record in calls)
+    assert sum(n for _, n, _ in calls) == horizon
+
+
+@pytest.mark.parametrize("window", [50, 40, 361],
+                         ids=["tail-inside", "tail-on-first-step", "tail-on-last-step"])
+@pytest.mark.parametrize("model", [tm.builtin_model("stable_quintic"),
+                                   quintic_nan_outside_model()], ids=lambda m: m.name)
+def test_stability_chunk_equals_a_whole_horizon_record(monkeypatch, quintic_cfg, model, window):
+    # the tail of 400 steps starts at step 360: inside the window [350, 400)
+    # of 50 steps, on the first step of [360, 400) of 40, on the last of
+    # [0, 361) of 361, a piece boundary only through the tail's cut; a tail
+    # read from step 359, 360, 362 or 363 on flips a path's flag at this
+    # tolerance; 5 of the 16 quintic_nan_outside paths blow up, at step 1
+    # or 2, two of them recorded
+    lo, hi, delta, horizon, tol, seed = 3, 19, 0.004, 400, 0.07, 3
+    monkeypatch.setattr(experiments, "_WINDOW_NORMALS", window * (hi - lo))
+    monkeypatch.setattr(experiments, "_WINDOW_MIN_STEPS", 1)
+    flags, alive, mags = _stability_chunk(model, quintic_cfg, delta, horizon, tol, seed, 9,
+                                          lo, hi)
+    z = experiments.brownian.standard_normals(seed, range(lo, hi), 1, horizon,
+                                              scale=np.sqrt(delta * horizon / horizon))
+    ref = _simulate_batch("truncated_milstein", model, quintic_cfg, z, delta,
+                          model.initial_value, record=True)
+    size = np.abs(ref.states[:, :, 0])
+    assert np.array_equal(flags, np.all(size[:, 361:] < tol, axis=1))
+    assert flags.any() and not flags.all()
+    assert np.array_equal(alive, ref.alive) and alive.all() == (model.name == "stable_quintic")
+    assert np.array_equal(mags, size[:6], equal_nan=True)
 
 
 def test_stability_ensemble_reports_blown_up_paths(quintic_cfg):

@@ -260,26 +260,6 @@ def test_ensemble_blowup_matches_reference_loop_bitwise(cubic_cfg, scheme, x0, r
     _assert_matches_reference(res, ref, record)
 
 
-@pytest.mark.parametrize("n_rec", [0, 1, 17, 64, 80])
-@pytest.mark.parametrize("scheme", ["classical_em", "truncated_milstein"])
-def test_driver_records_a_count_of_leading_paths(cubic_cfg, scheme, n_rec):
-    # from x0 = 0.8 some classical paths blow up, at different steps, among
-    # the recorded rows and after them; the count keeps their leading rows of
-    # a full record, and the finals and bookkeeping of every path
-    model = tm.builtin_model("cubic_quintic")
-    inc = generate_batch(0, range(64), 1, 8.0, 32)
-    full = _simulate_batch(scheme, model, cubic_cfg, inc, 0.25, 0.8, record=True)
-    part = _simulate_batch(scheme, model, cubic_cfg, inc, 0.25, 0.8, record=n_rec)
-    if scheme == "classical_em":
-        assert not full.alive[:17].all() and not full.alive[17:].all()
-    assert np.array_equal(part.finals, full.finals, equal_nan=True)
-    assert np.array_equal(part.blowup_step, full.blowup_step)
-    if n_rec == 0:
-        assert part.states is None
-    else:
-        assert np.array_equal(part.states, full.states[:n_rec], equal_nan=True)
-
-
 @pytest.mark.parametrize("record", [False, True])
 @pytest.mark.parametrize("l_op", [None, lambda x, j1, j2: 0.2])
 @pytest.mark.parametrize("scheme", list(tm.SchemeId))
