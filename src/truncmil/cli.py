@@ -117,14 +117,6 @@ def _k_fn(cfg: dict) -> KFunction:
         raise ValidationError(f"k-function: {exc}")
 
 
-def _header_lines(cfg: dict, seed: int) -> list:
-    return [
-        f"# artifact_version = {__version__}",
-        f"# config_hash = {config_hash(cfg)}",
-        f"# seed = {seed}",
-    ]
-
-
 def _write_atomic(path: str, chunks) -> None:
     """Write the strings of `chunks` in turn to a temporary file beside
     `path`, then move it into place."""
@@ -145,7 +137,8 @@ def _write_csv(path: str, cfg: dict, seed: int, columns, blocks) -> None:
     nonempty list of rows, in turn, so only one block's text is held at a
     time; each row is one line of its values' `str` texts (for a float its
     shortest round-trip text)."""
-    head = _header_lines(cfg, seed) + [",".join(columns)]
+    head = [f"# artifact_version = {__version__}", f"# config_hash = {config_hash(cfg)}",
+            f"# seed = {seed}", ",".join(columns)]
     _write_atomic(path, ("\n".join(lines) + "\n" for lines in itertools.chain([head], blocks)))
 
 
@@ -310,7 +303,10 @@ def run(config_path: str, seed: Optional[int] = None, paths: Optional[int] = Non
         if run_workers < 1:
             raise ValidationError(f"field 'workers': need at least one worker, got {run_workers}")
         out_dir = _get(cfg, "out", str, default="out")
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"field 'out': cannot make {out_dir!r} a directory: {exc.strerror}")
         if not os.access(out_dir, os.W_OK):
             raise ValidationError(f"field 'out': directory {out_dir!r} is not writable")
     except ValidationError as exc:

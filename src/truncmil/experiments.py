@@ -16,8 +16,8 @@ streams at a time (`_step_windows`) and steps each window from the last one's
 finals.  Per-path results depend only on the (seed, path) stream, so output
 is identical for any worker count, chunking or window.  The caller may work in
 the parent while the pool runs: a stability ensemble computes its constants
-there, in blocks of `_GRID_BLOCK` radii.  The moment and interpolant-gap
-probes step a whole step ladder as one batch (`_ladder_runs`).
+there, in blocks of `_GRID_BLOCK` radii.  One piece engine, `_ladder_runs`,
+steps a probe's step ladder as one batch and a stability chunk as one rung.
 """
 
 from __future__ import annotations
@@ -409,28 +409,21 @@ def _stability_chunk(model: SdeModel, cfg, delta: float, horizon_steps: int,
                      lo: int, hi: int) -> tuple:
     """Decay flags and alive flags of the paths [lo, hi), and the magnitudes
     of those of them below `record_paths` as (n_recorded, horizon_steps + 1),
-    maybe empty.  A path that blew up has not decayed.  Each window is stepped
-    in pieces of at most a sixteenth of it, cut again where the tail the decay
-    test reads (the last tenth) starts; every path's states are recorded."""
-    t_final = delta * horizon_steps
+    maybe empty.  A path that blew up has not decayed.  The chunk is a
+    one-rung step ladder (`_ladder_runs`) that records every path over each
+    piece; a piece's states after the start of the tail the decay test reads
+    (the last tenth) fold into the flags."""
     tail_start = horizon_steps - max(1, horizon_steps // 10)
-    n_rec = min(max(0, record_paths - lo), hi - lo)
-    flags, x = np.ones(hi - lo, dtype=bool), model.initial_value
-    mags = np.empty((n_rec, horizon_steps + 1))
+    flags = np.ones(hi - lo, dtype=bool)
+    mags = np.empty((min(max(0, record_paths - lo), hi - lo), horizon_steps + 1))
 
-    def step(a, z):
-        nonlocal flags, x
-        b = a + z.shape[1]
-        cuts = sorted({*range(a, b, -(-(b - a) // 16)), min(max(a, tail_start), b), b})
-        for s, e in zip(cuts, cuts[1:]):
-            res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, z[:, s - a:e - a],
-                                  delta, x, record=True)
-            if s >= tail_start:
-                flags &= np.all(np.abs(res.states[:, 1:, 0]) < tol_stab, axis=1)
-            mags[:, s:e + 1] = np.abs(res.states[:n_rec, :, 0])
-            x = res.finals
-    _step_windows(step, master_seed, lo, hi, 1, horizon_steps, np.sqrt(t_final / horizon_steps))
-    return flags, np.isfinite(x[:, 0]), mags        # a blown-up path's finals are NaN
+    def piece(a, b, _, __, res):
+        nonlocal flags
+        mags[:, a:b + 1] = np.abs(res.states[:len(mags), :, 0])
+        flags &= np.all(np.abs(res.states[:, max(1, tail_start + 1 - a):, 0]) < tol_stab, axis=1)
+    finals = _ladder_runs(piece, model, cfg, [delta], [horizon_steps], (lo, hi),
+                          delta * horizon_steps, master_seed, record=True)
+    return flags, np.isfinite(finals[:, 0]), mags      # a blown-up path's finals are NaN
 
 
 def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
@@ -456,8 +449,8 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
     if record_paths < 0:
         raise ValueError(f"record_paths = {record_paths}: cannot record a negative "
                          "number of paths")
-    if not tol_stab > 0:
-        raise ValueError("tol_stab must be positive")
+    if not 0 < tol_stab < math.inf:
+        raise ValueError(f"tol_stab = {tol_stab}: must be positive and finite")
     if not model.is_scalar:
         raise ValueError("stability ensembles are implemented for scalar models")
     found = []
@@ -487,9 +480,10 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
 
 
 def _ladder_runs(piece, model: SdeModel, cfg, deltas: Sequence[float], ns: Sequence[int],
-                 n_paths: int, t_final: float, master_seed: int, substeps: int = 1,
-                 record: bool = False) -> None:
-    """Step truncated Milstein over every rung of a step ladder as one batch.
+                 paths: tuple, t_final: float, master_seed: int, substeps: int = 1,
+                 record: bool = False) -> np.ndarray:
+    """Step truncated Milstein over every rung of a step ladder as one batch
+    of the n_paths paths range(*paths); return the last piece's finals.
 
     Rung i makes ns[i] steps of deltas[i] on [0, t_final], each from the sum of
     `substeps` increments: the standard normals of the finest grid, scaled by
@@ -499,13 +493,14 @@ def _ladder_runs(piece, model: SdeModel, cfg, deltas: Sequence[float], ns: Seque
     segment is stepped in pieces, each within one window of the draw, whose
     scaled increments fill at most `_LADDER_VALUES` of one reused step-major
     buffer; each piece is one driver call from the previous piece's finals,
-    with each row's rung step, and a blow-up in it raises RuntimeError.
+    with each row's rung step, and a path that blew up stays NaN.
 
     Calls piece(lo, hi, rungs, inc, res) per piece, in order: it steps [lo, hi)
     of the rungs `rungs`, rung rungs[j] in rows [j * n_paths, (j + 1) * n_paths);
     `inc` holds its (rows, (hi - lo) * substeps, 1) scaled increments and
-    `res` is the driver's result.
+    `res` is the driver's result, in which `piece` judges any blow-up.
     """
+    n_paths = paths[1] - paths[0]
     order = sorted(range(len(ns)), key=lambda i: -ns[i])
     buf = np.empty(max(_LADDER_VALUES, len(ns) * n_paths * substeps))
     scales = [np.sqrt(t_final / (substeps * ns[i])) for i in order]
@@ -529,11 +524,10 @@ def _ladder_runs(piece, model: SdeModel, cfg, deltas: Sequence[float], ns: Seque
             driven = brownian.block_sums(inc, substeps, axis=1) if substeps > 1 else inc
             res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, driven, steps[:rows],
                                   finals[:rows], record=record)
-            if not np.all(res.alive):
-                raise RuntimeError("blow-up during a step-ladder probe")
             piece(lo, hi, order[:live], inc, res)
             finals, lo = res.finals, hi
-    _step_windows(step, master_seed, 0, n_paths, 1, substeps * max(ns, default=0), align=substeps)
+    _step_windows(step, master_seed, *paths, 1, substeps * max(ns, default=0), align=substeps)
+    return finals
 
 
 @dataclass(frozen=True)
@@ -564,6 +558,8 @@ def interpolant_gap_probe(model: SdeModel, cfg, deltas: Sequence[float],
     squares = [np.empty((n_paths, n)) for n in ns]
 
     def piece(lo, hi, rungs, inc, res):
+        if not np.all(res.alive):
+            raise RuntimeError("blow-up during a step-ladder probe")
         knots = res.states[:, :-1]
         half = np.repeat(deltas[rungs] / 2.0, n_paths)[:, None, None]
         stepped = _scalar_step(SchemeId.truncated_milstein, model, cfg, half, knots,
@@ -571,8 +567,8 @@ def interpolant_gap_probe(model: SdeModel, cfg, deltas: Sequence[float],
         sq = (stepped - knots) ** 2
         for j, i in enumerate(rungs):
             squares[i][:, lo:hi] = sq[j * n_paths:(j + 1) * n_paths, :, 0]
-    _ladder_runs(piece, model, cfg, deltas, ns, n_paths, t_final, master_seed, substeps=2,
-                 record=True)
+    _ladder_runs(piece, model, cfg, deltas, ns, (0, n_paths), t_final, master_seed,
+                 substeps=2, record=True)
     # each rung reduced in path-major order
     gaps = np.array([float(np.mean(sq.ravel())) for sq in squares])
     h2 = np.array([cfg.h(d) ** 2 for d in deltas])
@@ -597,9 +593,11 @@ def terminal_moment_probe(model: SdeModel, cfg, deltas: Sequence[float],
     out = np.empty(len(deltas))
 
     def piece(_, hi, rungs, __, res):
+        if not np.all(res.alive):
+            raise RuntimeError("blow-up during a step-ladder probe")
         for j, i in enumerate(rungs):
             if ns[i] == hi:
                 finals = res.finals[j * n_paths:(j + 1) * n_paths, 0]
                 out[i] = float(np.mean(np.abs(finals) ** power))
-    _ladder_runs(piece, model, cfg, deltas, ns, n_paths, t_final, master_seed)
+    _ladder_runs(piece, model, cfg, deltas, ns, (0, n_paths), t_final, master_seed)
     return out

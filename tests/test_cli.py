@@ -308,6 +308,18 @@ def test_stability_run_rejects_step_outside_unit_interval(tmp_path, capsys, monk
     assert not (out / "stability.csv").exists()
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_stability_run_rejects_a_bad_tolerance_before_any_pool(tmp_path, capsys, monkeypatch,
+                                                               tol):
+    # an infinite tolerance wrote stability.csv, then failed on fit.json
+    _refuse_pools(monkeypatch)
+    path = write_config(tmp_path, STABILITY_CFG + f"tol_stab = {tol}\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), "--workers", "2"]) == cli.EXIT_VALIDATION
+    assert f"tol_stab = {float(tol)}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_rate_run_rejects_a_single_path(tmp_path, capsys):
     # one path gives no standard error, so no rates.csv full of NaN
     path = write_config(tmp_path, RATE_CFG)
@@ -376,6 +388,17 @@ def test_check_run_rejects_a_bad_probe_field(tmp_path, capsys, line, field):
     err = capsys.readouterr().err
     assert "validation error:" in err and field in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["a-file", "under-a-file"])
+def test_run_rejects_an_out_path_through_a_file(tmp_path, capsys, sub):
+    # os.makedirs raised FileExistsError or NotADirectoryError, a traceback
+    path = write_config(tmp_path, CONDITIONS_CFG)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    assert cli.main(["--config", path, "--out", str(afile / sub)]) == cli.EXIT_VALIDATION
+    assert "validation error: field 'out'" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

@@ -200,9 +200,9 @@ def test_rate_chunk_peak_does_not_grow_with_the_grid(cubic_cfg, error_at):
 
 
 def test_stability_chunk_peak_does_not_grow_with_the_horizon(quintic_cfg):
-    # 2000 paths draw windows of 524 steps, and the tail, where every path is
-    # recorded, is stepped in pieces of a sixteenth of a window: quadrupling
-    # the horizon adds only the 10 recorded paths' magnitudes
+    # 2000 paths draw windows of 524 steps, and every path is recorded over
+    # pieces of 131 steps (`_LADDER_VALUES` values): quadrupling the horizon
+    # adds only the 10 recorded paths' magnitudes
     def peak(horizon):
         return _traced_peak(_stability_chunk, tm.builtin_model("stable_quintic"), quintic_cfg,
                             0.004, horizon, 1e-2, 5, 10, 0, 2000)
@@ -706,44 +706,46 @@ def test_stability_chunks_record_only_the_recorded_prefix(quintic_cfg):
 
 
 @pytest.mark.parametrize("paths, horizon", [(500, 1000), (2000, 1200)])
-def test_stability_chunk_records_every_path_in_sixteenths(monkeypatch, quintic_cfg, paths,
-                                                          horizon):
+def test_stability_chunk_steps_in_ladder_pieces(monkeypatch, quintic_cfg, paths, horizon):
     # 500 paths draw one window of the whole horizon, 2000 paths windows of
-    # 524 steps; every driver call records every path over at most a
-    # sixteenth of its window, and together they step the horizon once
-    windows, calls = [], []
-    draw, drive = experiments.brownian.standard_normals, experiments._simulate_batch
-
-    def spy_draw(*args, **kwargs):
-        z = draw(*args, **kwargs)
-        windows.append(z.shape[1])
-        return z
+    # 524 steps; the chunk is a one-rung ladder, so every driver call records
+    # every path over `_LADDER_VALUES // paths` steps of one window (524 and
+    # 131), less where the window ends, and the windows tile the horizon
+    windows, calls, drive = _spy_windows(monkeypatch), [], experiments._simulate_batch
 
     def spy_drive(scheme, model, cfg, inc, *args, record=False):
-        calls.append((windows[-1], inc.shape[1], record))
+        calls.append((len(windows) - 1, inc.shape[0], inc.shape[1], record))
         return drive(scheme, model, cfg, inc, *args, record=record)
-    monkeypatch.setattr(experiments.brownian, "standard_normals", spy_draw)
     monkeypatch.setattr(experiments, "_simulate_batch", spy_drive)
     _stability_chunk(tm.builtin_model("stable_quintic"), quintic_cfg, 0.004, horizon, 1e-2, 5,
                      10, 0, paths)
-    assert all(record is True and 1 <= n <= -(-w // 16) for w, n, record in calls)
-    assert sum(n for _, n, _ in calls) == horizon
+    assert all(record is True and rows == paths for _, rows, _, record in calls)
+    cap = max(1, experiments._LADDER_VALUES // paths)
+    for i, (_, w) in enumerate(windows):
+        pieces = [n for window, _, n, _ in calls if window == i]
+        assert pieces == [cap] * (w // cap) + [w % cap] * (w % cap > 0)
+    assert _covers(windows, horizon) and len(calls) > len(windows)
 
 
+@pytest.mark.parametrize("cap", [1, 40, 100, None])
 @pytest.mark.parametrize("window", [50, 40, 361],
                          ids=["tail-inside", "tail-on-first-step", "tail-on-last-step"])
 @pytest.mark.parametrize("model", [tm.builtin_model("stable_quintic"),
                                    quintic_nan_outside_model()], ids=lambda m: m.name)
-def test_stability_chunk_equals_a_whole_horizon_record(monkeypatch, quintic_cfg, model, window):
+def test_stability_chunk_equals_a_whole_horizon_record(monkeypatch, quintic_cfg, model, window,
+                                                       cap):
     # the tail of 400 steps starts at step 360: inside the window [350, 400)
     # of 50 steps, on the first step of [360, 400) of 40, on the last of
-    # [0, 361) of 361, a piece boundary only through the tail's cut; a tail
-    # read from step 359, 360, 362 or 363 on flips a path's flag at this
-    # tolerance; 5 of the 16 quintic_nan_outside paths blow up, at step 1
-    # or 2, two of them recorded
+    # [0, 361) of 361; pieces of 1, 2 or 6 steps of the 16 paths (a cap of
+    # 1, 40 or 100 values), or whole windows, put a piece edge on, before or
+    # after it; a tail read from step 359, 360, 362 or 363 on flips a path's
+    # flag at this tolerance; 5 of the 16 quintic_nan_outside paths blow up,
+    # at step 1 or 2, two of them recorded
     lo, hi, delta, horizon, tol, seed = 3, 19, 0.004, 400, 0.07, 3
     monkeypatch.setattr(experiments, "_WINDOW_NORMALS", window * (hi - lo))
     monkeypatch.setattr(experiments, "_WINDOW_MIN_STEPS", 1)
+    if cap:
+        monkeypatch.setattr(experiments, "_LADDER_VALUES", cap)
     flags, alive, mags = _stability_chunk(model, quintic_cfg, delta, horizon, tol, seed, 9,
                                           lo, hi)
     z = experiments.brownian.standard_normals(seed, range(lo, hi), 1, horizon,
