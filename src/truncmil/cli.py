@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -68,6 +69,13 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _finite(key: str, value: float) -> float:
+    # an inf or NaN would overflow a step count or reach the artifacts as NaN
+    if not math.isfinite(value):
+        raise ValidationError(f"{key} = {value}: not a finite number")
+    return value
+
+
 def _get(cfg: dict, key: str, kind, default=None, required: bool = False):
     if key not in cfg:
         if required:
@@ -75,16 +83,17 @@ def _get(cfg: dict, key: str, kind, default=None, required: bool = False):
         return default
     raw = cfg[key]
     try:
-        return kind(raw)
+        value = kind(raw)
     except (TypeError, ValueError):
         raise ValidationError(f"field '{key}': cannot read {raw!r} as {kind.__name__}")
+    return _finite(key, value) if kind is float else value
 
 
 def _float_list(cfg: dict, key: str):
     if key not in cfg:
         return None
     try:
-        return [float(v) for v in cfg[key].split(",") if v.strip()]
+        return [_finite(key, float(v)) for v in cfg[key].split(",") if v.strip()]
     except ValueError:
         raise ValidationError(f"field '{key}': expected comma-separated numbers")
 

@@ -8,16 +8,18 @@ scale, i.e. the slope of log(e_i^(1/2q)) against log(step), so an order-one
 scheme reads as slope one regardless of the moment exponent.
 
 Path-level work runs through `_map_chunks` alone: one contiguous chunk of
-paths per worker, in one process pool (in-process for one worker), merged in
-path-index order.  A chunk takes the model itself, so it depends on its
-arguments alone and no worker reads the model registry.  Every ensemble holds
-memory by one rule: it draws its normals a bounded window of the resumable
-streams at a time (`_step_windows`) and steps each window from the last one's
-finals.  Per-path results depend only on the (seed, path) stream, so output
-is identical for any worker count, chunking or window.  The caller may work in
-the parent while the pool runs: a stability ensemble computes its constants
-there, in blocks of `_GRID_BLOCK` radii.  One piece engine, `_ladder_runs`,
-steps a probe's step ladder as one batch and a stability chunk as one rung.
+paths per worker, but never more chunks than paths, merged in path-index
+order.  Two or more chunks run in one process pool of exactly one worker per
+chunk; a single chunk runs in-process, with no pool.  A chunk takes the model
+itself, so it depends on its arguments alone and no worker reads the model
+registry.  Every ensemble holds memory by one rule: it draws its normals a
+bounded window of the resumable streams at a time (`_step_windows`) and steps
+each window from the last one's finals.  Per-path results depend only on the
+(seed, path) stream, so output is identical for any worker count, chunking or
+window.  The caller may work in the parent while the pool runs: a stability
+ensemble computes its constants there, in blocks of `_GRID_BLOCK` radii.  One
+piece engine, `_ladder_runs`, steps a probe's step ladder as one batch and a
+stability chunk as one rung.
 """
 
 from __future__ import annotations
@@ -89,6 +91,9 @@ class RateExperimentSpec:
         for d, n in zip(self.test_deltas, ns):
             if n_fine % n:
                 raise ValueError(f"test step {d} is not an integer multiple of delta_ref")
+            if n == n_fine:
+                raise ValueError(f"test step {d} equals delta_ref: its rung is the reference "
+                                 "path, so its error is 0")
         if len(set(self.test_deltas)) < 3:
             raise ValueError(f"a rate fit needs at least 3 distinct test steps, "
                              f"got {len(set(self.test_deltas))}")
@@ -112,6 +117,8 @@ def _rung_steps(t_final: float, deltas: Sequence[float], name: str = "delta") ->
     """Steps per rung, t_final / delta, for steps in (0, 1] that each make a
     whole number (at least one) of steps on [0, t_final]; errors call a step
     `name`."""
+    if not 0 < t_final < math.inf:
+        raise ValueError(f"t_final = {t_final}: the horizon must be positive and finite")
     for delta in deltas:
         try:
             _check_delta(delta)
@@ -240,30 +247,29 @@ def _rate_chunk(spec: RateExperimentSpec, model: SdeModel, lo: int, hi: int) -> 
     return np.stack([e ** p if model.is_scalar else np.float_power(e, p) for e in errs], axis=1)
 
 
-def _map_chunks(fn, n_paths: int, n_workers: int, *args, meanwhile=lambda: None) -> list:
-    """fn(*args, lo, hi) for contiguous chunks [lo, hi) of the paths, in path
-    order, one per worker but none empty, whose sizes differ by at most one:
-    in one process pool when n_workers > 1, else in-process.
+def _map_chunks(fn, n_paths: int, n_workers: int, *args, meanwhile=lambda: None) -> tuple:
+    """(meanwhile(), [fn(*args, lo, hi) for contiguous chunks [lo, hi) of the
+    paths, in path order]): one chunk per worker but none empty, whose sizes
+    differ by at most one, in a process pool of one worker per chunk when
+    there are k > 1 chunks, else in-process.
 
     `meanwhile()` is the caller's work in this process: it runs after every
-    chunk is submitted and before any is awaited, or, with one worker, before
-    the chunk.  Every worker starts its chunk at once, so if `meanwhile`
-    raises, the error propagates once the pool has finished them.
+    chunk is submitted and before any is awaited, or, with one chunk, before
+    it.  Every worker starts its chunk at once, so if `meanwhile` raises, the
+    error propagates once the pool has finished them.
     """
     k = max(1, min(n_workers, n_paths))
     calls = [(*args, i * n_paths // k, (i + 1) * n_paths // k) for i in range(k)]
-    if n_workers <= 1:
-        meanwhile()
-        return [fn(*call) for call in calls]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    if k == 1:
+        return meanwhile(), [fn(*calls[0])]
+    with ProcessPoolExecutor(max_workers=k) as pool:
         results = pool.map(fn, *zip(*calls))       # submits every chunk
-        meanwhile()
-        return list(results)
+        return meanwhile(), list(results)
 
 
 def _path_error_samples(spec: RateExperimentSpec, n_workers: int) -> np.ndarray:
     model = resolve_model(spec.model_name)      # once, before any pool
-    return np.vstack(_map_chunks(_rate_chunk, spec.n_paths, n_workers, spec, model))
+    return np.vstack(_map_chunks(_rate_chunk, spec.n_paths, n_workers, spec, model)[1])
 
 
 # the benchmark's tracer (bench/tracing.py) wraps this name too
@@ -438,7 +444,7 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
     tenth of the horizon; a path that blew up has not decayed, and counts in
     `blowup_fraction`.  With `k_fn`, the stability constants are computed in
     this process while the pool steps the paths (before them, for one
-    worker), returned as `constants`, and a step above their ceiling warns.
+    chunk), returned as `constants`, and a step above their ceiling warns.
     """
     _check_delta(delta)
     if n_paths < 1:
@@ -453,17 +459,11 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
         raise ValueError(f"tol_stab = {tol_stab}: must be positive and finite")
     if not model.is_scalar:
         raise ValueError("stability ensembles are implemented for scalar models")
-    found = []
-
-    def compute_constants():
-        if k_fn is not None:
-            found.append(compute_stability_constants(model, cfg, k_fn))
-
-    flags, alive, recorded = zip(*_map_chunks(_stability_chunk, n_paths, n_workers,
-                                              model, cfg, delta, horizon_steps, tol_stab,
-                                              master_seed, record_paths,
-                                              meanwhile=compute_constants))
-    constants = found[0] if found else None
+    constants, chunks = _map_chunks(
+        _stability_chunk, n_paths, n_workers, model, cfg, delta, horizon_steps, tol_stab,
+        master_seed, record_paths,
+        meanwhile=lambda: None if k_fn is None else compute_stability_constants(model, cfg, k_fn))
+    flags, alive, recorded = zip(*chunks)
     if constants is not None and delta > constants.delta_1:
         warnings.warn(f"step size {delta} exceeds the computed stability ceiling "
                       f"{constants.delta_1:.6g}; decay is not guaranteed", stacklevel=2)

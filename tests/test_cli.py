@@ -153,8 +153,8 @@ def _refuse_pools(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
 
 
-# each turns RATE_CFG's ladder (t_final 0.16, delta_ref 0.005) invalid; the
-# message names the field at fault
+# each turns RATE_CFG's ladder (t_final 0.16, delta_ref 0.005) or one of its
+# numbers invalid; the message names the field at fault
 @pytest.mark.parametrize("old, new, field", [
     pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.02, 0.03, 0.04", "test step = 0.03",
                  id="step-not-dividing-horizon"),
@@ -168,6 +168,22 @@ def _refuse_pools(monkeypatch):
                  id="two-steps"),
     pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.04, 0.04, 0.04", "field 'steps'",
                  id="one-distinct-step"),
+    # the reference's own rung has error 0 by construction, so no log-log fit
+    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.005, 0.02, 0.04",
+                 "test step 0.005 equals delta_ref", id="step-is-ref"),
+    # a horizon or step that is not finite makes no whole number of steps
+    pytest.param("t_final = 0.16", "t_final = inf", "t_final = inf: not a finite number",
+                 id="infinite-horizon"),
+    pytest.param("t_final = 0.16", "t_final = nan", "t_final = nan: not a finite number",
+                 id="nan-horizon"),
+    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.02, 0.04, inf",
+                 "steps = inf: not a finite number", id="infinite-step"),
+    pytest.param("omega.coeff = 4", "omega.coeff = inf", "omega.coeff = inf: not a finite number",
+                 id="infinite-omega-coeff"),
+    pytest.param("omega.power = 5", "omega.power = inf", "omega.power = inf: not a finite number",
+                 id="infinite-omega-power"),
+    pytest.param("h_bar = 4", "h_bar = inf", "h_bar = inf: not a finite number",
+                 id="infinite-h-bar"),
 ])
 def test_rate_run_rejects_bad_ladder_before_any_pool(tmp_path, capsys, monkeypatch, old, new,
                                                      field):
@@ -320,6 +336,28 @@ def test_stability_run_rejects_a_bad_tolerance_before_any_pool(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+# each makes one number of a stability or conditions run not finite
+@pytest.mark.parametrize("text, old, new, field", [
+    # an infinite k makes H = 0 and delta_1 = 1, a ceiling that bounds nothing
+    pytest.param(STABILITY_CFG, "k.coeff = 2", "k.coeff = inf", "k.coeff = inf",
+                 id="stability-infinite-k-coeff"),
+    pytest.param(STABILITY_CFG, "omega.coeff = 4", "omega.coeff = inf", "omega.coeff = inf",
+                 id="stability-infinite-omega-coeff"),
+    # the step-size conditions take p and r as exact ratios
+    pytest.param(CONDITIONS_CFG, "p = 42", "p = inf", "p = inf", id="conditions-infinite-p"),
+    pytest.param(CONDITIONS_CFG, "p = 42", "p = 1e400", "p = inf", id="conditions-overflowing-p"),
+    pytest.param(CONDITIONS_CFG, "r = 4", "r = -inf", "r = -inf", id="conditions-infinite-r"),
+])
+def test_run_rejects_a_number_that_is_not_finite_before_any_pool(tmp_path, capsys, monkeypatch,
+                                                                 text, old, new, field):
+    _refuse_pools(monkeypatch)
+    path = write_config(tmp_path, text.replace(old, new))
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), "--workers", "2"]) == cli.EXIT_VALIDATION
+    assert f"validation error: {field}: not a finite number" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_rate_run_rejects_a_single_path(tmp_path, capsys):
     # one path gives no standard error, so no rates.csv full of NaN
     path = write_config(tmp_path, RATE_CFG)
@@ -377,10 +415,16 @@ k.power = 2
         "89e2864ea2353000880a697e43c9f9ef3c56d5c4aa9750c1ac8c539ada701cee")
 
 
+# a NaN p_bar or K1 makes a NaN margin, which no check reads as a violation
 @pytest.mark.parametrize("line, field", [("probe_points = 0", "probe_points = 0"),
                                          ("probe_radius = -1", "probe_radius = -1.0"),
-                                         ("K1 = lots", "field 'K1'")],
-                         ids=["probe_points", "probe_radius", "K1"])
+                                         ("K1 = lots", "field 'K1'"),
+                                         ("p_bar = nan", "p_bar = nan: not a finite number"),
+                                         ("K1 = nan", "K1 = nan: not a finite number"),
+                                         ("probe_radius = inf",
+                                          "probe_radius = inf: not a finite number")],
+                         ids=["probe_points", "probe_radius", "K1", "nan-p_bar", "nan-K1",
+                              "infinite-probe_radius"])
 def test_check_run_rejects_a_bad_probe_field(tmp_path, capsys, line, field):
     path = write_config(tmp_path, f"kind = check\nmodel = stable_quintic\n{line}\n")
     out = tmp_path / "out"

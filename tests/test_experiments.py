@@ -20,9 +20,10 @@ from truncmil import experiments
 from truncmil.brownian import block_sums, generate_batch
 from truncmil.experiments import (RateExperimentSpec, _directions,
                                   _golden_max, _map_chunks, _path_error_samples,
-                                  _rate_chunk, _rung_increments, _stability_chunk)
+                                  _rate_chunk, _rung_increments, _stability_chunk,
+                                  fit_rate, interpolant_gap_probe)
 from truncmil.model import register_model
-from truncmil.scheme import _scalar_step, _simulate_batch
+from truncmil.scheme import _scalar_step, _simulate_batch, simulate
 
 
 def test_fit_rate_synthetic_slope_one():
@@ -30,7 +31,7 @@ def test_fit_rate_synthetic_slope_one():
     # must give slope exactly 1
     deltas = [0.02, 0.04, 0.08, 0.16]
     errors = [0.7 * d for d in deltas]
-    fit = tm.fit_rate(deltas, errors, q=0.5)
+    fit = fit_rate(deltas, errors, q=0.5)
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
     assert fit.slope_se == pytest.approx(0.0, abs=1e-9)
 
@@ -38,20 +39,20 @@ def test_fit_rate_synthetic_slope_one():
 def test_fit_rate_rescale_invariance():
     deltas = [0.01, 0.02, 0.04, 0.08]
     errors = [3e-4, 1.1e-3, 4.2e-3, 1.8e-2]
-    a = tm.fit_rate(deltas, errors, q=1.0)
-    b = tm.fit_rate(deltas, [17.0 * e for e in errors], q=1.0)
+    a = fit_rate(deltas, errors, q=1.0)
+    b = fit_rate(deltas, [17.0 * e for e in errors], q=1.0)
     assert a.slope == pytest.approx(b.slope, rel=1e-12)
 
 
 def test_fit_rate_validation():
     with pytest.raises(ValueError, match="3 step"):
-        tm.fit_rate([0.1, 0.2], [1.0, 2.0], q=1.0)
+        fit_rate([0.1, 0.2], [1.0, 2.0], q=1.0)
     with pytest.raises(ValueError, match="positive"):
-        tm.fit_rate([0.1, 0.2, 0.4], [1.0, 0.0, 2.0], q=1.0)
+        fit_rate([0.1, 0.2, 0.4], [1.0, 0.0, 2.0], q=1.0)
     with pytest.raises(ValueError, match="non-finite error at step.s. 0.2, 0.4$"):
-        tm.fit_rate([0.1, 0.2, 0.4], [1.0, math.nan, math.inf], q=1.0)
+        fit_rate([0.1, 0.2, 0.4], [1.0, math.nan, math.inf], q=1.0)
     with pytest.raises(ValueError, match="two distinct steps"):
-        tm.fit_rate([0.1, 0.1, 0.1], [1.0, 2.0, 3.0], q=1.0)
+        fit_rate([0.1, 0.1, 0.1], [1.0, 2.0, 3.0], q=1.0)
 
 
 def test_spec_validation(cubic_cfg):
@@ -74,6 +75,12 @@ def test_spec_validation(cubic_cfg):
     # a standard error needs two samples
     with pytest.raises(ValueError, match="needs two paths"):
         replace(spec, n_paths=1)
+    # the reference's own rung has error 0 by construction
+    with pytest.raises(ValueError, match="test step 0.01 equals delta_ref"):
+        replace(spec, test_deltas=(0.01, 0.02, 0.05))
+    # an infinite horizon makes no whole number of steps
+    with pytest.raises(ValueError, match="t_final = inf: the horizon must be positive"):
+        replace(spec, t_final=math.inf)
 
 
 def test_lipschitz_control_classical_milstein_order_one(wide_cfg):
@@ -122,9 +129,9 @@ def test_rate_experiment_sup_error_at_least_terminal(cubic_cfg):
 def test_reference_blowup_aborts(cubic_cfg):
     spec = RateExperimentSpec(
         model_name="cubic_quintic", cfg=cubic_cfg, scheme="classical_em",
-        q=1.0, t_final=8.0, delta_ref=0.25, test_deltas=(0.25, 0.5, 1.0), n_paths=64,
+        q=1.0, t_final=8.0, delta_ref=0.125, test_deltas=(0.25, 0.5, 1.0), n_paths=64,
         master_seed=0)
-    with pytest.raises(RuntimeError, match="blew up"):
+    with pytest.raises(RuntimeError, match="reference path blew up"):
         tm.run_rate_experiment(spec)
 
 
@@ -144,7 +151,7 @@ def test_spec_with_fewer_than_three_distinct_steps_simulates_nothing(monkeypatch
 def _chunk_plan(n_paths, n_workers):
     """The (lo, hi) chunks `_map_chunks` runs, in the order it returns them."""
     with mock.patch.object(experiments, "ProcessPoolExecutor", _InProcessPool):
-        return _map_chunks(lambda lo, hi: (lo, hi), n_paths, n_workers)
+        return _map_chunks(lambda lo, hi: (lo, hi), n_paths, n_workers)[1]
 
 
 @given(n=st.integers(1, 5000), n_workers=st.integers(1, 8))
@@ -241,7 +248,7 @@ def test_every_ensemble_draws_bounded_windows(monkeypatch, cubic_cfg, quintic_cf
                                                delta=0.04, n_paths=30, horizon_steps=60,
                                                tol_stab=1e-2, record_paths=12), 1),
             (lambda: tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=16), 1),
-            (lambda: tm.interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=16), 2)]
+            (lambda: interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=16), 2)]
     for run, align in runs:
         draws.clear()
         run()
@@ -321,7 +328,7 @@ def test_unknown_model_fails_before_any_pool(monkeypatch):
 def test_map_chunks_calls_in_path_order_in_one_pool(monkeypatch, n_workers, chunks):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "created", 0)
-    got = _map_chunks(lambda tag, lo, hi: (tag, lo, hi), 10, n_workers, "x")
+    _, got = _map_chunks(lambda tag, lo, hi: (tag, lo, hi), 10, n_workers, "x")
     assert got == [("x", lo, hi) for lo, hi in chunks]
     assert _InProcessPool.created == (n_workers > 1)
 
@@ -410,9 +417,9 @@ def _per_rung_samples(spec):
         return out
     for path in range(spec.n_paths):
         grid = tm.generate(spec.master_seed, path, model.m, spec.t_final, spec.n_fine)
-        ref = tm.simulate(spec.scheme, model, spec.cfg, grid)
+        ref = simulate(spec.scheme, model, spec.cfg, grid)
         for i, f in enumerate(spec.factors):
-            run = tm.simulate(spec.scheme, model, spec.cfg, grid, coarsen_factor=f)
+            run = simulate(spec.scheme, model, spec.cfg, grid, coarsen_factor=f)
             if spec.error_at == "terminal":
                 diff = np.linalg.norm(ref.terminal - run.terminal)
             else:
@@ -766,8 +773,8 @@ def test_stability_ensemble_reports_blown_up_paths(quintic_cfg):
     rep = tm.run_stability_ensemble(model, quintic_cfg, delta=delta, n_paths=32,
                                     horizon_steps=horizon, tol_stab=0.5, master_seed=2,
                                     n_workers=2)
-    runs = [tm.simulate("truncated_milstein", model, quintic_cfg,
-                        tm.generate(2, p, 1, delta * horizon, horizon)) for p in range(32)]
+    runs = [simulate("truncated_milstein", model, quintic_cfg,
+                     tm.generate(2, p, 1, delta * horizon, horizon)) for p in range(32)]
     blew_up = np.array([run.blew_up for run in runs])
     assert 0 < blew_up.sum() < 32
     assert rep.blowup_fraction == blew_up.mean()
@@ -793,8 +800,8 @@ def test_stability_constants_traced_peak_is_block_bounded(quintic_cfg):
 
 def test_map_chunks_with_one_worker_runs_meanwhile_first():
     events = []
-    got = _map_chunks(lambda lo, hi: events.append((lo, hi)), 10, 1,
-                      meanwhile=lambda: events.append("meanwhile"))
+    _, got = _map_chunks(lambda lo, hi: events.append((lo, hi)), 10, 1,
+                         meanwhile=lambda: events.append("meanwhile"))
     assert events[0] == "meanwhile" and len(got) == len(events) - 1
 
 
@@ -825,6 +832,30 @@ def test_stability_chunks_are_submitted_before_the_constants(monkeypatch, quinti
     assert rep.constants == tm.compute_stability_constants(quintic, quintic_cfg, k_fn)
 
 
+def _pool_spy(sizes):
+    class SpyPool(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+    return SpyPool
+
+
+# a worker with no chunk is a forked process that does nothing
+@pytest.mark.parametrize("n_paths, pools", [(1, []), (3, [3])])
+def test_a_pool_has_one_worker_per_chunk(monkeypatch, quintic_cfg, n_paths, pools):
+    run = functools.partial(tm.run_stability_ensemble, tm.builtin_model("stable_quintic"),
+                            quintic_cfg, delta=0.004, n_paths=n_paths, horizon_steps=40,
+                            tol_stab=1e-2, master_seed=3, record_paths=n_paths)
+    one = run(n_workers=1)
+    sizes = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _pool_spy(sizes))
+    eight = run(n_workers=8)
+    assert sizes == pools
+    assert np.array_equal(eight.decay_flags, one.decay_flags)
+    assert np.array_equal(eight.recorded_magnitudes, one.recorded_magnitudes)
+    assert eight.blowup_fraction == one.blowup_fraction
+
+
 def _sleep_chunk(lo, hi):
     time.sleep(0.05)
     return lo
@@ -853,8 +884,8 @@ def test_decay_flags_match_per_path_simulation(quintic_cfg, horizon, tol, n_work
     rep = tm.run_stability_ensemble(model, quintic_cfg, delta=delta, n_paths=16,
                                     horizon_steps=horizon, tol_stab=tol, master_seed=seed,
                                     n_workers=n_workers, record_paths=5)
-    mags = [np.abs(tm.simulate("truncated_milstein", model, quintic_cfg,
-                               tm.generate(seed, p, 1, delta * horizon, horizon)).states[:, 0])
+    mags = [np.abs(simulate("truncated_milstein", model, quintic_cfg,
+                            tm.generate(seed, p, 1, delta * horizon, horizon)).states[:, 0])
             for p in range(16)]
     tail = max(1, horizon // 10)
     flags = [bool(np.all(m[-tail:] < tol)) for m in mags]
@@ -873,7 +904,7 @@ def test_gap_probe_drift_only_bound():
                         l_op=lambda x, j1, j2: 0.0 * np.asarray(x, dtype=float),
                         initial_value=np.array([1.0]), polynomial_degree_r=1.0)
     cfg = tm.TruncationConfig(1.0, 1.0, 1.0, 0.1, 1.0)
-    probe = tm.interpolant_gap_probe(model, cfg, [0.25, 0.125], n_paths=16, t_final=1.0)
+    probe = interpolant_gap_probe(model, cfg, [0.25, 0.125], n_paths=16, t_final=1.0)
     # |mu| <= 1, so each half-step gap is at most delta / 2 deterministically
     for delta, gap in zip(probe.deltas, probe.mean_square_gaps):
         assert gap <= (delta / 2.0) ** 2
@@ -881,8 +912,8 @@ def test_gap_probe_drift_only_bound():
 
 def test_gap_probe_scaling_exponent(cubic_cfg):
     deltas = [2.0 ** -k for k in range(4, 10)]
-    probe = tm.interpolant_gap_probe(tm.builtin_model("cubic_quintic"), cubic_cfg,
-                                     deltas, n_paths=400, master_seed=3)
+    probe = interpolant_gap_probe(tm.builtin_model("cubic_quintic"), cubic_cfg,
+                                  deltas, n_paths=400, master_seed=3)
     # raw mean-square gap should scale like delta^1 (within a generous window)
     x = np.log2(probe.deltas)
     y = np.log2(probe.mean_square_gaps)
@@ -938,7 +969,7 @@ def test_probes_match_per_rung_regeneration(cubic_cfg, deltas):
     model = tm.builtin_model("cubic_quintic")
     moments = tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=64, master_seed=7)
     assert np.array_equal(moments, _per_rung_moments(model, cubic_cfg, deltas, 64, 1.0, 4.0, 7))
-    probe = tm.interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=64, master_seed=7)
+    probe = interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=64, master_seed=7)
     assert np.array_equal(probe.mean_square_gaps,
                           _per_rung_gaps(model, cubic_cfg, deltas, 64, 1.0, 7))
 
@@ -962,7 +993,7 @@ def test_probes_split_ladder_segments_within_the_buffer_cap(monkeypatch, cubic_c
     assert sum(rows * steps for rows, steps, _ in calls) == n_paths * (10 + 4 + 16 + 5)
     assert len(calls) > len(deltas)
     assert all(rows * steps <= max(cap, rows) for rows, steps, _ in calls)
-    probe = tm.interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=n_paths, master_seed=7)
+    probe = interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=n_paths, master_seed=7)
     assert np.array_equal(probe.mean_square_gaps,
                           _per_rung_gaps(model, cubic_cfg, deltas, n_paths, 1.0, 7))
 
@@ -1007,7 +1038,7 @@ def test_probes_drawn_in_windows_match_per_rung_regeneration(monkeypatch, cubic_
     assert _covers(windows, n_fine)
     assert (len(windows) == 1) == (budget == 2**20)
     windows.clear()
-    probe = tm.interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=n_paths, master_seed=7)
+    probe = interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=n_paths, master_seed=7)
     assert np.array_equal(probe.mean_square_gaps, want_gaps)
     assert _covers(windows, 2 * n_fine)
     assert (len(windows) == 1) == (budget == 2**20)
@@ -1058,12 +1089,12 @@ def test_gap_probe_memory_below_rung_at_a_time(cubic_cfg):
     # (2032 per path) beside bounded pieces; stepping one rung at a time with
     # its full increments, states and gaps held 5.25 times the normals
     model, deltas = tm.builtin_model("cubic_quintic"), [2.0 ** -k for k in range(4, 11)]
-    peak = _traced_peak(tm.interpolant_gap_probe, model, cubic_cfg, deltas, n_paths=500,
+    peak = _traced_peak(interpolant_gap_probe, model, cubic_cfg, deltas, n_paths=500,
                         master_seed=11)
     assert peak <= 4.0 * 8 * 2048 * 500
 
 
-@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, tm.interpolant_gap_probe])
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, interpolant_gap_probe])
 def test_probes_reject_vector_model(cubic_cfg, probe):
     model = tm.SdeModel(d=2, m=1, drift=lambda x: -x,
                         diffusion_col=lambda x, j: 0.0 * x,
@@ -1078,7 +1109,7 @@ def test_probes_reject_step_not_dividing_horizon(cubic_cfg, deltas):
     with pytest.raises(ValueError, match="multiple of delta"):
         tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=4)
     with pytest.raises(ValueError, match="multiple of delta"):
-        tm.interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=4)
+        interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=4)
 
 
 @pytest.mark.parametrize("deltas", [[0.1], [0.1, 0.1]])
@@ -1087,10 +1118,10 @@ def test_gap_probe_needs_two_distinct_steps(monkeypatch, cubic_cfg, deltas):
         raise AssertionError("normals were drawn")
     monkeypatch.setattr(experiments.brownian, "standard_normals", no_draws)
     with pytest.raises(ValueError, match="two distinct steps"):
-        tm.interpolant_gap_probe(tm.builtin_model("cubic_quintic"), cubic_cfg, deltas, n_paths=4)
+        interpolant_gap_probe(tm.builtin_model("cubic_quintic"), cubic_cfg, deltas, n_paths=4)
 
 
-@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, tm.interpolant_gap_probe])
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, interpolant_gap_probe])
 def test_probes_refuse_a_blow_up(quintic_cfg, probe):
     # paths of the NaN-outside drift blow up on the coarse rung
     with pytest.raises(RuntimeError, match="blow-up during"):
@@ -1098,7 +1129,7 @@ def test_probes_refuse_a_blow_up(quintic_cfg, probe):
 
 
 @pytest.mark.parametrize("n_paths", [0, -3])
-@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, tm.interpolant_gap_probe])
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, interpolant_gap_probe])
 def test_probes_need_a_path(monkeypatch, cubic_cfg, probe, n_paths):
     # 0 divided by zero in the piece planner, -3 made a negative shape
     monkeypatch.setattr(experiments.brownian, "standard_normals", None)
@@ -1106,8 +1137,17 @@ def test_probes_need_a_path(monkeypatch, cubic_cfg, probe, n_paths):
         probe(tm.builtin_model("cubic_quintic"), cubic_cfg, [0.25, 0.125], n_paths=n_paths)
 
 
+@pytest.mark.parametrize("t_final", [math.inf, math.nan])
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, interpolant_gap_probe])
+def test_probes_refuse_a_horizon_that_is_not_finite(monkeypatch, cubic_cfg, probe, t_final):
+    monkeypatch.setattr(experiments.brownian, "standard_normals", None)
+    with pytest.raises(ValueError, match=f"t_final = {t_final}: the horizon must be positive"):
+        probe(tm.builtin_model("cubic_quintic"), cubic_cfg, [0.25, 0.5], n_paths=4,
+              t_final=t_final)
+
+
 @pytest.mark.parametrize("deltas", [[0.0], [0.25, 0.0]])
-@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, tm.interpolant_gap_probe])
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, interpolant_gap_probe])
 def test_probes_reject_zero_step(cubic_cfg, probe, deltas):
     with pytest.raises(ValueError, match="step size"):
         probe(tm.builtin_model("cubic_quintic"), cubic_cfg, deltas, n_paths=4)

@@ -10,14 +10,15 @@ import pytest
 
 import truncmil as tm
 from conftest import lipschitz_control_model
-from truncmil.model import (ProbeSpec, _halton_ball, finite_difference_l_op, l_op_terms,
-                            register_model, resolve_model, scalar_l_op, sigma_matrix)
+from truncmil.model import (BUILTIN_MODEL_NAMES, EvaluationError, ProbeSpec, _halton_ball,
+                            eval_l_op, finite_difference_l_op, l_op_terms, register_model,
+                            resolve_model, scalar_l_op, sigma_matrix)
 
 
 def test_builtin_names():
-    assert tm.BUILTIN_MODEL_NAMES == ("cubic_quintic", "stable_quintic",
-                                      "strongly_damped_cubic")
-    for name in tm.BUILTIN_MODEL_NAMES:
+    assert BUILTIN_MODEL_NAMES == ("cubic_quintic", "stable_quintic",
+                                   "strongly_damped_cubic")
+    for name in BUILTIN_MODEL_NAMES:
         model = tm.builtin_model(name)
         assert model.name == name
         assert model.is_scalar
@@ -54,31 +55,31 @@ def test_k_function_validation():
 def test_l_op_product_rule_at_one():
     # sigma(x) = x^2 gives sigma * sigma' = 2 x^3, so the value at x = 1 is 2
     model = tm.builtin_model("cubic_quintic")
-    assert tm.eval_l_op(model, [1.0], 1, 1) == pytest.approx([2.0])
+    assert eval_l_op(model, [1.0], 1, 1) == pytest.approx([2.0])
 
 
 def test_l_op_constant_sigma_is_zero():
     model = tm.SdeModel(d=1, m=1, drift=lambda x: -x,
                         diffusion_col=lambda x, j: np.full_like(np.asarray(x, dtype=float), 0.3),
                         initial_value=np.array([1.0]), polynomial_degree_r=0.0)
-    assert tm.eval_l_op(model, [2.0], 1, 1) == pytest.approx([0.0], abs=1e-9)
+    assert eval_l_op(model, [2.0], 1, 1) == pytest.approx([0.0], abs=1e-9)
 
 
 def test_l_op_finite_difference_fallback():
     model = tm.SdeModel(d=1, m=1, drift=lambda x: x,
                         diffusion_col=lambda x, j: x * x,
                         initial_value=np.array([1.0]), polynomial_degree_r=1.0)
-    got = tm.eval_l_op(model, [0.5], 1, 1)
+    got = eval_l_op(model, [0.5], 1, 1)
     assert got == pytest.approx([0.25], rel=1e-6)
 
 
 def test_analytic_l_op_agrees_with_finite_difference():
-    for name in tm.BUILTIN_MODEL_NAMES:
+    for name in BUILTIN_MODEL_NAMES:
         model = tm.builtin_model(name)
         for x in np.linspace(-2.0, 2.0, 17):
             if abs(x) < 1e-3:
                 continue
-            analytic = tm.eval_l_op(model, [x], 1, 1)[0]
+            analytic = eval_l_op(model, [x], 1, 1)[0]
             fd = finite_difference_l_op(model, [x], 1, 1)[0]
             assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-9)
 
@@ -109,7 +110,7 @@ def test_l_op_terms_equal_analytic_l_op(fd_models):
         terms = l_op_terms(analytic, x, sig)
         for j1 in (1, 2):
             for j2 in (1, 2):
-                assert np.array_equal(terms[j1 - 1, j2 - 1], tm.eval_l_op(analytic, x, j1, j2))
+                assert np.array_equal(terms[j1 - 1, j2 - 1], eval_l_op(analytic, x, j1, j2))
         assert l_op_terms(fd, x, sig) == pytest.approx(terms, rel=1e-6, abs=1e-9)
 
 
@@ -122,14 +123,14 @@ def test_scalar_l_op_batches():
 def test_l_op_index_validation():
     model = tm.builtin_model("cubic_quintic")
     with pytest.raises(ValueError, match="driver indices"):
-        tm.eval_l_op(model, [1.0], 0, 1)
+        eval_l_op(model, [1.0], 0, 1)
 
 
 def test_evaluation_error_carries_point():
     model = tm.SdeModel(d=1, m=1, drift=lambda x: x,
                         diffusion_col=lambda x, j: x / (x - x),   # NaN everywhere
                         initial_value=np.array([1.0]), polynomial_degree_r=1.0)
-    with pytest.raises(tm.EvaluationError) as exc:
+    with pytest.raises(EvaluationError) as exc:
         sigma_matrix(model, [3.0])
     assert exc.value.x == pytest.approx([3.0])
 
@@ -332,7 +333,7 @@ _PROBES += [(40, 2.0, tm.KFunction(2.0, 2.0))]
 
 @pytest.mark.parametrize("assumption", list(tm.Assumption))
 def test_falsifiers_match_per_point_reference_bitwise(assumption, fd_models):
-    models = [tm.builtin_model(name) for name in tm.BUILTIN_MODEL_NAMES]
+    models = [tm.builtin_model(name) for name in BUILTIN_MODEL_NAMES]
     models += [lipschitz_control_model(), *fd_models]
     for model in models:
         for n_points, radius, k_fn in _PROBES:

@@ -1,13 +1,39 @@
-"""Every exported name and every name the benchmark tracer wraps resolves."""
+"""The package exports what the CLI, the acceptance tests and the benchmark
+use, and every exported name and every name the benchmark tracer wraps
+resolves."""
 
+import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
+
+import pytest
 
 import truncmil
 from truncmil import brownian, experiments, scheme
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
+
+EXPORTED = {
+    "Assumption", "KFunction", "ProbeSpec", "RateExperimentSpec", "SchemeId", "SdeModel",
+    "TruncationConfig", "builtin_model", "check_assumption", "coarsen",
+    "compare_step_conditions", "compute_stability_constants", "dominant_rate", "generate",
+    "project", "run_rate_experiment", "run_stability_ensemble", "step", "terminal_moment_probe",
+}
+
+# names that stay public in their modules only
+MODULE_ONLY = {
+    "AssumptionReport": "model", "BUILTIN_MODEL_NAMES": "model", "EvaluationError": "model",
+    "eval_l_op": "model", "BrownianGrid": "brownian", "EnsembleResult": "scheme",
+    "Trajectory": "scheme", "simulate": "scheme", "TruncatedCoeffs": "truncation",
+    "new_error_bound": "truncation", "old_condition_threshold": "truncation",
+    "truncated_coeffs": "truncation", "DecayEnsemble": "experiments", "GapProbe": "experiments",
+    "RateFit": "experiments", "StabilityConstants": "experiments",
+    "StepConditionComparison": "experiments", "fit_rate": "experiments",
+    "interpolant_gap_probe": "experiments",
+}
 
 
 def _tracer_targets():
@@ -39,3 +65,29 @@ def test_ensemble_span_name_is_the_driver():
 
 def test_public_names_resolve():
     assert [name for name in truncmil.__all__ if not hasattr(truncmil, name)] == []
+
+
+def test_all_is_exactly_the_exported_names():
+    assert sorted(truncmil.__all__) == sorted(EXPORTED)
+
+
+@pytest.mark.parametrize("name, module", sorted(MODULE_ONLY.items()))
+def test_a_module_only_name_imports_from_its_module_alone(name, module):
+    assert not hasattr(truncmil, name)
+    assert hasattr(importlib.import_module(f"truncmil.{module}"), name)
+
+
+def test_every_top_level_name_the_benchmark_and_acceptance_tests_use_is_exported():
+    sources = [*sorted((ROOT / "bench").glob("*.py")),
+               ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"]
+    used = {name for path in sources
+            for name in re.findall(r"\btm\.(\w+)", path.read_text())}
+    assert used and used <= set(truncmil.__all__)
+
+
+def test_every_name_the_cli_imports_from_a_module_is_exported():
+    tree = ast.parse((ROOT / "src" / "truncmil" / "cli.py").read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+             for alias in node.names}
+    assert names and names <= set(truncmil.__all__)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import truncmil as tm
 from conftest import config_for, make_fd_models, total_increment
 from truncmil.brownian import block_sums, coarsen, generate_batch
-from truncmil.model import row_norm, scalar_l_op
-from truncmil.scheme import _general_step, _simulate_batch
+from truncmil.model import EvaluationError, eval_l_op, row_norm, scalar_l_op
+from truncmil.scheme import _general_step, _simulate_batch, simulate
 from truncmil.truncation import project, truncated_coeffs
 
 
@@ -102,7 +102,7 @@ def test_simulate_constant_for_zero_coefficients(wide_cfg):
                         l_op=lambda x, j1, j2: 0.0 * np.asarray(x, dtype=float),
                         initial_value=np.array([2.5]), polynomial_degree_r=0.0)
     grid = tm.generate(1, 0, 1, 1.0, 32)
-    traj = tm.simulate(tm.SchemeId.truncated_milstein, model, wide_cfg, grid)
+    traj = simulate(tm.SchemeId.truncated_milstein, model, wide_cfg, grid)
     assert np.all(traj.states == 2.5)
     assert not traj.blew_up
     assert traj.times[-1] == pytest.approx(1.0)
@@ -111,7 +111,7 @@ def test_simulate_constant_for_zero_coefficients(wide_cfg):
 def test_simulate_one_step_equals_step(cubic_cfg):
     model = tm.builtin_model("cubic_quintic")
     grid = tm.generate(4, 0, 1, 0.5, 1)
-    traj = tm.simulate(tm.SchemeId.truncated_milstein, model, cubic_cfg, grid)
+    traj = simulate(tm.SchemeId.truncated_milstein, model, cubic_cfg, grid)
     manual = tm.step(tm.SchemeId.truncated_milstein, model, cubic_cfg, 0.5,
                      model.initial_value, grid.increments[0])
     assert traj.states[1, 0] == manual[0]
@@ -120,8 +120,8 @@ def test_simulate_one_step_equals_step(cubic_cfg):
 def test_simulate_repeatable(cubic_cfg):
     model = tm.builtin_model("cubic_quintic")
     grid = tm.generate(10, 3, 1, 1.0, 128)
-    a = tm.simulate(tm.SchemeId.truncated_milstein, model, cubic_cfg, grid, coarsen_factor=4)
-    b = tm.simulate(tm.SchemeId.truncated_milstein, model, cubic_cfg, grid, coarsen_factor=4)
+    a = simulate(tm.SchemeId.truncated_milstein, model, cubic_cfg, grid, coarsen_factor=4)
+    b = simulate(tm.SchemeId.truncated_milstein, model, cubic_cfg, grid, coarsen_factor=4)
     assert np.array_equal(a.states, b.states)
     assert a.delta == pytest.approx(4.0 / 128)
 
@@ -130,7 +130,7 @@ def test_classical_em_blowup_flagged(cubic_cfg):
     from dataclasses import replace
     model = replace(tm.builtin_model("cubic_quintic"), initial_value=np.array([2.0]))
     grid = tm.generate(0, 1, 1, 8.0, 32)    # step 0.25
-    traj = tm.simulate(tm.SchemeId.classical_em, model, cubic_cfg, grid)
+    traj = simulate(tm.SchemeId.classical_em, model, cubic_cfg, grid)
     assert traj.blew_up
     assert np.all(np.isfinite(traj.states))      # cut, not NaN-propagated
     assert len(traj.states) < 33
@@ -152,7 +152,7 @@ def test_classical_blowup_flagged_for_vector_model(cubic_cfg, scheme):
     # the finite-difference L-operator overflows before the state does; that
     # is the same blow-up, so it is flagged rather than raised
     grid = tm.generate(0, 1, 2, 8.0, 32)    # step 0.25
-    traj = tm.simulate(scheme, _diagonal_quintic_2d(), cubic_cfg, grid)
+    traj = simulate(scheme, _diagonal_quintic_2d(), cubic_cfg, grid)
     assert traj.blew_up
     assert np.all(np.isfinite(traj.states))
     assert len(traj.states) < 33
@@ -178,7 +178,7 @@ def test_ensemble_matches_per_path_bitwise(cubic_cfg):
                           record=True)
     for p in range(16):
         grid = tm.generate(6, p, 1, 1.0, 64)
-        traj = tm.simulate(tm.SchemeId.truncated_milstein, model, cubic_cfg, grid)
+        traj = simulate(tm.SchemeId.truncated_milstein, model, cubic_cfg, grid)
         assert res.finals[p, 0] == traj.terminal[0]
         assert np.array_equal(res.states[p, :, 0], traj.states[:, 0])
 
@@ -275,7 +275,7 @@ def test_constant_coefficients_step_alike_everywhere(cubic_cfg, scheme, l_op, re
     _assert_matches_reference(res, ref, record)
     for p in range(8):
         grid = tm.generate(3, p, 1, 1.0, 16)
-        assert np.array_equal(tm.simulate(scheme, model, cubic_cfg, grid).states[:, 0], ref[3][p])
+        assert np.array_equal(simulate(scheme, model, cubic_cfg, grid).states[:, 0], ref[3][p])
         y = model.initial_value
         for k, dB in enumerate(grid.increments):
             y = tm.step(scheme, model, cubic_cfg, 1.0 / 16, y, dB)
@@ -381,7 +381,7 @@ def _reference_general_step(scheme, model, cfg, delta, y, dB):
         for j1 in range(1, model.m + 1):
             for j2 in range(1, model.m + 1):
                 w = dB[j1 - 1] * dB[j2 - 1] - (delta if j1 == j2 else 0.0)
-                incr = incr + 0.5 * tm.eval_l_op(model, z, j1, j2) * w
+                incr = incr + 0.5 * eval_l_op(model, z, j1, j2) * w
     return y + incr
 
 
@@ -395,7 +395,7 @@ def test_general_path_matches_per_pair_reference_bitwise(cubic_cfg, fd_models, s
             ref = [model.initial_value]
             for dB in g.increments:
                 ref.append(_reference_general_step(scheme, model, cubic_cfg, delta, ref[-1], dB))
-            traj = tm.simulate(scheme, model, cubic_cfg, grid, coarsen_factor=factor)
+            traj = simulate(scheme, model, cubic_cfg, grid, coarsen_factor=factor)
             assert not traj.blew_up
             assert np.array_equal(traj.states, np.array(ref))
 
@@ -435,15 +435,15 @@ def _edge_model():
 
 def test_non_finite_neighbour_raises_for_truncated_milstein(wide_cfg):
     grid = tm.generate(0, 1, 2, 1.0, 8)     # step 0.125
-    with pytest.raises(tm.EvaluationError) as exc:
-        tm.simulate(tm.SchemeId.truncated_milstein, _edge_model(), wide_cfg, grid)
+    with pytest.raises(EvaluationError) as exc:
+        simulate(tm.SchemeId.truncated_milstein, _edge_model(), wide_cfg, grid)
     assert exc.value.x.shape == (2,)
     assert exc.value.x[0] > 1.0
 
 
 def test_non_finite_neighbour_is_classical_blowup(wide_cfg):
     grid = tm.generate(0, 1, 2, 1.0, 8)
-    traj = tm.simulate(tm.SchemeId.classical_milstein, _edge_model(), wide_cfg, grid)
+    traj = simulate(tm.SchemeId.classical_milstein, _edge_model(), wide_cfg, grid)
     assert traj.blew_up
     assert np.all(np.isfinite(traj.states))
     assert np.array_equal(traj.states[:, 0], [0.5, 0.625, 0.75, 0.875, 1.0])
@@ -509,17 +509,17 @@ def test_classical_batch_marks_only_failing_rows_blown_up(wide_cfg):
 
 def test_truncated_batch_raises_at_first_failing_rows_point(wide_cfg):
     model = _edge_model()
-    with pytest.raises(tm.EvaluationError) as batch, np.errstate(invalid="ignore"):
+    with pytest.raises(EvaluationError) as batch, np.errstate(invalid="ignore"):
         _general_step(tm.SchemeId.truncated_milstein, model, wide_cfg, 0.125,
                       _EDGE_STATES, _EDGE_DB)
     assert list(batch.value.rows) == [1, 2]
     # row 1's own step names the same point: its x + delta e_1 neighbour
-    with pytest.raises(tm.EvaluationError) as one, np.errstate(invalid="ignore"):
+    with pytest.raises(EvaluationError) as one, np.errstate(invalid="ignore"):
         tm.step("truncated_milstein", model, wide_cfg, 0.125, _EDGE_STATES[1], _EDGE_DB[1])
     assert str(batch.value) == str(one.value)
     assert np.array_equal(batch.value.x, one.value.x) and batch.value.x[0] > 1.0
     # row 2 fails at the state itself, whose diffusion is not finite
-    with pytest.raises(tm.EvaluationError, match="non-finite diffusion") as two, \
+    with pytest.raises(EvaluationError, match="non-finite diffusion") as two, \
             np.errstate(invalid="ignore"):
         tm.step("truncated_milstein", model, wide_cfg, 0.125, _EDGE_STATES[2], _EDGE_DB[2])
     assert np.array_equal(two.value.x, _EDGE_STATES[2])
@@ -543,7 +543,7 @@ def test_batch_driver_mixed_blowup_matches_per_path_reference(scheme):
             for k, dB in enumerate(inc[p]):
                 try:
                     y = _reference_general_step(scheme, model, cfg, 0.25, ref[-1], dB)
-                except tm.EvaluationError:
+                except EvaluationError:
                     y = np.full(2, np.nan)
                 if not np.all(np.isfinite(y)):
                     k_dead = k
@@ -592,7 +592,7 @@ def test_strong_order_against_exact_gbm_solution(scheme, window):
         exact = model.initial_value * np.exp((-1.0 - GBM_S**2 / 2) * t_final
                                              + GBM_S * total_increment(grid))
         for i, f in enumerate(factors):
-            traj = tm.simulate(scheme, model, cfg, grid, coarsen_factor=f)
+            traj = simulate(scheme, model, cfg, grid, coarsen_factor=f)
             errors[i] += np.linalg.norm(traj.terminal - exact) / 48
     deltas = t_final / n_fine * np.array(factors)
     slope = np.polyfit(np.log(deltas), np.log(errors), 1)[0]

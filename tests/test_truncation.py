@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 import truncmil as tm
 from conftest import _coupled_col, config_for
-from truncmil.model import l_op_terms, row_norm, sigma_matrix
+from truncmil.model import BUILTIN_MODEL_NAMES, l_op_terms, row_norm, sigma_matrix
+from truncmil.scheme import simulate
 from truncmil.truncation import (coefficient_bound_margin, fit_lambda2,
-                                 new_error_bound, preservation_margin, project,
-                                 project_scalar_batch)
+                                 new_error_bound, old_condition_threshold,
+                                 preservation_margin, project, project_scalar_batch,
+                                 truncated_coeffs)
 
 
 def test_config_validation():
@@ -57,7 +59,7 @@ def test_radius_computed_once_per_step_size(monkeypatch):
     tm.TruncationConfig.radius.cache_clear()
     grid = tm.generate(2, 0, 2, 0.5, 64)
     for factor in (1, 1, 4):
-        tm.simulate(tm.SchemeId.truncated_em, _two_state_model(), cfg, grid, coarsen_factor=factor)
+        simulate(tm.SchemeId.truncated_em, _two_state_model(), cfg, grid, coarsen_factor=factor)
     assert len(calls) == 2      # one per step size, not one per step
     assert cfg.radius(0.5 / 64) == (2.0 * (0.5 / 64) ** -0.2 / 3.0) ** (1.0 / 3.0)
     with pytest.raises(ValueError):
@@ -105,7 +107,7 @@ def test_project_multidimensional_ball(cubic_cfg):
 def test_truncated_coeffs_inside_ball(cubic_cfg):
     model = tm.builtin_model("cubic_quintic")
     x = np.array([0.5])
-    tc = tm.truncated_coeffs(model, cubic_cfg, 0.01, x)
+    tc = truncated_coeffs(model, cubic_cfg, 0.01, x)
     assert tc.point[0] == 0.5
     assert tc.mu[0] == model.drift(0.5)
     assert tc.sigma[0, 0] == 0.25
@@ -115,7 +117,7 @@ def test_truncated_coeffs_inside_ball(cubic_cfg):
 def test_truncated_coeffs_outside_ball(cubic_cfg):
     model = tm.builtin_model("cubic_quintic")
     r = cubic_cfg.radius(0.01)
-    tc = tm.truncated_coeffs(model, cubic_cfg, 0.01, np.array([10.0]))
+    tc = truncated_coeffs(model, cubic_cfg, 0.01, np.array([10.0]))
     assert tc.point[0] == pytest.approx(r)
     assert tc.mu[0] == model.drift(tc.point[0])
     assert tc.sigma[0, 0] == tc.point[0] ** 2
@@ -126,7 +128,7 @@ def test_truncated_coeffs_outside_ball(cubic_cfg):
 
 
 def test_old_threshold_strongly_damped(damped_cfg):
-    got = tm.old_condition_threshold(damped_cfg, q=1.0, p=42.0)
+    got = old_condition_threshold(damped_cfg, q=1.0, p=42.0)
     expected = math.exp(-(410.0 / 17.0) * math.log(83.0))
     assert got == pytest.approx(expected, rel=1e-9)
 
@@ -134,7 +136,7 @@ def test_old_threshold_strongly_damped(damped_cfg):
 def test_old_threshold_never_binds():
     # small omega coefficient makes the condition hold on all of (0, 1]
     cfg = tm.TruncationConfig(0.5, 3.0, 1.0, 0.1, 1.0)
-    assert tm.old_condition_threshold(cfg, q=1.0, p=42.0) == 1.0
+    assert old_condition_threshold(cfg, q=1.0, p=42.0) == 1.0
 
 
 def test_old_threshold_degenerate_exponent():
@@ -142,15 +144,15 @@ def test_old_threshold_degenerate_exponent():
     # with eps = 0.1, rho = 1, q = 1: p - q = 1 * (0.8 / 0.1) = 8, so p = 9
     holds = tm.TruncationConfig(0.5, 1.0, 1.0, 0.1, 1.0)
     fails = tm.TruncationConfig(2.0, 1.0, 1.0, 0.1, 1.0)
-    assert tm.old_condition_threshold(holds, q=1.0, p=9.0) == 1.0
-    assert tm.old_condition_threshold(fails, q=1.0, p=9.0) == 0.0
+    assert old_condition_threshold(holds, q=1.0, p=9.0) == 1.0
+    assert old_condition_threshold(fails, q=1.0, p=9.0) == 0.0
 
 
 def test_old_threshold_validation(damped_cfg):
     with pytest.raises(ValueError):
-        tm.old_condition_threshold(damped_cfg, q=0.5, p=42.0)
+        old_condition_threshold(damped_cfg, q=0.5, p=42.0)
     with pytest.raises(ValueError):
-        tm.old_condition_threshold(damped_cfg, q=2.0, p=1.0)
+        old_condition_threshold(damped_cfg, q=2.0, p=1.0)
 
 
 def test_new_error_bound_all_ones():
@@ -278,7 +280,7 @@ def test_probes_match_per_point_reference_bitwise(delta, fd_models):
                 fit_lambda2(model, 1.5, pts))
 
     rng = np.random.default_rng(11)
-    cases = [(tm.builtin_model(name), config_for(name)) for name in tm.BUILTIN_MODEL_NAMES]
+    cases = [(tm.builtin_model(name), config_for(name)) for name in BUILTIN_MODEL_NAMES]
     cases += [(model, tm.TruncationConfig(4.0, 3.0, 2.0, 0.2, 2.0)) for model in fd_models]
     for model, cfg in cases:
         scale = cfg.radius(delta) * 10.0 ** rng.uniform(-2, 1, (60, 1))
