@@ -12,6 +12,7 @@ Exit codes: 2 config parse error, 3 validation error, 4 experiment error.
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import itertools
 import json
@@ -98,6 +99,23 @@ def _float_list(cfg: dict, key: str):
         raise ValidationError(f"field '{key}': expected comma-separated numbers")
 
 
+# the keys each kind reads: the run keys, which every kind takes, then its own
+_TRUNCATION_KEYS = "omega.coeff omega.power h.coeff h.power h_bar "
+_KEYS = {kind: ("kind seed paths workers out " + keys).split() for kind, keys in dict(
+    rate=_TRUNCATION_KEYS + "model scheme q t_final delta_ref steps error_at",
+    conditions=_TRUNCATION_KEYS + "q p r",
+    stability=_TRUNCATION_KEYS + "model k.coeff k.power delta horizon_steps tol_stab record_paths",
+    check="model probe_points probe_radius p_bar K1 K2 lambda3 k.coeff k.power").items()}
+
+
+def _check_keys(cfg: dict, kind: str) -> None:
+    """Refuse a key that `kind` does not read, naming the closest one it does."""
+    for key in sorted(set(cfg) - set(_KEYS[kind])):
+        near = difflib.get_close_matches(key, _KEYS[kind], n=1)
+        raise ValidationError(f"field '{key}': unknown for kind '{kind}'"
+                              + "".join(f"; did you mean '{k}'?" for k in near))
+
+
 def _truncation(cfg: dict) -> TruncationConfig:
     try:
         return TruncationConfig(
@@ -180,6 +198,7 @@ def _run_rate(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
         )
     except ValueError as exc:
         raise ValidationError(str(exc))
+    _check_keys(cfg, "rate")
     fit = run_rate_experiment(spec, n_workers=workers)
     _write_csv(os.path.join(out_dir, "rates.csv"), cfg, seed,
                ["delta", "error", "se", "norm_error"],
@@ -192,7 +211,7 @@ def _run_rate(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
     return f"slope = {fit.slope:.4f} (se {fit.slope_se:.4f}) over {len(fit.deltas)} steps"
 
 
-def _run_conditions(cfg: dict, out_dir: str, seed: int) -> str:
+def _run_conditions(cfg: dict, out_dir: str, seed: int, _workers: int) -> str:
     trunc = _truncation(cfg)
     q = _get(cfg, "q", float, default=1.0)
     p = _get(cfg, "p", float, required=True)
@@ -201,6 +220,7 @@ def _run_conditions(cfg: dict, out_dir: str, seed: int) -> str:
         comp = compare_step_conditions(trunc, q, p, r)
     except ValueError as exc:
         raise ValidationError(str(exc))
+    _check_keys(cfg, "conditions")
     _write_summary(os.path.join(out_dir, "fit.json"), cfg, seed, {
         "old_threshold": comp.old_threshold,
         "new_threshold": comp.new_threshold,
@@ -220,6 +240,7 @@ def _run_stability(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
     tol = _get(cfg, "tol_stab", float, default=1e-2)
     n_paths = _get(cfg, "paths", int, default=1000)
     record = _get(cfg, "record_paths", int, default=10)
+    _check_keys(cfg, "stability")
     try:
         decay = run_stability_ensemble(model, trunc, delta, n_paths, horizon, tol,
                                        master_seed=seed, n_workers=workers,
@@ -255,7 +276,7 @@ _CHECK_SET = (Assumption.A2_1_polyLipschitz, Assumption.A2_2_khasminskii,
               Assumption.A2_3_derivGrowth)
 
 
-def _run_check(cfg: dict, out_dir: str, seed: int) -> str:
+def _run_check(cfg: dict, out_dir: str, seed: int, _workers: int) -> str:
     model = _model(cfg)
     k_fn = _k_fn(cfg) if "k.coeff" in cfg else None
     try:
@@ -267,6 +288,7 @@ def _run_check(cfg: dict, out_dir: str, seed: int) -> str:
                          k_fn=k_fn)
     except ValueError as exc:
         raise ValidationError(str(exc))
+    _check_keys(cfg, "check")
     rows, worst = [], -float("inf")
     for assumption in _CHECK_SET + ((Assumption.A4_1_dissipative,) if k_fn else ()):
         rep = check_assumption(model, assumption, spec)
@@ -276,6 +298,10 @@ def _run_check(cfg: dict, out_dir: str, seed: int) -> str:
                ["assumption", "sampled_points", "worst_margin"], [rows])
     status = "no violation found" if worst <= 0 else "VIOLATION FOUND"
     return f"worst margin = {worst:.6g} ({status})"
+
+
+_RUNNERS = {"rate": _run_rate, "conditions": _run_conditions, "stability": _run_stability,
+            "check": _run_check}
 
 
 def run(config_path: str, seed: Optional[int] = None, paths: Optional[int] = None,
@@ -292,20 +318,14 @@ def run(config_path: str, seed: Optional[int] = None, paths: Optional[int] = Non
         return EXIT_PARSE
 
     # flag overrides become part of the hashed, recorded config
-    if seed is not None:
-        cfg["seed"] = str(seed)
-    if paths is not None:
-        cfg["paths"] = str(paths)
-    if workers is not None:
-        cfg["workers"] = str(workers)
-    if out is not None:
-        cfg["out"] = out
-    elif os.environ.get(OUT_DIR_ENV):
-        cfg["out"] = os.environ[OUT_DIR_ENV]
+    if out is None:
+        out = os.environ.get(OUT_DIR_ENV) or None
+    overrides = {"seed": seed, "paths": paths, "workers": workers, "out": out}
+    cfg.update({key: str(value) for key, value in overrides.items() if value is not None})
 
     try:
         kind = _get(cfg, "kind", str, required=True)
-        if kind not in ("rate", "stability", "conditions", "check"):
+        if kind not in _KEYS:
             raise ValidationError(f"field 'kind': unknown experiment kind {kind!r}")
         run_seed = _get(cfg, "seed", int, default=0)
         run_workers = _get(cfg, "workers", int, default=1)
@@ -323,14 +343,7 @@ def run(config_path: str, seed: Optional[int] = None, paths: Optional[int] = Non
         return EXIT_VALIDATION
 
     try:
-        if kind == "rate":
-            summary = _run_rate(cfg, out_dir, run_seed, run_workers)
-        elif kind == "conditions":
-            summary = _run_conditions(cfg, out_dir, run_seed)
-        elif kind == "stability":
-            summary = _run_stability(cfg, out_dir, run_seed, run_workers)
-        else:
-            summary = _run_check(cfg, out_dir, run_seed)
+        summary = _RUNNERS[kind](cfg, out_dir, run_seed, run_workers)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

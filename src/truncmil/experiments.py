@@ -35,7 +35,7 @@ import numpy as np
 
 from . import brownian
 from .model import _BUILTIN_DRIFTS, KFunction, SdeModel, _drift_ratio, resolve_model, row_norm
-from .scheme import SchemeId, _scalar_step, _simulate_batch
+from .scheme import SchemeId, _simulate_batch
 from .truncation import TruncationConfig, _check_delta, dominant_rate, old_condition_threshold
 
 # standard normals one window of a chunk's draw holds (8 MiB), unless that is
@@ -132,14 +132,10 @@ def _rung_steps(t_final: float, deltas: Sequence[float], name: str = "delta") ->
     return ns
 
 
-def _check_slope_steps(deltas) -> None:
-    if np.unique(deltas).size < 2:
-        raise ValueError("a log-log slope needs at least two distinct steps")
-
-
 def _log2_slope(deltas: np.ndarray, values: np.ndarray) -> tuple:
     """OLS slope of log2(values) on log2(deltas), and its standard error."""
-    _check_slope_steps(deltas)
+    if np.unique(deltas).size < 2:
+        raise ValueError("a log-log slope needs at least two distinct steps")
     x = np.log2(deltas)
     y = np.log2(values)
     xc = x - x.mean()
@@ -423,7 +419,7 @@ def _stability_chunk(model: SdeModel, cfg, delta: float, horizon_steps: int,
     flags = np.ones(hi - lo, dtype=bool)
     mags = np.empty((min(max(0, record_paths - lo), hi - lo), horizon_steps + 1))
 
-    def piece(a, b, _, __, res):
+    def piece(a, b, _, res):
         nonlocal flags
         mags[:, a:b + 1] = np.abs(res.states[:len(mags), :, 0])
         flags &= np.all(np.abs(res.states[:, max(1, tail_start + 1 - a):, 0]) < tol_stab, axis=1)
@@ -476,105 +472,53 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
 
 
 # ---------------------------------------------------------------------------
-# interpolant-gap and moment probes
+# step ladders and the moment probe
 
 
 def _ladder_runs(piece, model: SdeModel, cfg, deltas: Sequence[float], ns: Sequence[int],
-                 paths: tuple, t_final: float, master_seed: int, substeps: int = 1,
+                 paths: tuple, t_final: float, master_seed: int,
                  record: bool = False) -> np.ndarray:
     """Step truncated Milstein over every rung of a step ladder as one batch
     of the n_paths paths range(*paths); return the last piece's finals.
 
-    Rung i makes ns[i] steps of deltas[i] on [0, t_final], each from the sum of
-    `substeps` increments: the standard normals of the finest grid, scaled by
-    the rung's sqrt(t_final / (substeps * ns[i])).  The rungs are stacked
-    finest first, n_paths rows each, and cut at the rung ends into segments,
-    so a finished rung drops off the end and the live rows stay a prefix.  A
-    segment is stepped in pieces, each within one window of the draw, whose
-    scaled increments fill at most `_LADDER_VALUES` of one reused step-major
-    buffer; each piece is one driver call from the previous piece's finals,
-    with each row's rung step, and a path that blew up stays NaN.
+    Rung i makes ns[i] steps of deltas[i] on [0, t_final], on the first ns[i]
+    standard normals of one draw for the finest rung scaled by the rung's
+    sqrt(t_final / ns[i]).  The rungs are stacked finest first, n_paths rows
+    each, and cut at the rung ends into segments, so a finished rung drops off
+    the end and the live rows stay a prefix.  A segment is stepped in pieces,
+    each within one window of the draw, whose scaled increments fill at most
+    `_LADDER_VALUES` of one reused step-major buffer; each piece is one driver
+    call from the previous piece's finals, with each row's rung step, and a
+    path that blew up stays NaN.
 
-    Calls piece(lo, hi, rungs, inc, res) per piece, in order: it steps [lo, hi)
-    of the rungs `rungs`, rung rungs[j] in rows [j * n_paths, (j + 1) * n_paths);
-    `inc` holds its (rows, (hi - lo) * substeps, 1) scaled increments and
-    `res` is the driver's result, in which `piece` judges any blow-up.
+    Calls piece(lo, hi, rungs, res) per piece, in order: it steps [lo, hi) of
+    the rungs `rungs`, rung rungs[j] in rows [j * n_paths, (j + 1) * n_paths),
+    and `res` is the driver's result, in which `piece` judges any blow-up.
     """
     n_paths = paths[1] - paths[0]
     order = sorted(range(len(ns)), key=lambda i: -ns[i])
-    buf = np.empty(max(_LADDER_VALUES, len(ns) * n_paths * substeps))
-    scales = [np.sqrt(t_final / (substeps * ns[i])) for i in order]
+    buf = np.empty(max(_LADDER_VALUES, len(ns) * n_paths))
+    scales = [np.sqrt(t_final / ns[i]) for i in order]
     steps = np.repeat([deltas[i] for i in order], n_paths)
     finals = np.broadcast_to(model.initial_value, (len(steps), 1))
 
     def step(w, z):
         nonlocal finals
         z = z.transpose(1, 0, 2)[:, :, 0]       # step-major (steps, paths)
-        lo, w_end = w // substeps, (w + len(z)) // substeps
+        lo, w_end = w, w + len(z)
         while lo < w_end:
             live = sum(n > lo for n in ns)
             rows = live * n_paths
-            hi = min(lo + max(1, _LADDER_VALUES // (rows * substeps)), w_end,
-                     min(n for n in ns if n > lo))
-            a, b = lo * substeps - w, hi * substeps - w
-            inc = buf[:(b - a) * rows].reshape(-1, rows)
+            hi = min(lo + max(1, _LADDER_VALUES // rows), w_end, min(n for n in ns if n > lo))
+            inc = buf[:(hi - lo) * rows].reshape(-1, rows)
             for j, scale in enumerate(scales[:live]):
-                np.multiply(z[a:b], scale, out=inc[:, j * n_paths:(j + 1) * n_paths])
-            inc = inc.T[:, :, None]
-            driven = brownian.block_sums(inc, substeps, axis=1) if substeps > 1 else inc
-            res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, driven, steps[:rows],
-                                  finals[:rows], record=record)
-            piece(lo, hi, order[:live], inc, res)
+                np.multiply(z[lo - w:hi - w], scale, out=inc[:, j * n_paths:(j + 1) * n_paths])
+            res = _simulate_batch(SchemeId.truncated_milstein, model, cfg, inc.T[:, :, None],
+                                  steps[:rows], finals[:rows], record=record)
+            piece(lo, hi, order[:live], res)
             finals, lo = res.finals, hi
-    _step_windows(step, master_seed, *paths, 1, substeps * max(ns, default=0), align=substeps)
+    _step_windows(step, master_seed, *paths, 1, max(ns, default=0))
     return finals
-
-
-@dataclass(frozen=True)
-class GapProbe:
-    deltas: np.ndarray
-    mean_square_gaps: np.ndarray
-    h_scaled: np.ndarray          # gaps / h(delta)^2
-    exponent: float               # slope of log(h_scaled) vs log(delta)
-
-
-def interpolant_gap_probe(model: SdeModel, cfg, deltas: Sequence[float],
-                          n_paths: int, t_final: float = 1.0,
-                          master_seed: int = 0) -> GapProbe:
-    """Half-step gap statistic E|Y(t_k + delta/2) - Y_k|^2 over a step ladder.
-
-    Each half step reuses the first half of the refined noise for its knot, so
-    the statistic measures the within-step fluctuation of the interpolant.
-    The rungs step on their refined grids' pair sums as one batch
-    (`_ladder_runs`).
-    """
-    if not model.is_scalar:
-        raise ValueError("gap probe is implemented for scalar models")
-    if n_paths < 1:
-        raise ValueError(f"paths = {n_paths}: a gap probe needs at least one path")
-    deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
-    ns = _rung_steps(t_final, deltas)
-    _check_slope_steps(deltas)
-    squares = [np.empty((n_paths, n)) for n in ns]
-
-    def piece(lo, hi, rungs, inc, res):
-        if not np.all(res.alive):
-            raise RuntimeError("blow-up during a step-ladder probe")
-        knots = res.states[:, :-1]
-        half = np.repeat(deltas[rungs] / 2.0, n_paths)[:, None, None]
-        stepped = _scalar_step(SchemeId.truncated_milstein, model, cfg, half, knots,
-                               inc[:, 0::2])
-        sq = (stepped - knots) ** 2
-        for j, i in enumerate(rungs):
-            squares[i][:, lo:hi] = sq[j * n_paths:(j + 1) * n_paths, :, 0]
-    _ladder_runs(piece, model, cfg, deltas, ns, (0, n_paths), t_final, master_seed,
-                 substeps=2, record=True)
-    # each rung reduced in path-major order
-    gaps = np.array([float(np.mean(sq.ravel())) for sq in squares])
-    h2 = np.array([cfg.h(d) ** 2 for d in deltas])
-    scaled = gaps / h2
-    exponent, _ = _log2_slope(deltas, scaled)
-    return GapProbe(deltas=deltas, mean_square_gaps=gaps, h_scaled=scaled, exponent=exponent)
 
 
 def terminal_moment_probe(model: SdeModel, cfg, deltas: Sequence[float],
@@ -592,7 +536,7 @@ def terminal_moment_probe(model: SdeModel, cfg, deltas: Sequence[float],
     ns = _rung_steps(t_final, deltas)
     out = np.empty(len(deltas))
 
-    def piece(_, hi, rungs, __, res):
+    def piece(_, hi, rungs, res):
         if not np.all(res.alive):
             raise RuntimeError("blow-up during a step-ladder probe")
         for j, i in enumerate(rungs):

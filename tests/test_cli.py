@@ -4,13 +4,17 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import quintic_nan_outside_model
 from truncmil import cli, experiments
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -356,6 +360,58 @@ def test_run_rejects_a_number_that_is_not_finite_before_any_pool(tmp_path, capsy
     assert cli.main(["--config", path, "--out", str(out), "--workers", "2"]) == cli.EXIT_VALIDATION
     assert f"validation error: {field}: not a finite number" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+# each adds a key that its kind does not read, which a run took silently:
+# a misspelled tol_stab left the tolerance at its default
+@pytest.mark.parametrize("text, line, message", [
+    pytest.param(STABILITY_CFG, "tol_stb = 1e-9",
+                 "field 'tol_stb': unknown for kind 'stability'; did you mean 'tol_stab'?",
+                 id="stability-misspelled-tol-stab"),
+    pytest.param(CONDITIONS_CFG, "model = cubic_quintic",
+                 "field 'model': unknown for kind 'conditions'\n", id="conditions-model"),
+    pytest.param(CONDITIONS_CFG, "steps = 0.02, 0.04, 0.08",
+                 "field 'steps': unknown for kind 'conditions'\n", id="conditions-steps"),
+    pytest.param(STABILITY_CFG, "steps = 0.02, 0.04, 0.08",
+                 "field 'steps': unknown for kind 'stability'\n", id="stability-rate-key"),
+    pytest.param(RATE_CFG, "step = 0.01",
+                 "field 'step': unknown for kind 'rate'; did you mean 'steps'?", id="rate-step"),
+    pytest.param("kind = check\nmodel = stable_quintic\n", "h_bar = 4",
+                 "field 'h_bar': unknown for kind 'check'; did you mean 'p_bar'?",
+                 id="check-truncation-key"),
+])
+def test_run_refuses_a_key_its_kind_does_not_read_before_any_pool(tmp_path, capsys, monkeypatch,
+                                                                  text, line, message):
+    _refuse_pools(monkeypatch)
+    path = write_config(tmp_path, text + line + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), "--workers", "2"]) == cli.EXIT_VALIDATION
+    assert f"validation error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def _readme_keys() -> dict:
+    """Each kind's keys as README's CLI section lists them: the keys of its
+    first table, which every kind takes, those of its second for the kinds
+    said to take the truncation pair, and the keys of the kind's own item."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n")[1].split("\n## ")[0]
+    common, truncation = ({key for row in table.splitlines()[2:]
+                           for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+                          for table in re.findall(r"(?:^\|.*\n)+", section, re.M))
+    with_truncation = re.findall(r"`(\w+)`", section.split("also take the truncation pair")[0]
+                                 .rsplit("\n\n", 1)[1])
+    return {kind: common | set(re.findall(r"`([^`]+)`", own))
+            | (truncation if kind in with_truncation else set())
+            for kind, own in re.findall(r"^- `(\w+)`: (.*(?:\n  .*)*)", section, re.M)}
+
+
+def test_readme_lists_every_kind_and_no_other():
+    assert sorted(_readme_keys()) == sorted(cli._KEYS)
+
+
+@pytest.mark.parametrize("kind", sorted(cli._KEYS))
+def test_readme_lists_the_keys_each_kind_reads(kind):
+    assert _readme_keys().get(kind) == set(cli._KEYS[kind])
 
 
 def test_rate_run_rejects_a_single_path(tmp_path, capsys):

@@ -21,7 +21,7 @@ from truncmil.brownian import block_sums, generate_batch
 from truncmil.experiments import (RateExperimentSpec, _directions,
                                   _golden_max, _map_chunks, _path_error_samples,
                                   _rate_chunk, _rung_increments, _stability_chunk,
-                                  fit_rate, interpolant_gap_probe)
+                                  fit_rate)
 from truncmil.model import register_model
 from truncmil.scheme import _scalar_step, _simulate_batch, simulate
 
@@ -235,8 +235,7 @@ def _spy_draws(monkeypatch):
 @pytest.mark.parametrize("budget", [64, None])
 def test_every_ensemble_draws_bounded_windows(monkeypatch, cubic_cfg, quintic_cfg, budget):
     # each draw holds at most the budget of normals, or one alignment unit:
-    # the coarsest rung's 8 fine steps of a rate ladder, two refined steps of
-    # the gap probe, one step otherwise
+    # the coarsest rung's 8 fine steps of a rate ladder, one step otherwise
     limit = budget or experiments._WINDOW_NORMALS
     if budget:
         monkeypatch.setattr(experiments, "_WINDOW_NORMALS", budget)
@@ -247,8 +246,7 @@ def test_every_ensemble_draws_bounded_windows(monkeypatch, cubic_cfg, quintic_cf
             (lambda: tm.run_stability_ensemble(tm.builtin_model("stable_quintic"), quintic_cfg,
                                                delta=0.04, n_paths=30, horizon_steps=60,
                                                tol_stab=1e-2, record_paths=12), 1),
-            (lambda: tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=16), 1),
-            (lambda: interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=16), 2)]
+            (lambda: tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=16), 1)]
     for run, align in runs:
         draws.clear()
         run()
@@ -898,25 +896,25 @@ def test_decay_flags_match_per_path_simulation(quintic_cfg, horizon, tol, n_work
 # probes
 
 
-def test_gap_probe_drift_only_bound():
+def test_half_step_gap_drift_only_bound():
     model = tm.SdeModel(d=1, m=1, drift=lambda x: -np.tanh(x),
                         diffusion_col=lambda x, j: 0.0 * x,
                         l_op=lambda x, j1, j2: 0.0 * np.asarray(x, dtype=float),
                         initial_value=np.array([1.0]), polynomial_degree_r=1.0)
     cfg = tm.TruncationConfig(1.0, 1.0, 1.0, 0.1, 1.0)
-    probe = interpolant_gap_probe(model, cfg, [0.25, 0.125], n_paths=16, t_final=1.0)
+    deltas = [0.25, 0.125]
+    gaps = _per_rung_gaps(model, cfg, deltas, 16, 1.0, 0)
     # |mu| <= 1, so each half-step gap is at most delta / 2 deterministically
-    for delta, gap in zip(probe.deltas, probe.mean_square_gaps):
+    for delta, gap in zip(deltas, gaps):
         assert gap <= (delta / 2.0) ** 2
 
 
-def test_gap_probe_scaling_exponent(cubic_cfg):
+def test_half_step_gap_scaling_exponent(cubic_cfg):
     deltas = [2.0 ** -k for k in range(4, 10)]
-    probe = interpolant_gap_probe(tm.builtin_model("cubic_quintic"), cubic_cfg,
-                                  deltas, n_paths=400, master_seed=3)
+    gaps = _per_rung_gaps(tm.builtin_model("cubic_quintic"), cubic_cfg, deltas, 400, 1.0, 3)
     # raw mean-square gap should scale like delta^1 (within a generous window)
-    x = np.log2(probe.deltas)
-    y = np.log2(probe.mean_square_gaps)
+    x = np.log2(deltas)
+    y = np.log2(gaps)
     xc = x - x.mean()
     raw_slope = float(np.dot(xc, y) / np.dot(xc, xc))
     assert 0.8 <= raw_slope <= 1.2
@@ -942,6 +940,9 @@ def _per_rung_moments(model, cfg, deltas, n_paths, t_final, power, seed):
 
 
 def _per_rung_gaps(model, cfg, deltas, n_paths, t_final, seed):
+    """The half-step gap E|Y(t_k + delta/2) - Y_k|^2 of each rung, largest step
+    first: the rung steps on the pair sums of a grid of twice its steps, and
+    each half step from a knot reuses the first of its pair."""
     out = []
     for delta in sorted(deltas, reverse=True):
         n = int(round(t_final / delta))
@@ -969,16 +970,13 @@ def test_probes_match_per_rung_regeneration(cubic_cfg, deltas):
     model = tm.builtin_model("cubic_quintic")
     moments = tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=64, master_seed=7)
     assert np.array_equal(moments, _per_rung_moments(model, cubic_cfg, deltas, 64, 1.0, 4.0, 7))
-    probe = interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=64, master_seed=7)
-    assert np.array_equal(probe.mean_square_gaps,
-                          _per_rung_gaps(model, cubic_cfg, deltas, 64, 1.0, 7))
 
 
 @pytest.mark.parametrize("cap", [1, 40, 100])
 def test_probes_split_ladder_segments_within_the_buffer_cap(monkeypatch, cubic_cfg, cap):
     # a cap this small splits every segment into pieces, and at 1 a piece is
     # one step wider than the cap; every path-step is stepped once, and the
-    # probes still equal per-rung regeneration
+    # probe still equals per-rung regeneration
     model, deltas, n_paths = tm.builtin_model("cubic_quintic"), [0.1, 0.25, 0.0625, 0.2], 8
     calls = []
 
@@ -993,9 +991,6 @@ def test_probes_split_ladder_segments_within_the_buffer_cap(monkeypatch, cubic_c
     assert sum(rows * steps for rows, steps, _ in calls) == n_paths * (10 + 4 + 16 + 5)
     assert len(calls) > len(deltas)
     assert all(rows * steps <= max(cap, rows) for rows, steps, _ in calls)
-    probe = interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=n_paths, master_seed=7)
-    assert np.array_equal(probe.mean_square_gaps,
-                          _per_rung_gaps(model, cubic_cfg, deltas, n_paths, 1.0, 7))
 
 
 def _spy_windows(monkeypatch):
@@ -1021,13 +1016,11 @@ def _covers(windows, n_draw) -> bool:
 def test_probes_drawn_in_windows_match_per_rung_regeneration(monkeypatch, cubic_cfg, deltas,
                                                              budget):
     # with no minimum length a window holds budget // n_paths steps, at least
-    # one alignment unit (one step of the moment probe's draw, two of the gap
-    # probe's refined one), so at 1, 7 and 40 normals the draw comes in
-    # several windows, and at 2^20 in one; pieces of a few steps each (the
-    # piece buffer holds 64 values) are cut at the window ends too
+    # one, so at 1, 7 and 40 normals the draw comes in several windows, and
+    # at 2^20 in one; pieces of a few steps each (the piece buffer holds 64
+    # values) are cut at the window ends too
     model, n_paths = tm.builtin_model("cubic_quintic"), 8
     want_moments = _per_rung_moments(model, cubic_cfg, deltas, n_paths, 1.0, 4.0, 7)
-    want_gaps = _per_rung_gaps(model, cubic_cfg, deltas, n_paths, 1.0, 7)
     monkeypatch.setattr(experiments, "_WINDOW_NORMALS", budget)
     monkeypatch.setattr(experiments, "_WINDOW_MIN_STEPS", 1)
     monkeypatch.setattr(experiments, "_LADDER_VALUES", 64)
@@ -1036,11 +1029,6 @@ def test_probes_drawn_in_windows_match_per_rung_regeneration(monkeypatch, cubic_
     moments = tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=n_paths, master_seed=7)
     assert np.array_equal(moments, want_moments)
     assert _covers(windows, n_fine)
-    assert (len(windows) == 1) == (budget == 2**20)
-    windows.clear()
-    probe = interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=n_paths, master_seed=7)
-    assert np.array_equal(probe.mean_square_gaps, want_gaps)
-    assert _covers(windows, 2 * n_fine)
     assert (len(windows) == 1) == (budget == 2**20)
 
 
@@ -1084,17 +1072,7 @@ def test_moment_probe_memory_is_below_its_normals(cubic_cfg):
     assert peak <= 0.7 * 8 * 1024 * 2500
 
 
-def test_gap_probe_memory_below_rung_at_a_time(cubic_cfg):
-    # the refined draw (2048 normals per path) and every rung's squared gaps
-    # (2032 per path) beside bounded pieces; stepping one rung at a time with
-    # its full increments, states and gaps held 5.25 times the normals
-    model, deltas = tm.builtin_model("cubic_quintic"), [2.0 ** -k for k in range(4, 11)]
-    peak = _traced_peak(interpolant_gap_probe, model, cubic_cfg, deltas, n_paths=500,
-                        master_seed=11)
-    assert peak <= 4.0 * 8 * 2048 * 500
-
-
-@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, interpolant_gap_probe])
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe])
 def test_probes_reject_vector_model(cubic_cfg, probe):
     model = tm.SdeModel(d=2, m=1, drift=lambda x: -x,
                         diffusion_col=lambda x, j: 0.0 * x,
@@ -1108,20 +1086,9 @@ def test_probes_reject_step_not_dividing_horizon(cubic_cfg, deltas):
     model = tm.builtin_model("cubic_quintic")
     with pytest.raises(ValueError, match="multiple of delta"):
         tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=4)
-    with pytest.raises(ValueError, match="multiple of delta"):
-        interpolant_gap_probe(model, cubic_cfg, deltas, n_paths=4)
 
 
-@pytest.mark.parametrize("deltas", [[0.1], [0.1, 0.1]])
-def test_gap_probe_needs_two_distinct_steps(monkeypatch, cubic_cfg, deltas):
-    def no_draws(*args):
-        raise AssertionError("normals were drawn")
-    monkeypatch.setattr(experiments.brownian, "standard_normals", no_draws)
-    with pytest.raises(ValueError, match="two distinct steps"):
-        interpolant_gap_probe(tm.builtin_model("cubic_quintic"), cubic_cfg, deltas, n_paths=4)
-
-
-@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, interpolant_gap_probe])
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe])
 def test_probes_refuse_a_blow_up(quintic_cfg, probe):
     # paths of the NaN-outside drift blow up on the coarse rung
     with pytest.raises(RuntimeError, match="blow-up during"):
@@ -1129,7 +1096,7 @@ def test_probes_refuse_a_blow_up(quintic_cfg, probe):
 
 
 @pytest.mark.parametrize("n_paths", [0, -3])
-@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, interpolant_gap_probe])
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe])
 def test_probes_need_a_path(monkeypatch, cubic_cfg, probe, n_paths):
     # 0 divided by zero in the piece planner, -3 made a negative shape
     monkeypatch.setattr(experiments.brownian, "standard_normals", None)
@@ -1138,7 +1105,7 @@ def test_probes_need_a_path(monkeypatch, cubic_cfg, probe, n_paths):
 
 
 @pytest.mark.parametrize("t_final", [math.inf, math.nan])
-@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, interpolant_gap_probe])
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe])
 def test_probes_refuse_a_horizon_that_is_not_finite(monkeypatch, cubic_cfg, probe, t_final):
     monkeypatch.setattr(experiments.brownian, "standard_normals", None)
     with pytest.raises(ValueError, match=f"t_final = {t_final}: the horizon must be positive"):
@@ -1147,7 +1114,7 @@ def test_probes_refuse_a_horizon_that_is_not_finite(monkeypatch, cubic_cfg, prob
 
 
 @pytest.mark.parametrize("deltas", [[0.0], [0.25, 0.0]])
-@pytest.mark.parametrize("probe", [tm.terminal_moment_probe, interpolant_gap_probe])
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe])
 def test_probes_reject_zero_step(cubic_cfg, probe, deltas):
     with pytest.raises(ValueError, match="step size"):
         probe(tm.builtin_model("cubic_quintic"), cubic_cfg, deltas, n_paths=4)

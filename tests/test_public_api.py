@@ -29,10 +29,9 @@ MODULE_ONLY = {
     "eval_l_op": "model", "BrownianGrid": "brownian", "EnsembleResult": "scheme",
     "Trajectory": "scheme", "simulate": "scheme", "TruncatedCoeffs": "truncation",
     "new_error_bound": "truncation", "old_condition_threshold": "truncation",
-    "truncated_coeffs": "truncation", "DecayEnsemble": "experiments", "GapProbe": "experiments",
+    "truncated_coeffs": "truncation", "DecayEnsemble": "experiments",
     "RateFit": "experiments", "StabilityConstants": "experiments",
     "StepConditionComparison": "experiments", "fit_rate": "experiments",
-    "interpolant_gap_probe": "experiments",
 }
 
 
