@@ -101,10 +101,11 @@ def _float_list(cfg: dict, key: str):
 
 # the keys each kind reads: the run keys, which every kind takes, then its own
 _TRUNCATION_KEYS = "omega.coeff omega.power h.coeff h.power h_bar "
-_KEYS = {kind: ("kind seed paths workers out " + keys).split() for kind, keys in dict(
-    rate=_TRUNCATION_KEYS + "model scheme q t_final delta_ref steps error_at",
+_KEYS = {kind: ("kind seed workers out " + keys).split() for kind, keys in dict(
+    rate=_TRUNCATION_KEYS + "paths model scheme q t_final delta_ref steps error_at",
     conditions=_TRUNCATION_KEYS + "q p r",
-    stability=_TRUNCATION_KEYS + "model k.coeff k.power delta horizon_steps tol_stab record_paths",
+    stability=_TRUNCATION_KEYS + "paths model k.coeff k.power delta horizon_steps tol_stab "
+                                 "record_paths",
     check="model probe_points probe_radius p_bar K1 K2 lambda3 k.coeff k.power").items()}
 
 

@@ -11,8 +11,9 @@ nonpositive worst margin means "no violation found", never a proof.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -63,7 +64,10 @@ class SdeModel:
     deterministic, side-effect free, and safe to share across workers.  For
     scalar models (d == m == 1) they must also accept arbitrary-shape arrays
     elementwise: the ensemble drivers and `_evaluate`, the one batch rule for
-    coefficients, pass them a whole batch of points in one call.
+    coefficients, pass them a whole batch of points in one call.  For any
+    other model a coefficient takes one (d,) point and returns a value that
+    broadcasts to (d,): a (d,) array, or a number or (1,) array, which stands
+    for every component, of the same shape at every point of a batch.
     """
 
     d: int
@@ -102,23 +106,28 @@ def _finite(v, what: str, x) -> np.ndarray:
     return v
 
 
-def _evaluate(model: SdeModel, fn: Callable, x: np.ndarray, *args, what: Optional[str] = None,
+def _evaluate(model: SdeModel, fn: Callable, x, *args, what: Optional[str] = None,
               out: Optional[np.ndarray] = None) -> np.ndarray:
     """fn(point, *args) at every row of the (n, d) batch x, as (n, d), into `out` if given.
 
     The one rule for evaluating a coefficient on a batch: a scalar model's
     coefficients are elementwise (see `SdeModel`), so they take the whole batch
-    in one call; any other model's take one (d,) row per call.  With `what`
-    naming the coefficient, a non-finite value raises `EvaluationError`;
-    without it, it passes through (a classical step's blow-up).
+    in one call; any other model's take one (d,) row per call, and the n
+    values are stored as one array.  For such a model x may also be the list
+    of the batch's rows, with `out` given, so that several coefficients share
+    one list.  With `what` naming the coefficient, a non-finite value raises
+    `EvaluationError`; without it, it passes through (a classical step's
+    blow-up).
     """
     if out is None:
         out = np.empty(x.shape)
     if model.is_scalar:
         out[...] = fn(x, *args)
     else:
-        for i, point in enumerate(x):
-            out[i] = fn(point, *args)
+        # `map` with repeated args skips unpacking *args on every call;
+        # numbers give (n,), stored as a column that broadcasts to (n, d)
+        v = np.asarray(list(map(fn, x, *map(repeat, args))), dtype=float)
+        out[...] = v[:, None] if v.ndim == 1 else v
     return out if what is None else _finite(out, what, x)
 
 
@@ -146,6 +155,15 @@ def row_norm(x) -> np.ndarray:
 def _fd_step(x: np.ndarray) -> np.ndarray:
     """Central-difference step max(1e-6, 1e-6 |x|) of each row of x."""
     return np.fmax(1e-6, 1e-6 * row_norm(x))
+
+
+@functools.lru_cache(maxsize=None)
+def _fd_directions(d: int) -> np.ndarray:
+    """[l] = (e_l, -e_l), the central-difference directions in R^d, read-only."""
+    e = np.eye(d)
+    dirs = np.stack([e, -e], axis=1)
+    dirs.flags.writeable = False
+    return dirs
 
 
 def finite_difference_l_op(model: SdeModel, x, j1: int, j2: int) -> np.ndarray:
@@ -182,8 +200,10 @@ def l_op_terms(model: SdeModel, x, sig: np.ndarray,
     ``x`` is one point (d,) or a batch of points (n, d), and ``sig`` the
     diffusion matrices at them, (d, m) or (n, d, m).  The finite-difference
     fallback differences each column once per coordinate (2 m d diffusion calls
-    per point) in `finite_difference_l_op`'s operation order, so each slice
-    equals its value.  One finiteness check, on the result, covers the
+    per point, one list of the neighbours serving every column), forms every
+    term of the sum over coordinates as one batched product and adds them up
+    in order from zeros: `finite_difference_l_op`'s operation order, so each
+    slice equals its value.  One finiteness check, on the result, covers the
     diffusion matrix and the neighbours too, since any non-finite input reaches
     it.  The error lists the failing rows and names the first one's culprit:
     the point itself, or its first neighbour whose diffusion is not finite.
@@ -201,20 +221,22 @@ def l_op_terms(model: SdeModel, x, sig: np.ndarray,
             _evaluate(model, model.l_op, pts, j1 + 1, j2 + 1, out=out[:, j1, j2])
     else:
         delta = _fd_step(pts)
-        e = delta[:, None, None] * np.eye(d)
         # nbrs[i, l] = (x_i + delta_i e_l, x_i - delta_i e_l)
-        nbrs = np.empty((n, d, 2, d))
-        np.add(pts[:, None], e, out=nbrs[:, :, 0])
-        np.subtract(pts[:, None], e, out=nbrs[:, :, 1])
-        nb = np.empty((m, n * d * 2, d))
+        nbrs = pts[:, None, None] + delta[:, None, None, None] * _fd_directions(d)
+        nb_pts = nbrs.reshape(-1, d)
+        nb_pts = nb_pts if model.is_scalar else list(nb_pts)     # one list for every column
+        # nb[i, l, s, (j2, k)]: component k of sigma_{j2} at nbrs[i, l, s]
+        nb = np.empty((n * d * 2, m, d))
         for j in range(m):
-            _evaluate(model, model.diffusion_col, nbrs.reshape(-1, d), j + 1, out=nb[j])
-        nb = nb.reshape(m, n, d, 2, d)
-        half = (2.0 * delta)[:, None, None, None]
+            _evaluate(model, model.diffusion_col, nb_pts, j + 1, out=nb[:, j])
+        nb = nb.reshape(n, d, 2, m * d)
         with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows are handled below
-            diff = (nb[:, :, :, 0] - nb[:, :, :, 1]).transpose(1, 2, 0, 3)   # (n, l, j2, d)
+            # [i, l, j1, (j2, k)]: the l-th term of L^{j1} sigma_{j2}, component k
+            terms = (sig[..., None] * (nb[:, :, 0] - nb[:, :, 1])[:, :, None]
+                     / (2.0 * delta)[:, None, None, None])
+            flat = out.reshape(n, m, m * d)
             for l in range(d):
-                out += sig[:, l, :, None, None] * diff[:, l, None] / half
+                flat += terms[:, l]
     if what is not None and not np.isfinite(out).all():
         rows = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2, 3)))
         i = rows[0]
@@ -223,7 +245,9 @@ def l_op_terms(model: SdeModel, x, sig: np.ndarray,
             if not np.all(np.isfinite(sig[i])):
                 what = "diffusion"
             else:
-                nb_bad = np.argwhere(~np.all(np.isfinite(nb[:, i]), axis=-1))
+                # [j2, l, s], so the first is in column order
+                bad = ~np.isfinite(nb[i].reshape(d, 2, m, d)).all(axis=-1)
+                nb_bad = np.argwhere(bad.transpose(2, 0, 1))
                 if len(nb_bad):
                     what, at = "diffusion", nbrs[i, nb_bad[0, 1], nb_bad[0, 2]]
         raise EvaluationError(f"non-finite {what}", at, rows=rows)

@@ -9,8 +9,11 @@ and for commutative noise; Levy areas are not sampled.
 The steps advance an (n_paths, d) batch of states with (n_paths, m)
 increments at once.  Each row gets the per-point operations in the per-point
 order, so a row's result does not depend on the batch it is stepped in.  The
-scalar step runs elementwise on the whole batch; the general step evaluates
-the coefficients by `model._evaluate`, one (d,) row per call.
+scalar step runs elementwise on the whole batch.  The general step does its
+per-row work in one pass: one list of the rows serves the drift and every
+diffusion column, called by `model._evaluate` one (d,) row at a time.  All
+other arithmetic is a few whole-batch operations: the terms of the increment
+are batched products, added up term by term in the per-point order.
 
 One batched driver, `_simulate_batch`, steps every ensemble.  It reads one
 row of increments per step by plain slicing while every path is alive, and
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -120,20 +122,35 @@ def _general_step(scheme: SchemeId, model: SdeModel, cfg, delta: float,
                   y: np.ndarray, dB: np.ndarray) -> np.ndarray:
     """One step for an (n_paths, d) batch of states y with (n_paths, m) increments dB.
 
-    Under a classical scheme a row whose L-operator is not finite comes back
-    non-finite, a blow-up; a truncated scheme raises `EvaluationError`.
+    One list of the rows serves the drift and every diffusion column.  The
+    terms of the increment are whole-batch products, added up in the
+    per-point order: drift * delta, each sigma_j * dB_j, then each
+    0.5 L^{j1} sigma_{j2} * w_{j1 j2} in `product` order.  Under a classical
+    scheme a row whose L-operator is not finite comes back non-finite, a
+    blow-up; a truncated scheme raises `EvaluationError`.
     """
+    n, d, m = len(y), model.d, model.m
     z = project(cfg, delta, y) if scheme.truncates else y
-    incr = _evaluate(model, model.drift, z) * delta
-    sig = np.empty(z.shape + (model.m,))
-    for j in range(model.m):
-        incr = incr + _evaluate(model, model.diffusion_col, z, j + 1, out=sig[:, :, j]) * dB[:, j, None]
-    if scheme.has_milstein_term:
-        l_terms = l_op_terms(model, z, sig, what="L-operator" if scheme.truncates else None)
-        for j1, j2 in product(range(model.m), repeat=2):
-            w = dB[:, j1] * dB[:, j2] - (delta if j1 == j2 else 0.0)
-            incr = incr + 0.5 * l_terms[:, j1, j2] * w[:, None]
-    return y + incr
+    rows = list(z)
+    # [0] the drift, [j] diffusion column j, one (n, d) slab each
+    coef = np.empty((1 + m, n, d))
+    _evaluate(model, model.drift, rows, out=coef[0])
+    for j in range(1, m + 1):
+        _evaluate(model, model.diffusion_col, rows, j, out=coef[j])
+    milstein = scheme.has_milstein_term
+    # [k] the k-th term of the increment
+    terms = np.empty((1 + m + (m * m if milstein else 0), n, d))
+    np.multiply(coef[0], delta, out=terms[0])
+    np.multiply(coef[1:], dB.T[:, :, None], out=terms[1:m + 1])
+    if milstein:
+        l_terms = l_op_terms(model, z, coef[1:].transpose(1, 2, 0),
+                             what="L-operator" if scheme.truncates else None)
+        w = dB[:, :, None] * dB[:, None, :]
+        w.reshape(n, m * m)[:, ::m + 1] -= delta        # dB_j^2 - delta
+        np.multiply(0.5 * l_terms.reshape(n, m * m, d).transpose(1, 0, 2),
+                    w.reshape(n, m * m).T[:, :, None], out=terms[m + 1:])
+    # added in order from the first term on, as one point's sum
+    return y + np.add.accumulate(terms, axis=0, out=terms)[-1]
 
 
 def step(scheme: SchemeId, model: SdeModel, cfg, delta: float, y, dB) -> np.ndarray:

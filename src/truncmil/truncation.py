@@ -82,9 +82,10 @@ def project(cfg, delta: float, x) -> np.ndarray:
         return project_scalar_batch(cfg, delta, x)
     r = cfg.radius(delta)
     n = row_norm(x)
-    outside = ~(n <= r) & (n != 0.0)
-    if not outside.any():
+    inside = n <= r             # x = 0 among them, since r > 0
+    if inside.all():
         return x
+    outside = ~inside
     y = x.copy()
     y[outside] = x[outside] * (r / n[outside])[..., None]
     # one more contraction where rounding left the norm a hair above r

@@ -145,10 +145,12 @@ paths = 200
 
 
 def test_rate_run_requires_steps(tmp_path, capsys):
-    cfg_text = CONDITIONS_CFG.replace("kind = conditions", "kind = rate") + "model = cubic_quintic\n"
+    cfg_text = RATE_CFG.replace("steps = 0.02, 0.04, 0.08\n", "")
+    assert "steps" not in cfg_text
     path = write_config(tmp_path, cfg_text)
     assert cli.run(path, out=str(tmp_path / "out")) == cli.EXIT_VALIDATION
-    assert "steps" in capsys.readouterr().err
+    assert ("validation error: field 'steps': a rate fit needs at least 3 distinct steps"
+            in capsys.readouterr().err)
 
 
 def _refuse_pools(monkeypatch):
@@ -387,6 +389,22 @@ def test_run_refuses_a_key_its_kind_does_not_read_before_any_pool(tmp_path, caps
     out = tmp_path / "out"
     assert cli.main(["--config", path, "--out", str(out), "--workers", "2"]) == cli.EXIT_VALIDATION
     assert f"validation error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("text, kind", [
+    pytest.param(CONDITIONS_CFG, "conditions", id="conditions"),
+    pytest.param("kind = check\nmodel = stable_quintic\n", "check", id="check"),
+])
+@pytest.mark.parametrize("from_flag", [False, True], ids=["file", "flag"])
+def test_run_refuses_paths_where_its_kind_reads_none(tmp_path, capsys, text, kind, from_flag):
+    # neither kind simulates paths, but `paths` used to change the config hash
+    path = write_config(tmp_path, text if from_flag else text + "paths = 5\n")
+    out = tmp_path / "out"
+    flag = ["--paths", "5"] if from_flag else []
+    assert cli.main(["--config", path, "--out", str(out), *flag]) == cli.EXIT_VALIDATION
+    assert (f"validation error: field 'paths': unknown for kind '{kind}'\n"
+            in capsys.readouterr().err)
     assert list(out.iterdir()) == []
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import math
 import multiprocessing
 import time
@@ -382,6 +383,27 @@ def test_general_rate_samples_bitwise_across_budgets_and_workers(error_at, n_wor
     whole = _path_error_samples(spec, 1)
     with _window_budget(budget) if budget else contextlib.nullcontext():
         assert np.array_equal(_path_error_samples(spec, n_workers), whole)
+
+
+# sha256 of the fit's deltas, errors, standard errors and norm errors as
+# little-endian float64 bytes; the bitwise tests above compare against
+# references that share `project` and the finite-difference L-operator, so
+# only these bytes catch a change there
+_GENERAL_RATE_FIT_SHA256 = {
+    "terminal": "9ea3b4d2b9a8bf7957811f6738863acde27051dd0ba8449d0c1374ff1730f649",
+    "sup": "75e56478d517f58dbb68c270b22eb604495c548a9d050bd761016f03e67d43da",
+}
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("error_at", ["terminal", "sup"])
+def test_general_rate_fit_bytes_are_pinned(error_at, n_workers):
+    fit = tm.run_rate_experiment(_rate_spec("test_diagonal_quintic_2d", error_at),
+                                 n_workers=n_workers)
+    digest = hashlib.sha256(b"".join(
+        np.ascontiguousarray(a, dtype="<f8").tobytes()
+        for a in (fit.deltas, fit.errors, fit.standard_errors, fit.norm_errors)))
+    assert digest.hexdigest() == _GENERAL_RATE_FIT_SHA256[error_at]
 
 
 @pytest.mark.parametrize("factors", [(3, 6, 12), (2, 4, 8, 16), (8, 1, 4, 2), (2, 6, 4, 12)])

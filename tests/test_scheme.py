@@ -385,9 +385,23 @@ def _reference_general_step(scheme, model, cfg, delta, y, dB):
     return y + incr
 
 
+def _float_drift(x):
+    return float(-0.5 * x[0] * x[1])
+
+
+def _one_entry_col(x, j):
+    return np.array([0.3 * x[1]]) if j == 1 else np.array([0.2 * x[0], -0.1 * x[0] * x[1]])
+
+
+# d = m = 2 without an analytic L-operator, whose drift is a Python float and
+# whose first diffusion column is a (1,) array: each must broadcast to (d,)
+_BROADCAST_MODEL = tm.SdeModel(d=2, m=2, drift=_float_drift, diffusion_col=_one_entry_col,
+                               initial_value=np.array([0.6, -0.4]), polynomial_degree_r=2.0)
+
+
 @pytest.mark.parametrize("scheme", ["truncated_milstein", "classical_milstein"])
 def test_general_path_matches_per_pair_reference_bitwise(cubic_cfg, fd_models, scheme):
-    for model in fd_models:
+    for model in (*fd_models, _BROADCAST_MODEL):
         grid = tm.generate(2026, 3, model.m, 0.32, 64)
         for factor in (1, 4):
             g = coarsen(grid, factor)
@@ -467,6 +481,7 @@ _STEP_MODELS = make_fd_models() + (
     tm.SdeModel(d=2, m=2, drift=lambda x: x**3 - 4.0 * x**5, diffusion_col=_analytic_diag_col,
                 l_op=_analytic_diag_l_op, initial_value=np.array([1.0, 1.0]),
                 polynomial_degree_r=4.0),
+    _BROADCAST_MODEL,
 )
 
 
