@@ -6,7 +6,8 @@ README for the key reference).  Flags override file values, and every output
 file header records the resolved config hash, the master seed and the artifact
 version so any run can be reproduced byte-identically.
 
-Exit codes: 2 config parse error, 3 validation error, 4 experiment error.
+Exit codes: 2 config parse error (a malformed line or a key set twice),
+3 validation error, 4 experiment error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from . import __version__
 from .model import Assumption, KFunction, ProbeSpec, builtin_model, check_assumption
 from .experiments import (RateExperimentSpec, compare_step_conditions,
                           run_rate_experiment, run_stability_ensemble)
-from .scheme import SchemeId
 from .truncation import TruncationConfig
 
 EXIT_PARSE = 2
@@ -45,8 +45,9 @@ class ValidationError(Exception):
 
 
 def parse_config(text: str) -> dict:
-    """Parse flat `key = value` lines; '#' starts a comment."""
-    cfg = {}
+    """Parse flat `key = value` lines; '#' starts a comment.  A key may be set
+    only once, so no line silently overrides another."""
+    cfg, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -56,7 +57,9 @@ def parse_config(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        cfg[key] = value
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key '{key}' already set on line {set_on[key]}")
+        cfg[key], set_on[key] = value, lineno
     return cfg
 
 
@@ -70,79 +73,95 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _finite(key: str, value: float) -> float:
+def _numbers(raw: str) -> tuple:
+    """A comma-separated list of numbers."""
+    return tuple(float(v) for v in raw.split(",") if v.strip())
+
+
+# a field's default that makes the key required
+_REQUIRED = object()
+
+# each key a kind reads -> (type, default); a default of None leaves the field
+# unset.  The run keys come first, and every kind takes them.
+_RUN_FIELDS = {"kind": (str, _REQUIRED), "seed": (int, 0), "workers": (int, 1),
+               "out": (str, "out")}
+_TRUNCATION_FIELDS = {key: (float, _REQUIRED)
+                      for key in ("omega.coeff", "omega.power", "h.coeff", "h.power", "h_bar")}
+_FIELDS = {kind: {**_RUN_FIELDS, **fields} for kind, fields in dict(
+    rate={**_TRUNCATION_FIELDS, "model": (str, _REQUIRED), "t_final": (float, _REQUIRED),
+          "delta_ref": (float, _REQUIRED), "steps": (_numbers, ()), "paths": (int, 1000),
+          "scheme": (str, "truncated_milstein"), "q": (float, 1.0),
+          "error_at": (str, "terminal")},
+    conditions={**_TRUNCATION_FIELDS, "q": (float, 1.0), "p": (float, _REQUIRED),
+                "r": (float, _REQUIRED)},
+    stability={**_TRUNCATION_FIELDS, "model": (str, _REQUIRED), "k.coeff": (float, _REQUIRED),
+               "k.power": (float, _REQUIRED), "delta": (float, _REQUIRED),
+               "horizon_steps": (int, _REQUIRED), "tol_stab": (float, 1e-2),
+               "paths": (int, 1000), "record_paths": (int, 10)},
+    check={"model": (str, _REQUIRED), "probe_points": (int, 500), "probe_radius": (float, 2.0),
+           "p_bar": (float, 2.0), "K1": (float, None), "K2": (float, None),
+           "lambda3": (float, None), "k.coeff": (float, None), "k.power": (float, None)},
+).items()}
+
+
+def _typed(key: str, field_type, raw: str):
+    try:
+        value = field_type(raw)
+    except ValueError:
+        raise ValidationError(f"field '{key}': expected comma-separated numbers"
+                              if field_type is _numbers
+                              else f"field '{key}': cannot read {raw!r} as {field_type.__name__}")
     # an inf or NaN would overflow a step count or reach the artifacts as NaN
-    if not math.isfinite(value):
-        raise ValidationError(f"{key} = {value}: not a finite number")
+    for number in {float: (value,), _numbers: value}.get(field_type, ()):
+        if not math.isfinite(number):
+            raise ValidationError(f"{key} = {number}: not a finite number")
     return value
 
 
-def _get(cfg: dict, key: str, kind, default=None, required: bool = False):
-    if key not in cfg:
-        if required:
-            raise ValidationError(f"missing required field '{key}'")
-        return default
-    raw = cfg[key]
-    try:
-        value = kind(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(f"field '{key}': cannot read {raw!r} as {kind.__name__}")
-    return _finite(key, value) if kind is float else value
-
-
-def _float_list(cfg: dict, key: str):
-    if key not in cfg:
-        return None
-    try:
-        return [_finite(key, float(v)) for v in cfg[key].split(",") if v.strip()]
-    except ValueError:
-        raise ValidationError(f"field '{key}': expected comma-separated numbers")
-
-
-# the keys each kind reads: the run keys, which every kind takes, then its own
-_TRUNCATION_KEYS = "omega.coeff omega.power h.coeff h.power h_bar "
-_KEYS = {kind: ("kind seed workers out " + keys).split() for kind, keys in dict(
-    rate=_TRUNCATION_KEYS + "paths model scheme q t_final delta_ref steps error_at",
-    conditions=_TRUNCATION_KEYS + "q p r",
-    stability=_TRUNCATION_KEYS + "paths model k.coeff k.power delta horizon_steps tol_stab "
-                                 "record_paths",
-    check="model probe_points probe_radius p_bar K1 K2 lambda3 k.coeff k.power").items()}
-
-
-def _check_keys(cfg: dict, kind: str) -> None:
-    """Refuse a key that `kind` does not read, naming the closest one it does."""
-    for key in sorted(set(cfg) - set(_KEYS[kind])):
-        near = difflib.get_close_matches(key, _KEYS[kind], n=1)
+def _read(cfg: dict, table: dict, kind: Optional[str] = None) -> dict:
+    """The fields of `table`, each typed, defaulted and checked finite.  With
+    a `kind`, a key that the table does not hold is refused first, naming the
+    closest key it does."""
+    for key in sorted(set(cfg) - set(table)) if kind else ():
+        near = difflib.get_close_matches(key, table, n=1)
         raise ValidationError(f"field '{key}': unknown for kind '{kind}'"
                               + "".join(f"; did you mean '{k}'?" for k in near))
+    fields = {}
+    for key, (field_type, default) in table.items():
+        if key in cfg:
+            fields[key] = _typed(key, field_type, cfg[key])
+        elif default is _REQUIRED:
+            raise ValidationError(f"missing required field '{key}'")
+        else:
+            fields[key] = default
+    return fields
 
 
-def _truncation(cfg: dict) -> TruncationConfig:
+def _checked(make, *args, prefix: str = "", **kwargs):
+    """`make(*args, **kwargs)`, with the ValueError by which a library call
+    refuses its arguments raised as a ValidationError led by `prefix`."""
     try:
-        return TruncationConfig(
-            omega_coeff=_get(cfg, "omega.coeff", float, required=True),
-            omega_power=_get(cfg, "omega.power", float, required=True),
-            h_coeff=_get(cfg, "h.coeff", float, required=True),
-            h_power=_get(cfg, "h.power", float, required=True),
-            h_bar=_get(cfg, "h_bar", float, required=True),
-        )
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ValidationError(f"truncation config: {exc}")
+        raise ValidationError(prefix + str(exc))
 
 
-def _model(cfg: dict):
-    try:
-        return builtin_model(_get(cfg, "model", str, required=True))
-    except ValueError as exc:
-        raise ValidationError(f"field 'model': {exc}")
+def _truncation(fields: dict) -> TruncationConfig:
+    return _checked(TruncationConfig, prefix="truncation config: ",
+                    omega_coeff=fields["omega.coeff"], omega_power=fields["omega.power"],
+                    h_coeff=fields["h.coeff"], h_power=fields["h.power"], h_bar=fields["h_bar"])
 
 
-def _k_fn(cfg: dict) -> KFunction:
-    try:
-        return KFunction(c=_get(cfg, "k.coeff", float, required=True),
-                         gamma=_get(cfg, "k.power", float, required=True))
-    except ValueError as exc:
-        raise ValidationError(f"k-function: {exc}")
+def _model(fields: dict):
+    return _checked(builtin_model, fields["model"], prefix="field 'model': ")
+
+
+def _k_fn(fields: dict) -> KFunction:
+    # `check` takes the pair optionally, but only together
+    for key in ("k.coeff", "k.power"):
+        if fields[key] is None:
+            raise ValidationError(f"missing required field '{key}'")
+    return _checked(KFunction, c=fields["k.coeff"], gamma=fields["k.power"], prefix="k-function: ")
 
 
 def _write_atomic(path: str, chunks) -> None:
@@ -178,51 +197,30 @@ def _write_summary(path: str, cfg: dict, seed: int, payload: dict) -> None:
     _write_atomic(path, [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"])
 
 
-def _run_rate(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
-    trunc = _truncation(cfg)
-    model_name = _model(cfg).name
-    steps = _float_list(cfg, "steps")
-    if steps is None or len(set(steps)) < 3:
+def _run_rate(cfg: dict, fields: dict, out_dir: str) -> str:
+    if len(set(fields["steps"])) < 3:
         raise ValidationError("field 'steps': a rate fit needs at least 3 distinct steps")
-    try:
-        spec = RateExperimentSpec(
-            model_name=model_name,
-            cfg=trunc,
-            scheme=SchemeId(_get(cfg, "scheme", str, default="truncated_milstein")),
-            q=_get(cfg, "q", float, default=1.0),
-            t_final=_get(cfg, "t_final", float, required=True),
-            delta_ref=_get(cfg, "delta_ref", float, required=True),
-            test_deltas=tuple(steps),
-            n_paths=_get(cfg, "paths", int, default=1000),
-            master_seed=seed,
-            error_at=_get(cfg, "error_at", str, default="terminal"),
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc))
-    _check_keys(cfg, "rate")
-    fit = run_rate_experiment(spec, n_workers=workers)
-    _write_csv(os.path.join(out_dir, "rates.csv"), cfg, seed,
+    spec = _checked(RateExperimentSpec, model_name=_model(fields).name,
+                    cfg=_truncation(fields), scheme=fields["scheme"], q=fields["q"],
+                    t_final=fields["t_final"], delta_ref=fields["delta_ref"],
+                    test_deltas=fields["steps"], n_paths=fields["paths"],
+                    master_seed=fields["seed"], error_at=fields["error_at"])
+    fit = run_rate_experiment(spec, n_workers=fields["workers"])
+    _write_csv(os.path.join(out_dir, "rates.csv"), cfg, fields["seed"],
                ["delta", "error", "se", "norm_error"],
                [list(map("{},{},{},{}".format, fit.deltas.tolist(), fit.errors.tolist(),
                          fit.standard_errors.tolist(), fit.norm_errors.tolist()))])
-    _write_summary(os.path.join(out_dir, "fit.json"), cfg, seed, {
+    _write_summary(os.path.join(out_dir, "fit.json"), cfg, fields["seed"], {
         "slope": fit.slope, "slope_se": fit.slope_se, "q": fit.q,
-        "n_paths": fit.n_paths, "model": model_name, "scheme": spec.scheme.value,
+        "n_paths": fit.n_paths, "model": spec.model_name, "scheme": spec.scheme.value,
     })
     return f"slope = {fit.slope:.4f} (se {fit.slope_se:.4f}) over {len(fit.deltas)} steps"
 
 
-def _run_conditions(cfg: dict, out_dir: str, seed: int, _workers: int) -> str:
-    trunc = _truncation(cfg)
-    q = _get(cfg, "q", float, default=1.0)
-    p = _get(cfg, "p", float, required=True)
-    r = _get(cfg, "r", float, required=True)
-    try:
-        comp = compare_step_conditions(trunc, q, p, r)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
-    _check_keys(cfg, "conditions")
-    _write_summary(os.path.join(out_dir, "fit.json"), cfg, seed, {
+def _run_conditions(cfg: dict, fields: dict, out_dir: str) -> str:
+    q, p, r = fields["q"], fields["p"], fields["r"]
+    comp = _checked(compare_step_conditions, _truncation(fields), q, p, r)
+    _write_summary(os.path.join(out_dir, "fit.json"), cfg, fields["seed"], {
         "old_threshold": comp.old_threshold,
         "new_threshold": comp.new_threshold,
         "dominant_rate": comp.dominant_rate,
@@ -232,22 +230,12 @@ def _run_conditions(cfg: dict, out_dir: str, seed: int, _workers: int) -> str:
             f"{comp.new_threshold:g}, dominant rate = {comp.dominant_rate:g}")
 
 
-def _run_stability(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
-    trunc = _truncation(cfg)
-    model = _model(cfg)
-    k_fn = _k_fn(cfg)
-    delta = _get(cfg, "delta", float, required=True)
-    horizon = _get(cfg, "horizon_steps", int, required=True)
-    tol = _get(cfg, "tol_stab", float, default=1e-2)
-    n_paths = _get(cfg, "paths", int, default=1000)
-    record = _get(cfg, "record_paths", int, default=10)
-    _check_keys(cfg, "stability")
-    try:
-        decay = run_stability_ensemble(model, trunc, delta, n_paths, horizon, tol,
-                                       master_seed=seed, n_workers=workers,
-                                       record_paths=record, k_fn=k_fn)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+def _run_stability(cfg: dict, fields: dict, out_dir: str) -> str:
+    seed, delta, horizon = fields["seed"], fields["delta"], fields["horizon_steps"]
+    decay = _checked(run_stability_ensemble, _model(fields), _truncation(fields), delta,
+                     fields["paths"], horizon, fields["tol_stab"], master_seed=seed,
+                     n_workers=fields["workers"], record_paths=fields["record_paths"],
+                     k_fn=_k_fn(fields))
     if decay.blowup_fraction > 0:
         # the truncated scheme must not blow up; a decay fraction with blown-up
         # paths counted as not decayed would hide that
@@ -267,7 +255,7 @@ def _run_stability(cfg: dict, out_dir: str, seed: int, workers: int) -> str:
         "paper_discrepancy": constants.paper_discrepancy,
         "decay_fraction": decay.decay_fraction, "blowup_fraction": decay.blowup_fraction,
         "tol_stab": decay.tol_stab, "delta": delta,
-        "horizon_steps": horizon, "n_paths": n_paths,
+        "horizon_steps": horizon, "n_paths": fields["paths"],
     })
     return (f"H = {constants.H:.4f}, delta_1 = {constants.delta_1:.6g}, "
             f"decay fraction = {decay.decay_fraction:.3f}")
@@ -277,25 +265,19 @@ _CHECK_SET = (Assumption.A2_1_polyLipschitz, Assumption.A2_2_khasminskii,
               Assumption.A2_3_derivGrowth)
 
 
-def _run_check(cfg: dict, out_dir: str, seed: int, _workers: int) -> str:
-    model = _model(cfg)
-    k_fn = _k_fn(cfg) if "k.coeff" in cfg else None
-    try:
-        spec = ProbeSpec(n_points=_get(cfg, "probe_points", int, default=500),
-                         radius=_get(cfg, "probe_radius", float, default=2.0),
-                         p_bar=_get(cfg, "p_bar", float, default=2.0),
-                         constants={key: _get(cfg, key, float)
-                                    for key in ("K1", "K2", "lambda3") if key in cfg},
-                         k_fn=k_fn)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
-    _check_keys(cfg, "check")
+def _run_check(cfg: dict, fields: dict, out_dir: str) -> str:
+    model = _model(fields)
+    k_fn = None if (fields["k.coeff"], fields["k.power"]) == (None, None) else _k_fn(fields)
+    spec = _checked(ProbeSpec, n_points=fields["probe_points"], radius=fields["probe_radius"],
+                    p_bar=fields["p_bar"], k_fn=k_fn,
+                    constants={key: fields[key] for key in ("K1", "K2", "lambda3")
+                               if fields[key] is not None})
     rows, worst = [], -float("inf")
     for assumption in _CHECK_SET + ((Assumption.A4_1_dissipative,) if k_fn else ()):
         rep = check_assumption(model, assumption, spec)
         rows.append(f"{assumption.value},{rep.sampled_points},{rep.worst_margin}")
         worst = max(worst, rep.worst_margin)
-    _write_csv(os.path.join(out_dir, "checks.csv"), cfg, seed,
+    _write_csv(os.path.join(out_dir, "checks.csv"), cfg, fields["seed"],
                ["assumption", "sampled_points", "worst_margin"], [rows])
     status = "no violation found" if worst <= 0 else "VIOLATION FOUND"
     return f"worst margin = {worst:.6g} ({status})"
@@ -325,26 +307,21 @@ def run(config_path: str, seed: Optional[int] = None, paths: Optional[int] = Non
     cfg.update({key: str(value) for key, value in overrides.items() if value is not None})
 
     try:
-        kind = _get(cfg, "kind", str, required=True)
-        if kind not in _KEYS:
+        # the run keys are read first, so `out` is made before any kind's field is read
+        run_fields = _read(cfg, _RUN_FIELDS)
+        kind, out_dir = run_fields["kind"], run_fields["out"]
+        if kind not in _FIELDS:
             raise ValidationError(f"field 'kind': unknown experiment kind {kind!r}")
-        run_seed = _get(cfg, "seed", int, default=0)
-        run_workers = _get(cfg, "workers", int, default=1)
-        if run_workers < 1:
-            raise ValidationError(f"field 'workers': need at least one worker, got {run_workers}")
-        out_dir = _get(cfg, "out", str, default="out")
+        if run_fields["workers"] < 1:
+            raise ValidationError(f"field 'workers': need at least one worker, "
+                                  f"got {run_fields['workers']}")
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ValidationError(f"field 'out': cannot make {out_dir!r} a directory: {exc.strerror}")
         if not os.access(out_dir, os.W_OK):
             raise ValidationError(f"field 'out': directory {out_dir!r} is not writable")
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        summary = _RUNNERS[kind](cfg, out_dir, run_seed, run_workers)
+        summary = _RUNNERS[kind](cfg, _read(cfg, _FIELDS[kind], kind), out_dir)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -46,6 +46,23 @@ def test_parse_config_rejects_bad_line():
         cli.parse_config("a = 1\nnot a pair\n")
 
 
+def test_parse_config_rejects_a_key_set_twice():
+    # the last value won silently
+    with pytest.raises(cli.ConfigError, match="line 3: key 'q' already set on line 1"):
+        cli.parse_config("q = 1\n\nq = 2\n")
+
+
+def test_run_refuses_a_key_set_twice_but_takes_a_flag_over_a_file_value(tmp_path, capsys):
+    out = tmp_path / "out"
+    twice = write_config(tmp_path, CONDITIONS_CFG + "q = 2\n", name="twice.cfg")
+    assert cli.run(twice, out=str(out)) == cli.EXIT_PARSE
+    assert "config parse error: line 11: key 'q' already set on line 8" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.run(write_config(tmp_path, CONDITIONS_CFG + "seed = 4\n"), seed=5,
+                   out=str(out)) == 0
+    assert json.loads((out / "fit.json").read_text())["seed"] == 5
+
+
 def test_config_hash_order_independent():
     assert cli.config_hash({"a": "1", "b": "2"}) == cli.config_hash({"b": "2", "a": "1"})
     assert cli.config_hash({"a": "1"}) != cli.config_hash({"a": "2"})
@@ -190,6 +207,8 @@ def _refuse_pools(monkeypatch):
                  id="infinite-omega-power"),
     pytest.param("h_bar = 4", "h_bar = inf", "h_bar = inf: not a finite number",
                  id="infinite-h-bar"),
+    pytest.param("steps = 0.02, 0.04, 0.08", "steps = 0.02, x, 0.08",
+                 "field 'steps': expected comma-separated numbers", id="non-numeric-step"),
 ])
 def test_rate_run_rejects_bad_ladder_before_any_pool(tmp_path, capsys, monkeypatch, old, new,
                                                      field):
@@ -381,6 +400,10 @@ def test_run_rejects_a_number_that_is_not_finite_before_any_pool(tmp_path, capsy
     pytest.param("kind = check\nmodel = stable_quintic\n", "h_bar = 4",
                  "field 'h_bar': unknown for kind 'check'; did you mean 'p_bar'?",
                  id="check-truncation-key"),
+    # the unknown key is named before the required one it misspells
+    pytest.param(RATE_CFG.replace("t_final = 0.16\n", ""), "t_finl = 0.16",
+                 "field 't_finl': unknown for kind 'rate'; did you mean 't_final'?",
+                 id="rate-misspelled-t-final"),
 ])
 def test_run_refuses_a_key_its_kind_does_not_read_before_any_pool(tmp_path, capsys, monkeypatch,
                                                                   text, line, message):
@@ -424,12 +447,12 @@ def _readme_keys() -> dict:
 
 
 def test_readme_lists_every_kind_and_no_other():
-    assert sorted(_readme_keys()) == sorted(cli._KEYS)
+    assert sorted(_readme_keys()) == sorted(cli._FIELDS)
 
 
-@pytest.mark.parametrize("kind", sorted(cli._KEYS))
+@pytest.mark.parametrize("kind", sorted(cli._FIELDS))
 def test_readme_lists_the_keys_each_kind_reads(kind):
-    assert _readme_keys().get(kind) == set(cli._KEYS[kind])
+    assert _readme_keys().get(kind) == set(cli._FIELDS[kind])
 
 
 def test_rate_run_rejects_a_single_path(tmp_path, capsys):
@@ -496,9 +519,10 @@ k.power = 2
                                          ("p_bar = nan", "p_bar = nan: not a finite number"),
                                          ("K1 = nan", "K1 = nan: not a finite number"),
                                          ("probe_radius = inf",
-                                          "probe_radius = inf: not a finite number")],
+                                          "probe_radius = inf: not a finite number"),
+                                         ("k.power = 2", "missing required field 'k.coeff'")],
                          ids=["probe_points", "probe_radius", "K1", "nan-p_bar", "nan-K1",
-                              "infinite-probe_radius"])
+                              "infinite-probe_radius", "lone-k_power"])
 def test_check_run_rejects_a_bad_probe_field(tmp_path, capsys, line, field):
     path = write_config(tmp_path, f"kind = check\nmodel = stable_quintic\n{line}\n")
     out = tmp_path / "out"
