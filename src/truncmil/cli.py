@@ -283,10 +283,6 @@ def _run_check(cfg: dict, fields: dict, out_dir: str) -> str:
     return f"worst margin = {worst:.6g} ({status})"
 
 
-_RUNNERS = {"rate": _run_rate, "conditions": _run_conditions, "stability": _run_stability,
-            "check": _run_check}
-
-
 def run(config_path: str, seed: Optional[int] = None, paths: Optional[int] = None,
         workers: Optional[int] = None, out: Optional[str] = None) -> int:
     """Execute one configured experiment; returns the process exit status."""
@@ -321,7 +317,9 @@ def run(config_path: str, seed: Optional[int] = None, paths: Optional[int] = Non
             raise ValidationError(f"field 'out': cannot make {out_dir!r} a directory: {exc.strerror}")
         if not os.access(out_dir, os.W_OK):
             raise ValidationError(f"field 'out': directory {out_dir!r} is not writable")
-        summary = _RUNNERS[kind](cfg, _read(cfg, _FIELDS[kind], kind), out_dir)
+        # each kind's runner `_run_<kind>` is looked up as `run` dispatches,
+        # so a runner swapped on the module is the one that runs
+        summary = globals()[f"_run_{kind}"](cfg, _read(cfg, _FIELDS[kind], kind), out_dir)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -10,22 +10,31 @@ scheme reads as slope one regardless of the moment exponent.
 Path-level work runs through `_map_chunks` alone: one contiguous chunk of
 paths per worker, but never more chunks than paths, merged in path-index
 order.  Two or more chunks run in one process pool of exactly one worker per
-chunk; a single chunk runs in-process, with no pool.  A chunk takes the model
-itself, so it depends on its arguments alone and no worker reads the model
-registry.  Every ensemble holds memory by one rule: it draws its normals a
-bounded window of the resumable streams at a time (`_step_windows`) and steps
-each window from the last one's finals.  Per-path results depend only on the
-(seed, path) stream, so output is identical for any worker count, chunking or
-window.  The caller may work in the parent while the pool runs: a stability
-ensemble computes its constants there, in blocks of `_GRID_BLOCK` radii.  One
-piece engine, `_ladder_runs`, steps a probe's step ladder as one batch and a
-stability chunk as one rung.
+chunk; a single chunk runs in-process, with no pool.  The moment probe
+takes `n_workers=None` by default: one worker per usable CPU, but at most
+one per `_MIN_CHUNK_PATHS` paths, and in-process where a pool cannot take
+the chunk (arguments that do not pickle, a daemonic process) or would cost
+more than it saves (a start method other than fork); the rate ladder and the
+decay ensemble default to one worker.  A chunk
+takes the model itself, so it depends on its arguments alone and no worker
+reads the model registry.  Every ensemble holds memory by one rule: it draws
+its normals a bounded window of the resumable streams at a time
+(`_step_windows`) and steps each window from the last one's finals.
+Per-path results depend only on the (seed, path) stream, and every reduction
+over paths runs in the parent on the joined chunks, so output is identical
+for any worker count, chunking or window.  The caller may work in the parent
+while the pool runs: a stability ensemble computes its constants there, in
+blocks of `_GRID_BLOCK` radii.  One piece engine, `_ladder_runs`, steps a
+probe chunk's step ladder as one batch and a stability chunk as one rung.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import multiprocessing
+import os
+import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -51,6 +60,13 @@ _GRID_BLOCK = 8192
 
 # scaled increments one piece of a probe's step ladder holds (2 MiB)
 _LADDER_VALUES = 1 << 18
+
+# paths each worker of a default (`n_workers=None`) pool takes at least: below
+# about 1024 paths in all, a worker's fork and result transfer outweigh the
+# half of the stepping it takes.  The criterion-6 moment probe on a 2-core
+# host, 1 vs 2 workers: 0.085 vs 0.090 s at 512 paths, 0.141 vs 0.129 s at
+# 1024, 0.245 vs 0.193 s at 2048
+_MIN_CHUNK_PATHS = 1024
 
 
 # bench/tracing.py wraps this name too; a partial, not an alias, so block sums count once
@@ -243,17 +259,51 @@ def _rate_chunk(spec: RateExperimentSpec, model: SdeModel, lo: int, hi: int) -> 
     return np.stack([e ** p if model.is_scalar else np.float_power(e, p) for e in errs], axis=1)
 
 
-def _map_chunks(fn, n_paths: int, n_workers: int, *args, meanwhile=lambda: None) -> tuple:
+def _default_workers(fn, n_paths: int, args: tuple) -> int:
+    """Workers for `n_workers=None`: one per CPU this process may use, but at
+    most one per `_MIN_CHUNK_PATHS` paths; 1 (in-process) where a pool
+    cannot run the chunks, as `fn` or `args` do not pickle (a lambda
+    coefficient, a wrapped drift) or the process is daemonic (it may not have
+    children), or where the start method is not fork.  Only a forked worker
+    starts without importing numpy and the package again: the criterion-6
+    probe on a 2-core host, 1 vs 2 workers, took 0.28 vs 0.21 s at 2500
+    paths under fork, 0.31 vs 0.96 s under forkserver and 0.33 vs 1.18 s
+    under spawn (1.14 vs 1.40 s and 1.25 vs 1.70 s at 10 000 paths).  The
+    start method is read without being fixed, so a later
+    `multiprocessing.set_start_method` still works."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:                      # not on every platform
+        cpus = os.cpu_count() or 1
+    k = min(cpus, n_paths // _MIN_CHUNK_PATHS)
+    if (k < 2 or multiprocessing.current_process().daemon
+            or (multiprocessing.get_start_method(allow_none=True)
+                or multiprocessing.get_all_start_methods()[0]) != "fork"):
+        return 1
+    try:
+        pickle.dumps((fn, args))
+    except (pickle.PicklingError, AttributeError, TypeError):   # a lambda, a lock, ...
+        return 1
+    return k
+
+
+def _map_chunks(fn, n_paths: int, n_workers: Optional[int], *args,
+                meanwhile=lambda: None) -> tuple:
     """(meanwhile(), [fn(*args, lo, hi) for contiguous chunks [lo, hi) of the
     paths, in path order]): one chunk per worker but none empty, whose sizes
     differ by at most one, in a process pool of one worker per chunk when
-    there are k > 1 chunks, else in-process.
+    there are k > 1 chunks, else in-process.  `n_workers=None` takes
+    `_default_workers`; fewer than one worker is a ValueError.
 
     `meanwhile()` is the caller's work in this process: it runs after every
     chunk is submitted and before any is awaited, or, with one chunk, before
     it.  Every worker starts its chunk at once, so if `meanwhile` raises, the
     error propagates once the pool has finished them.
     """
+    if n_workers is None:
+        n_workers = _default_workers(fn, n_paths, args)
+    elif n_workers < 1:
+        raise ValueError(f"n_workers = {n_workers}: need at least one worker")
     k = max(1, min(n_workers, n_paths))
     calls = [(*args, i * n_paths // k, (i + 1) * n_paths // k) for i in range(k)]
     if k == 1:
@@ -273,7 +323,10 @@ _path_error_samples_range = _path_error_samples
 
 
 def run_rate_experiment(spec: RateExperimentSpec, n_workers: int = 1) -> RateFit:
-    """Couple every test step to the shared fine reference and fit the slope."""
+    """Couple every test step to the shared fine reference and fit the slope.
+
+    The paths run in `n_workers` chunks (`_map_chunks`), with the same fit
+    for any count."""
     samples = _path_error_samples(spec, n_workers)
     errors = samples.mean(axis=0)
     ses = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
@@ -438,9 +491,11 @@ def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
 
     A path counts as decayed when |Y_k| stays below tol_stab over the last
     tenth of the horizon; a path that blew up has not decayed, and counts in
-    `blowup_fraction`.  With `k_fn`, the stability constants are computed in
-    this process while the pool steps the paths (before them, for one
-    chunk), returned as `constants`, and a step above their ceiling warns.
+    `blowup_fraction`.  The paths run in `n_workers` chunks (`_map_chunks`),
+    with the same result for any count.  With `k_fn`, the stability constants are
+    computed in this process while the pool steps the paths (before them,
+    for one chunk), returned as `constants`, and a step above their ceiling
+    warns.
     """
     _check_delta(delta)
     if n_paths < 1:
@@ -521,27 +576,39 @@ def _ladder_runs(piece, model: SdeModel, cfg, deltas: Sequence[float], ns: Seque
     return finals
 
 
+def _moment_chunk(model: SdeModel, cfg, deltas: Sequence[float], ns: Sequence[int],
+                  t_final: float, master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """Each rung's terminal states of the paths [lo, hi), shape (len(ns), hi - lo),
+    from one step ladder of those paths (`_ladder_runs`); a blow-up raises."""
+    n_paths = hi - lo
+    out = np.empty((len(ns), n_paths))
+
+    def piece(_, end, rungs, res):
+        if not np.all(res.alive):
+            raise RuntimeError("blow-up during a step-ladder probe")
+        for j, i in enumerate(rungs):
+            if ns[i] == end:
+                out[i] = res.finals[j * n_paths:(j + 1) * n_paths, 0]
+    _ladder_runs(piece, model, cfg, deltas, ns, (lo, hi), t_final, master_seed)
+    return out
+
+
 def terminal_moment_probe(model: SdeModel, cfg, deltas: Sequence[float],
                           n_paths: int, t_final: float = 1.0, power: float = 4.0,
-                          master_seed: int = 0) -> np.ndarray:
+                          master_seed: int = 0, n_workers: Optional[int] = None) -> np.ndarray:
     """Monte-Carlo truncated-Milstein E|Y_N|^power at each step size (moment bound).
 
     Every rung steps on one draw for the finest rung, all rungs as one batch
-    (`_ladder_runs`).
+    (`_ladder_runs`), in `n_workers` chunks of paths (`_map_chunks`; None
+    picks the machine's cores for a large enough ensemble).  The chunks'
+    terminal states are joined in path order before each rung's mean, so the
+    moments are bitwise the same for any worker count.
     """
     if not model.is_scalar:
         raise ValueError("moment probe is implemented for scalar models")
     if n_paths < 1:
         raise ValueError(f"paths = {n_paths}: a moment probe needs at least one path")
     ns = _rung_steps(t_final, deltas)
-    out = np.empty(len(deltas))
-
-    def piece(_, hi, rungs, res):
-        if not np.all(res.alive):
-            raise RuntimeError("blow-up during a step-ladder probe")
-        for j, i in enumerate(rungs):
-            if ns[i] == hi:
-                finals = res.finals[j * n_paths:(j + 1) * n_paths, 0]
-                out[i] = float(np.mean(np.abs(finals) ** power))
-    _ladder_runs(piece, model, cfg, deltas, ns, (0, n_paths), t_final, master_seed)
-    return out
+    _, chunks = _map_chunks(_moment_chunk, n_paths, n_workers, model, cfg, deltas, ns,
+                            t_final, master_seed)
+    return np.array([float(np.mean(np.abs(finals) ** power)) for finals in np.hstack(chunks)])

@@ -262,6 +262,21 @@ def test_stability_run(tmp_path):
         "fc895cd3ebf96a8e1155254aef572de89e5de02f4824550012bf2e0318d7462d")
 
 
+def test_run_dispatches_to_the_runner_the_module_holds(tmp_path, monkeypatch):
+    # a runner swapped on the module (as a tracer wraps it) is the one `run`
+    # calls; a table of the functions themselves kept calling the original
+    calls = []
+
+    def spy(cfg, fields, out_dir):
+        calls.append((fields["kind"], fields["paths"], out_dir))
+        return "spied"
+    monkeypatch.setattr(cli, "_run_stability", spy)
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, STABILITY_CFG), seed=2, out=str(out)) == 0
+    assert calls == [("stability", 32, str(out))]
+    assert not (out / "stability.csv").exists()
+
+
 def test_stability_csv_is_written_a_recorded_path_at_a_time(tmp_path, monkeypatch):
     # a 200-path x 2000-step record: formatting the whole record before the
     # write held every row string at once, about 68 MB traced; a path at a

@@ -3,8 +3,12 @@
 import contextlib
 import functools
 import hashlib
+import inspect
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -876,6 +880,114 @@ def test_a_pool_has_one_worker_per_chunk(monkeypatch, quintic_cfg, n_paths, pool
     assert eight.blowup_fraction == one.blowup_fraction
 
 
+_CRITERION_6_LADDER = [2.0 ** -k for k in range(4, 11)]
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3, None])
+def test_moments_are_bitwise_equal_for_any_worker_count(cubic_cfg, n_workers):
+    # chunks of 683 paths, or 1024 and 1025 (the default on a host of two or
+    # more CPUs); each rung's mean is taken over the joined terminal states
+    model = tm.builtin_model("cubic_quintic")
+    moments = tm.terminal_moment_probe(model, cubic_cfg, _CRITERION_6_LADDER, n_paths=2049,
+                                       master_seed=11, n_workers=n_workers)
+    assert np.array_equal(moments, _per_rung_moments(model, cubic_cfg, _CRITERION_6_LADDER,
+                                                     2049, 1.0, 4.0, 11))
+
+
+def _usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+# one default worker per CPU, but at most one per `_MIN_CHUNK_PATHS` paths
+@pytest.mark.parametrize("cpus, n_paths, pools", [(2, 2047, []), (2, 2048, [2]),
+                                                  (8, 3072, [3]), (1, 4096, [])])
+def test_default_workers_follow_the_cpus_and_the_paths(monkeypatch, cubic_cfg, cpus, n_paths,
+                                                       pools):
+    model, deltas = tm.builtin_model("cubic_quintic"), [0.25, 0.125]
+    one = tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=n_paths, n_workers=1)
+    _usable_cpus(monkeypatch, cpus)
+    sizes = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _pool_spy(sizes))
+    assert np.array_equal(tm.terminal_moment_probe(model, cubic_cfg, deltas, n_paths=n_paths),
+                          one)
+    assert sizes == pools
+
+
+def test_default_workers_count_the_cpus_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(experiments.os, "sched_getaffinity")
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    assert experiments._default_workers(_sleep_chunk, 10_000, ()) == 3
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert experiments._default_workers(_sleep_chunk, 10_000, ()) == 1
+
+
+def test_default_workers_stay_in_process_where_a_pool_cannot_run(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    assert experiments._default_workers(_sleep_chunk, 4096, (1.0,)) == 2
+    # a chunk or an argument that does not pickle
+    assert experiments._default_workers(lambda lo, hi: lo, 4096, ()) == 1
+    assert experiments._default_workers(_sleep_chunk, 4096, (lambda x: x,)) == 1
+    # a start method whose workers import the package afresh
+    with mock.patch.object(experiments.multiprocessing, "get_start_method",
+                           return_value="spawn"):
+        assert experiments._default_workers(_sleep_chunk, 4096, ()) == 1
+    # a daemonic process may not have children
+    with mock.patch.object(experiments.multiprocessing, "current_process",
+                           return_value=mock.Mock(daemon=True)):
+        assert experiments._default_workers(_sleep_chunk, 4096, ()) == 1
+
+
+def test_default_workers_leave_the_start_method_unset():
+    # reading the start method must not fix it: a later set_start_method, in a
+    # process that has made no pool, still works
+    code = ("import multiprocessing, os\n"
+            "from truncmil import experiments\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "experiments._default_workers(experiments._moment_chunk, 4096, ())\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "assert experiments._default_workers(experiments._moment_chunk, 4096, ()) == 1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("entry", [tm.run_rate_experiment, tm.run_stability_ensemble])
+def test_rate_and_stability_ensembles_default_to_one_worker(entry):
+    # only the moment probe's default pool is measured; these two run
+    # in-process unless given a worker count
+    assert inspect.signature(entry).parameters["n_workers"].default == 1
+
+
+def test_a_lambda_coefficient_model_runs_in_process_by_default(monkeypatch, cubic_cfg):
+    drift = tm.builtin_model("cubic_quintic").drift
+    model = replace(tm.builtin_model("cubic_quintic"), drift=lambda x: drift(x))
+    one = tm.terminal_moment_probe(model, cubic_cfg, [0.25, 0.125], n_paths=2048, n_workers=1)
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                        mock.Mock(side_effect=AssertionError("a pool was created")))
+    assert np.array_equal(tm.terminal_moment_probe(model, cubic_cfg, [0.25, 0.125],
+                                                   n_paths=2048), one)
+
+
+@pytest.mark.parametrize("n_workers", [0, -3])
+@pytest.mark.parametrize("entry", ["rate", "stability", "probe"])
+def test_ensembles_refuse_fewer_than_one_worker(monkeypatch, cubic_cfg, quintic_cfg, entry,
+                                                n_workers):
+    # both ran one chunk; the refusal comes before any draw or pool
+    monkeypatch.setattr(experiments.brownian, "standard_normals", None)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                        mock.Mock(side_effect=AssertionError("a pool was created")))
+    run = {"rate": lambda: tm.run_rate_experiment(_small_rate_spec("terminal"), n_workers),
+           "stability": lambda: tm.run_stability_ensemble(
+               tm.builtin_model("stable_quintic"), quintic_cfg, delta=0.04, n_paths=8,
+               horizon_steps=20, tol_stab=1e-2, n_workers=n_workers),
+           "probe": lambda: tm.terminal_moment_probe(
+               tm.builtin_model("cubic_quintic"), cubic_cfg, [0.25, 0.125], n_paths=8,
+               n_workers=n_workers)}[entry]
+    with pytest.raises(ValueError, match=f"n_workers = {n_workers}: need at least one worker"):
+        run()
+
+
 def _sleep_chunk(lo, hi):
     time.sleep(0.05)
     return lo
@@ -1081,7 +1193,7 @@ def test_moment_probe_memory_stays_near_its_normals(cubic_cfg):
     # scaled increments in a buffer of bounded size beside it
     model, deltas = tm.builtin_model("cubic_quintic"), [2.0 ** -k for k in range(4, 11)]
     peak = _traced_peak(tm.terminal_moment_probe, model, cubic_cfg, deltas, n_paths=2500,
-                        master_seed=11)
+                        master_seed=11, n_workers=1)
     assert peak <= 1.3 * 8 * 1024 * 2500
 
 
@@ -1090,7 +1202,7 @@ def test_moment_probe_memory_is_below_its_normals(cubic_cfg):
     # at 2500 paths): one window and the piece buffer, not the whole draw
     model, deltas = tm.builtin_model("cubic_quintic"), [2.0 ** -k for k in range(4, 11)]
     peak = _traced_peak(tm.terminal_moment_probe, model, cubic_cfg, deltas, n_paths=2500,
-                        master_seed=11)
+                        master_seed=11, n_workers=1)
     assert peak <= 0.7 * 8 * 1024 * 2500
 
 
