@@ -67,7 +67,7 @@ class SdeModel:
     coefficients, pass them a whole batch of points in one call.  For any
     other model a coefficient takes one (d,) point and returns a value that
     broadcasts to (d,): a (d,) array, or a number or (1,) array, which stands
-    for every component, of the same shape at every point of a batch.
+    for every component.
     """
 
     d: int
@@ -106,6 +106,13 @@ def _finite(v, what: str, x) -> np.ndarray:
     return v
 
 
+@functools.lru_cache(maxsize=None)
+def _row_dtype(d: int) -> np.dtype:
+    """One (d,) row of floats as a dtype, built once per d (building one
+    costs about a microsecond)."""
+    return np.dtype((float, d))
+
+
 def _evaluate(model: SdeModel, fn: Callable, x, *args, what: Optional[str] = None,
               out: Optional[np.ndarray] = None) -> np.ndarray:
     """fn(point, *args) at every row of the (n, d) batch x, as (n, d), into `out` if given.
@@ -113,21 +120,23 @@ def _evaluate(model: SdeModel, fn: Callable, x, *args, what: Optional[str] = Non
     The one rule for evaluating a coefficient on a batch: a scalar model's
     coefficients are elementwise (see `SdeModel`), so they take the whole batch
     in one call; any other model's take one (d,) row per call, and the n
-    values are stored as one array.  For such a model x may also be the list
-    of the batch's rows, with `out` given, so that several coefficients share
-    one list.  With `what` naming the coefficient, a non-finite value raises
-    `EvaluationError`; without it, it passes through (a classical step's
-    blow-up).
+    values are read into one array, each broadcast to (d,).  For such a model
+    x may also be the list of the batch's rows, so that several coefficients
+    share one list.  With `what` naming the coefficient, a non-finite value
+    raises `EvaluationError`; without it, it passes through (a classical
+    step's blow-up).
     """
-    if out is None:
-        out = np.empty(x.shape)
     if model.is_scalar:
+        if out is None:
+            out = np.empty(x.shape)
         out[...] = fn(x, *args)
     else:
-        # `map` with repeated args skips unpacking *args on every call;
-        # numbers give (n,), stored as a column that broadcasts to (n, d)
-        v = np.asarray(list(map(fn, x, *map(repeat, args))), dtype=float)
-        out[...] = v[:, None] if v.ndim == 1 else v
+        # `map` with repeated args skips unpacking *args on every call
+        v = np.fromiter(map(fn, x, *map(repeat, args)), dtype=_row_dtype(model.d), count=len(x))
+        if out is None:
+            out = v
+        else:
+            out[...] = v
     return out if what is None else _finite(out, what, x)
 
 
@@ -152,9 +161,10 @@ def row_norm(x) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-def _fd_step(x: np.ndarray) -> np.ndarray:
-    """Central-difference step max(1e-6, 1e-6 |x|) of each row of x."""
-    return np.fmax(1e-6, 1e-6 * row_norm(x))
+def _fd_step(x: np.ndarray, norm=None) -> np.ndarray:
+    """Central-difference step max(1e-6, 1e-6 |x|) of each row of x; `norm`,
+    when given, is the row norms of x."""
+    return np.fmax(1e-6, 1e-6 * (row_norm(x) if norm is None else norm))
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,6 +174,13 @@ def _fd_directions(d: int) -> np.ndarray:
     dirs = np.stack([e, -e], axis=1)
     dirs.flags.writeable = False
     return dirs
+
+
+def _fd_stencil(x: np.ndarray, fd_step: np.ndarray, out=None) -> np.ndarray:
+    """The central-difference neighbours of each row of the (n, d) batch x, as
+    (n, d, 2, d), into `out` if given: [i, l] = (x_i + step_i e_l, x_i - step_i e_l)."""
+    return np.add(x[:, None, None], fd_step[:, None, None, None] * _fd_directions(x.shape[1]),
+                  out=out)
 
 
 def finite_difference_l_op(model: SdeModel, x, j1: int, j2: int) -> np.ndarray:
@@ -193,50 +210,57 @@ def eval_l_op(model: SdeModel, x, j1: int, j2: int) -> np.ndarray:
     return _finite(finite_difference_l_op(model, x, j1, j2), "L-operator", x)
 
 
-def l_op_terms(model: SdeModel, x, sig: np.ndarray,
-               what: Optional[str] = "L-operator") -> np.ndarray:
+def l_op_terms(model: SdeModel, x, sig: np.ndarray, what: Optional[str] = "L-operator",
+               stencil=None) -> np.ndarray:
     """L^{j1} sigma_{j2}(x) for every driver pair, shape (..., m, m, d), [..., j1-1, j2-1].
 
     ``x`` is one point (d,) or a batch of points (n, d), and ``sig`` the
     diffusion matrices at them, (d, m) or (n, d, m).  The finite-difference
-    fallback differences each column once per coordinate (2 m d diffusion calls
-    per point, one list of the neighbours serving every column), forms every
-    term of the sum over coordinates as one batched product and adds them up
-    in order from zeros: `finite_difference_l_op`'s operation order, so each
-    slice equals its value.  One finiteness check, on the result, covers the
-    diffusion matrix and the neighbours too, since any non-finite input reaches
-    it.  The error lists the failing rows and names the first one's culprit:
-    the point itself, or its first neighbour whose diffusion is not finite.
-    With `what=None` there is no check, as in `_evaluate`: a non-finite value
-    passes through (a classical step's blow-up).
+    fallback differences each column once per coordinate, at the 2 d
+    neighbours of `_fd_stencil`, forms every term of the sum over coordinates
+    as one batched product and adds them up in order from zeros:
+    `finite_difference_l_op`'s operation order, so each slice equals its
+    value.  ``stencil``, when given, is that stencil already evaluated: the
+    diffusion values at the neighbours of every row in `_fd_stencil` order,
+    (2 n d, m, d), and the step of every row, (n,); its arithmetic then runs
+    under the caller's `np.errstate`.  Without it the fallback evaluates its
+    own (2 m d diffusion calls per point, one list of the neighbours serving
+    every column), ignoring overflow and invalid values.  One finiteness
+    check, on the result, covers the diffusion matrix and the neighbours too,
+    since any non-finite input reaches it.  The error lists the failing rows
+    and names the first one's culprit: the point itself, or its first
+    neighbour whose diffusion is not finite.  With `what=None` there is no
+    check, as in `_evaluate`: a non-finite value passes through (a classical
+    step's blow-up).
     """
     x = np.asarray(x, dtype=float)
     d, m = model.d, model.m
     pts = x.reshape(-1, d)
     sig = np.asarray(sig, dtype=float).reshape(-1, d, m)
     n = len(pts)
+    if model.l_op is None and stencil is None:
+        fd_step = _fd_step(pts)
+        nb_pts = _fd_stencil(pts, fd_step).reshape(-1, d)
+        nb_pts = nb_pts if model.is_scalar else list(nb_pts)     # one list for every column
+        nb = np.empty((n * d * 2, m, d))
+        for j in range(m):
+            _evaluate(model, model.diffusion_col, nb_pts, j + 1, out=nb[:, j])
+        with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows are handled below
+            return l_op_terms(model, x, sig, what, (nb, fd_step))
     out = np.zeros((n, m, m, d))
     if model.l_op is not None:
         for j1, j2 in product(range(m), repeat=2):
             _evaluate(model, model.l_op, pts, j1 + 1, j2 + 1, out=out[:, j1, j2])
     else:
-        delta = _fd_step(pts)
-        # nbrs[i, l] = (x_i + delta_i e_l, x_i - delta_i e_l)
-        nbrs = pts[:, None, None] + delta[:, None, None, None] * _fd_directions(d)
-        nb_pts = nbrs.reshape(-1, d)
-        nb_pts = nb_pts if model.is_scalar else list(nb_pts)     # one list for every column
-        # nb[i, l, s, (j2, k)]: component k of sigma_{j2} at nbrs[i, l, s]
-        nb = np.empty((n * d * 2, m, d))
-        for j in range(m):
-            _evaluate(model, model.diffusion_col, nb_pts, j + 1, out=nb[:, j])
+        nb, fd_step = stencil
+        # nb[i, l, s, (j2, k)]: component k of sigma_{j2} at neighbour (l, s) of row i
         nb = nb.reshape(n, d, 2, m * d)
-        with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows are handled below
-            # [i, l, j1, (j2, k)]: the l-th term of L^{j1} sigma_{j2}, component k
-            terms = (sig[..., None] * (nb[:, :, 0] - nb[:, :, 1])[:, :, None]
-                     / (2.0 * delta)[:, None, None, None])
-            flat = out.reshape(n, m, m * d)
-            for l in range(d):
-                flat += terms[:, l]
+        # [i, l, j1, (j2, k)]: the l-th term of L^{j1} sigma_{j2}, component k
+        terms = (sig[..., None] * (nb[:, :, 0] - nb[:, :, 1])[:, :, None]
+                 / (2.0 * fd_step)[:, None, None, None])
+        flat = out.reshape(n, m, m * d)
+        for l in range(d):
+            flat += terms[:, l]
     if what is not None and not np.isfinite(out).all():
         rows = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2, 3)))
         i = rows[0]
@@ -249,7 +273,8 @@ def l_op_terms(model: SdeModel, x, sig: np.ndarray,
                 bad = ~np.isfinite(nb[i].reshape(d, 2, m, d)).all(axis=-1)
                 nb_bad = np.argwhere(bad.transpose(2, 0, 1))
                 if len(nb_bad):
-                    what, at = "diffusion", nbrs[i, nb_bad[0, 1], nb_bad[0, 2]]
+                    l, s = nb_bad[0, 1:]
+                    what, at = "diffusion", _fd_stencil(pts[i:i + 1], fd_step[i:i + 1])[0, l, s]
         raise EvaluationError(f"non-finite {what}", at, rows=rows)
     return out[0] if x.ndim <= 1 else out
 

@@ -9,22 +9,25 @@ and for commutative noise; Levy areas are not sampled.
 The steps advance an (n_paths, d) batch of states with (n_paths, m)
 increments at once.  Each row gets the per-point operations in the per-point
 order, so a row's result does not depend on the batch it is stepped in.  The
-scalar step runs elementwise on the whole batch.  The general step does its
-per-row work in one pass: one list of the rows serves the drift and every
-diffusion column, called by `model._evaluate` one (d,) row at a time.  All
-other arithmetic is a few whole-batch operations: the terms of the increment
-are batched products, added up term by term in the per-point order.
+scalar step runs elementwise on the whole batch.  The general step evaluates
+its coefficients in one pass: one list holds the projected rows and, for a
+finite-difference L-operator, their central-difference neighbours, and
+`model._evaluate` calls the drift and every diffusion column on it one (d,)
+row at a time.  All other arithmetic is a few whole-batch operations: the
+terms of the increment are batched products, added up term by term in the
+per-point order.
 
-One batched driver, `_simulate_batch`, steps every ensemble.  It reads one
-row of increments per step by plain slicing while every path is alive, and
-does blow-up bookkeeping only after a step that produced a non-finite value:
-a path that blew up is dropped from the batch, with its step and radius when
-each path has its own.  A scalar model's batch may mix step sizes, one per
-path, so a whole step ladder runs as one batch; the radii are looked up once
-per call, not per step, and the scalar step's work arrays are allocated
-once per call too.  With `record`, the states of every path are kept
-step-major, one row per step, as a transposed (paths, n_steps + 1, d) view.
-`simulate` is its one-path view.
+One batched driver, `_simulate_batch`, steps every ensemble under one
+`np.errstate` that lets overflow and invalid values through as blow-ups.  It
+reads one row of increments per step by plain slicing while every path is
+alive, and does blow-up bookkeeping only after a step that produced a
+non-finite value: a path that blew up is dropped from the batch, with its
+step and radius when each path has its own.  A scalar model's batch may mix
+step sizes, one per path, so a whole step ladder runs as one batch; the radii
+are looked up once per call, not per step, for every model, and the scalar
+step's work arrays are allocated once per call too.  With `record`, the
+states of every path are kept step-major, one row per step, as a transposed
+(paths, n_steps + 1, d) view.  `simulate` is its one-path view.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from typing import Optional
 import numpy as np
 
 from .brownian import BrownianGrid, coarsen
-from .model import SdeModel, _evaluate, l_op_terms, scalar_l_op
-from .truncation import _check_delta, _clamp, project
+from .model import SdeModel, _evaluate, _fd_stencil, _fd_step, l_op_terms, scalar_l_op
+from .truncation import _check_delta, _clamp, _project_rows
 
 
 class SchemeId(str, enum.Enum):
@@ -119,32 +122,51 @@ def _scalar_step(scheme: SchemeId, model: SdeModel, cfg, delta, y: np.ndarray,
 
 
 def _general_step(scheme: SchemeId, model: SdeModel, cfg, delta: float,
-                  y: np.ndarray, dB: np.ndarray) -> np.ndarray:
+                  y: np.ndarray, dB: np.ndarray, radius=None) -> np.ndarray:
     """One step for an (n_paths, d) batch of states y with (n_paths, m) increments dB.
 
-    One list of the rows serves the drift and every diffusion column.  The
-    terms of the increment are whole-batch products, added up in the
-    per-point order: drift * delta, each sigma_j * dB_j, then each
-    0.5 L^{j1} sigma_{j2} * w_{j1 j2} in `product` order.  Under a classical
-    scheme a row whose L-operator is not finite comes back non-finite, a
-    blow-up; a truncated scheme raises `EvaluationError`.
+    A truncated scheme projects y onto the ball of `radius`, the radius of
+    delta, looked up here when not given.  Every coefficient is evaluated in
+    one pass over one list of rows: the n (projected) states and, under a
+    Milstein scheme without an analytic L-operator, their 2 d central-
+    difference neighbours each, whose step comes from the projection's row
+    norms.  The drift is taken at the n states and each diffusion column at
+    every row; `l_op_terms` differences the neighbours' values.  The terms of
+    the increment are whole-batch products, added up in the per-point order:
+    drift * delta, each sigma_j * dB_j, then each 0.5 L^{j1} sigma_{j2} *
+    w_{j1 j2} in `product` order.  Under a classical scheme a row whose
+    L-operator is not finite comes back non-finite, a blow-up; a truncated
+    scheme raises `EvaluationError`.  The caller silences the overflow and
+    invalid-value warnings of the arithmetic, as the driver and `step` do.
     """
     n, d, m = len(y), model.d, model.m
-    z = project(cfg, delta, y) if scheme.truncates else y
-    rows = list(z)
-    # [0] the drift, [j] diffusion column j, one (n, d) slab each
-    coef = np.empty((1 + m, n, d))
-    _evaluate(model, model.drift, rows, out=coef[0])
-    for j in range(1, m + 1):
-        _evaluate(model, model.diffusion_col, rows, j, out=coef[j])
-    milstein = scheme.has_milstein_term
+    truncates, milstein = scheme.truncates, scheme.has_milstein_term
+    if truncates:
+        z, norm = _project_rows(cfg.radius(delta) if radius is None else radius, y)
+    else:
+        z, norm = y, None
+    stencil = milstein and model.l_op is None
+    if stencil:
+        fd_step = _fd_step(z, norm)
+        pts = np.empty((n * (1 + 2 * d), d))
+        pts[:n] = z
+        _fd_stencil(z, fd_step, out=pts[n:].reshape(n, d, 2, d))
+    else:
+        pts = z
+    rows = list(pts)
+    mu = _evaluate(model, model.drift, rows[:n])
+    # [i, j, k]: component k of sigma_{j+1} at row i, the n states first
+    sig = np.empty((len(rows), m, d))
+    for j in range(m):
+        _evaluate(model, model.diffusion_col, rows, j + 1, out=sig[:, j])
     # [k] the k-th term of the increment
     terms = np.empty((1 + m + (m * m if milstein else 0), n, d))
-    np.multiply(coef[0], delta, out=terms[0])
-    np.multiply(coef[1:], dB.T[:, :, None], out=terms[1:m + 1])
+    np.multiply(mu, delta, out=terms[0])
+    np.multiply(sig[:n].transpose(1, 0, 2), dB.T[:, :, None], out=terms[1:m + 1])
     if milstein:
-        l_terms = l_op_terms(model, z, coef[1:].transpose(1, 2, 0),
-                             what="L-operator" if scheme.truncates else None)
+        l_terms = l_op_terms(model, z, sig[:n].transpose(0, 2, 1),
+                             what="L-operator" if truncates else None,
+                             stencil=(sig[n:], fd_step) if stencil else None)
         w = dB[:, :, None] * dB[:, None, :]
         w.reshape(n, m * m)[:, ::m + 1] -= delta        # dB_j^2 - delta
         np.multiply(0.5 * l_terms.reshape(n, m * m, d).transpose(1, 0, 2),
@@ -156,6 +178,7 @@ def _general_step(scheme: SchemeId, model: SdeModel, cfg, delta: float,
 def step(scheme: SchemeId, model: SdeModel, cfg, delta: float, y, dB) -> np.ndarray:
     """Advance one step of the chosen scheme.
 
+    y is one state of shape (d,) and dB one increment per driver, (m,).
     Classical variants may return non-finite values for super-linear models;
     callers treat that as a blow-up signal, not an error.
     """
@@ -163,10 +186,14 @@ def step(scheme: SchemeId, model: SdeModel, cfg, delta: float, y, dB) -> np.ndar
     _check_delta(delta)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     dB = np.atleast_1d(np.asarray(dB, dtype=float))
+    if y.shape != (model.d,):
+        raise ValueError(f"need a state of shape ({model.d},), got shape {y.shape}")
     if dB.shape != (model.m,):
         raise ValueError(f"need {model.m} Brownian increments, got shape {dB.shape}")
-    stepper = _scalar_step if model.is_scalar else _general_step
-    return stepper(scheme, model, cfg, delta, y[None], dB[None])[0]
+    if model.is_scalar:
+        return _scalar_step(scheme, model, cfg, delta, y[None], dB[None])[0]
+    with np.errstate(over="ignore", invalid="ignore"):      # as in the driver
+        return _general_step(scheme, model, cfg, delta, y[None], dB[None])[0]
 
 
 def simulate(scheme: SchemeId, model: SdeModel, cfg, grid: BrownianGrid,
@@ -210,10 +237,10 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
     `increments[:, k]` is contiguous, is the fast layout.  `delta` is one step
     for every path or, for a scalar model, an (n_paths,) array of each path's
     step.  A path that goes non-finite is marked dead at that step and is not
-    stepped again.  Scalar models take `_scalar_step` on (n_paths, 1) columns
-    with the truncation radii looked up once per call, general ones
-    `_general_step`.  With `record` every path's states are kept; without
-    it, none.
+    stepped again.  Scalar models take `_scalar_step` on (n_paths, 1) columns,
+    general ones `_general_step`, both with the truncation radii looked up
+    once per call.  With `record` every path's states are kept; without it,
+    none.
     """
     if increments.ndim != 3 or increments.shape[2] != model.m:
         raise ValueError(f"increments must have shape (n_paths, n_steps, {model.m}), "
@@ -228,7 +255,7 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
             raise ValueError(f"need one step per path, shape ({n_paths},), "
                              f"got {np.shape(delta)}")
         delta = np.asarray(delta, dtype=float)[:, None]
-    radius = _radii(cfg, delta) if scalar and scheme.truncates else None
+    radius = _radii(cfg, delta) if scheme.truncates else None
     neg_radius = None if radius is None else -radius
     y = np.empty((n_paths, model.d))
     y[:] = x0
@@ -247,7 +274,7 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
                 y, work[3] = (_scalar_step(scheme, model, cfg, delta, y, dB, radius,
                                            neg_radius, work), y)
             else:
-                y = _general_step(scheme, model, cfg, delta, y, dB)
+                y = _general_step(scheme, model, cfg, delta, y, dB, radius)
             # a finite sum means every entry is finite
             if not np.isfinite(np.add.reduce(y, axis=None)):
                 ok = np.isfinite(y).all(axis=1)

@@ -74,26 +74,46 @@ def project(cfg, delta: float, x) -> np.ndarray:
     """Metric projection of x onto the ball of radius omega^{-1}(h(delta)).
 
     x is one point (d,) or a batch of points (n, d), projected row by row.
-    Total on finite inputs; x/|x| is taken as 0 at x = 0.  The returned norm
-    never exceeds the radius, so the projection is exactly idempotent.
+    Total on finite inputs, those whose squared norm overflows too; x/|x| is
+    taken as 0 at x = 0.  The returned norm never exceeds the radius, so the
+    projection is exactly idempotent.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[-1] == 1:
         return project_scalar_batch(cfg, delta, x)
-    r = cfg.radius(delta)
+    return _project_rows(cfg.radius(delta), x.reshape(-1, x.shape[-1]))[0].reshape(x.shape)
+
+
+def _project_rows(r: float, x: np.ndarray):
+    """`project` of an (n, d) batch x onto the ball of radius r, and the row
+    norms of the result.
+
+    For d > 1 each row is scaled by one factor, r / max(|x|, r): exactly 1.0
+    inside the ball, and NaN for a row whose norm is NaN.  A row whose
+    squared norm overflows has its norm taken as s |x / s| with s its largest
+    magnitude, a path the other rows never take.  For d = 1 it clamps.
+    """
+    if x.shape[1] == 1:
+        x = _clamp(x, r)
+        return x, row_norm(x)
     n = row_norm(x)
-    inside = n <= r             # x = 0 among them, since r > 0
-    if inside.all():
-        return x
-    outside = ~inside
-    y = x.copy()
-    y[outside] = x[outside] * (r / n[outside])[..., None]
-    # one more contraction where rounding left the norm a hair above r
+    top = n.max(initial=0.0)
+    if top <= r:                # every row inside, x = 0 among them since r > 0
+        return x, n
+    if not top < np.inf:
+        huge = np.isinf(n) & np.isfinite(x).all(axis=1)
+        if huge.any():
+            s = np.max(np.abs(x[huge]), axis=1)
+            n = n.copy()
+            n[huge] = s * row_norm(x[huge] / s[:, None])
+    y = x * (r / np.maximum(n, r))[:, None]
     n = row_norm(y)
-    while (over := n > r).any():
-        y[over] = y[over] * (r / n[over])[..., None]
+    # one more contraction where rounding left the norm a hair above r; the
+    # factor is 1.0 for every other row, NaN ones too
+    while np.fmax.reduce(n) > r:
+        y *= (r / np.fmax(n, r))[:, None]
         n = row_norm(y)
-    return y
+    return y, n
 
 
 def project_scalar_batch(cfg, delta: float, y: np.ndarray) -> np.ndarray:

@@ -894,6 +894,37 @@ def test_moments_are_bitwise_equal_for_any_worker_count(cubic_cfg, n_workers):
                                                      2049, 1.0, 4.0, 11))
 
 
+_BASELINE_KERNELS = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _dispatches_avx512() -> bool:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return (set(_BASELINE_KERNELS.split()) <= set(__cpu_dispatch__)
+            and __cpu_features__.get("X86_V4", False))
+
+
+@pytest.mark.skipif(not _dispatches_avx512(), reason="numpy does not dispatch AVX-512 kernels here")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: float64 np.power rounds differently in "
+                                       "numpy's AVX-512 and baseline kernels")
+def test_moments_are_the_same_bytes_without_avx512_kernels():
+    # one small moment probe in two fresh interpreters, the second with the
+    # AVX-512 dispatch targets disabled; at 50 paths the two agree
+    code = ("import hashlib, truncmil as tm\n"
+            "m = tm.terminal_moment_probe(tm.builtin_model('cubic_quintic'),\n"
+            "    tm.TruncationConfig(4.0, 5.0, 4.0, 0.1, 4.0), [2.0 ** -k for k in range(4, 9)],\n"
+            "    200, master_seed=11, n_workers=1)\n"
+            "print(hashlib.sha256(m.tobytes()).hexdigest())")
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    digests = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": _BASELINE_KERNELS}):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**env, **extra})
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
 def _usable_cpus(monkeypatch, cpus):
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
 

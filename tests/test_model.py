@@ -142,6 +142,22 @@ def test_sigma_matrix_shape():
     assert sig[0, 0] == 4.0
 
 
+def _mixed_col(x, j):
+    # a number, a (1,) array or a (2,) array, depending on the point
+    if x[0] > 0:
+        return float(j * x[1])
+    return np.array([x[1] - j]) if x[1] > 0 else np.array([x[0], j * x[1]])
+
+
+def test_sigma_matrix_broadcasts_each_value_on_its_own():
+    model = tm.SdeModel(d=2, m=2, drift=lambda x: -x, diffusion_col=_mixed_col,
+                        initial_value=np.array([0.5, 0.5]), polynomial_degree_r=1.0)
+    pts = np.array([[0.5, 0.25], [-0.5, 0.75], [-0.5, -0.25], [0.1, -2.0]])
+    want = [np.stack([np.broadcast_to(_mixed_col(x, j), (2,)) for j in (1, 2)], axis=1)
+            for x in pts]
+    assert np.array_equal(sigma_matrix(model, pts), want)
+
+
 def test_resolve_and_register():
     assert resolve_model("cubic_quintic").name == "cubic_quintic"
     assert resolve_model("lipschitz_control").name == "lipschitz_control"

@@ -1,5 +1,7 @@
 """Steppers, trajectories, blow-up handling and the vectorised ensemble path."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,20 @@ def test_step_validation(cubic_cfg):
         tm.step(tm.SchemeId.truncated_milstein, model, cubic_cfg, 2.0, [1.0], [0.0])
     with pytest.raises(ValueError, match="increments"):
         tm.step(tm.SchemeId.truncated_milstein, model, cubic_cfg, 0.1, [1.0], [0.0, 0.0])
+    # one state of shape (d,), refused before any coefficient call
+    calls = []
+
+    def diffusion_col(x, j):
+        calls.append(x)
+        return np.array([x[0] * x[1], x[j - 1]])
+
+    pair = tm.SdeModel(d=2, m=2, drift=lambda x: -x, diffusion_col=diffusion_col,
+                       initial_value=np.array([0.3, -0.2]), polynomial_degree_r=2.0)
+    for mdl, y in [(model, [1.0, 0.5]), (pair, [[1.0, 0.5]]), (pair, [1.0, 0.5, 0.2]),
+                   (pair, 1.0)]:
+        with pytest.raises(ValueError, match=rf"state of shape \({mdl.d},\), got shape"):
+            tm.step(tm.SchemeId.truncated_milstein, mdl, cubic_cfg, 0.1, y, np.zeros(mdl.m))
+    assert calls == []
 
 
 def test_general_step_matches_scalar_on_product_model(cubic_cfg):
@@ -482,6 +498,9 @@ _STEP_MODELS = make_fd_models() + (
                 l_op=_analytic_diag_l_op, initial_value=np.array([1.0, 1.0]),
                 polynomial_degree_r=4.0),
     _BROADCAST_MODEL,
+    # one state, two drivers: a general step whose projection clamps
+    tm.SdeModel(d=1, m=2, drift=lambda x: -x - x**3, diffusion_col=lambda x, j: 0.3 * j * x * x,
+                initial_value=np.array([0.5]), polynomial_degree_r=2.0),
 )
 
 
@@ -499,6 +518,29 @@ def test_general_step_batch_matches_reference_rows_bitwise(seed, n, scheme, whic
     got = _general_step(scheme, model, cfg, delta, y, dB)
     assert got.shape == (n, model.d)
     for row in range(n):
+        want = _reference_general_step(scheme, model, cfg, delta, y[row], dB[row])
+        assert np.array_equal(got[row], want)
+
+
+@pytest.mark.parametrize("scheme", list(tm.SchemeId))
+@pytest.mark.parametrize("which", range(len(_STEP_MODELS)))
+def test_general_step_edge_rows_match_reference_rows_bitwise(scheme, which):
+    # the projection's and the stencil's edges: a zero row, rows exactly on
+    # the radius, and far rows some of whose first contraction rounds above
+    # it (for d > 1; d = 1 clamps)
+    model, delta = _STEP_MODELS[which], 0.04
+    cfg = config_for("cubic_quintic")
+    r = cfg.radius(delta)
+    on = np.zeros((2, model.d))
+    on[0, 0], on[1, -1] = r, -r
+    assert np.array_equal(row_norm(on), [r, r])
+    rng = np.random.default_rng(model.d)
+    far = rng.standard_normal((30, model.d)) * 10.0
+    assert model.d == 1 or np.any(row_norm(far * (r / row_norm(far))[:, None]) > r)
+    y = np.vstack([np.zeros((1, model.d)), on, far])
+    dB = rng.normal(scale=np.sqrt(delta), size=(len(y), model.m))
+    got = _general_step(scheme, model, cfg, delta, y, dB)
+    for row in range(len(y)):
         want = _reference_general_step(scheme, model, cfg, delta, y[row], dB[row])
         assert np.array_equal(got[row], want)
 
@@ -538,6 +580,23 @@ def test_truncated_batch_raises_at_first_failing_rows_point(wide_cfg):
             np.errstate(invalid="ignore"):
         tm.step("truncated_milstein", model, wide_cfg, 0.125, _EDGE_STATES[2], _EDGE_DB[2])
     assert np.array_equal(two.value.x, _EDGE_STATES[2])
+
+
+def test_classical_blowups_emit_no_warning(wide_cfg):
+    # a d > 1 path through a non-finite neighbour, one step of it, and a
+    # scalar ensemble whose states overflow: blow-ups, not warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate(tm.SchemeId.classical_milstein, _edge_model(), wide_cfg,
+                        tm.generate(0, 1, 2, 1.0, 8))
+        assert traj.blew_up
+        got = tm.step(tm.SchemeId.classical_milstein, _edge_model(), wide_cfg, 0.125,
+                      _EDGE_STATES[1], _EDGE_DB[1])
+        assert not np.all(np.isfinite(got))
+        model = tm.builtin_model("cubic_quintic")
+        res = _simulate_batch(tm.SchemeId.classical_milstein, model, wide_cfg,
+                              generate_batch(0, range(8), 1, 4.0, 8), 0.5, 40.0)
+        assert not np.any(res.alive)
 
 
 @pytest.mark.parametrize("scheme", ["classical_milstein", "classical_em"])

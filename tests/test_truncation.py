@@ -83,6 +83,22 @@ def test_project_zero_and_inside(cubic_cfg):
     assert tm.project(cubic_cfg, 0.01, inside)[0] == inside[0]
 
 
+def test_project_takes_rows_whose_squared_norm_overflows_to_the_sphere(cubic_cfg):
+    # |x|^2 overflows beyond |x| ~ 1.3e154, yet such a finite row has a
+    # metric projection like any other: the point of the sphere along x
+    r = cubic_cfg.radius(0.01)
+    x = np.array([[1e300, 1e300], [3e200, -4e200], [0.3, 0.4], [2.0, 0.0]])
+    with np.errstate(over="ignore"):        # the squared norm overflows on the way
+        p = tm.project(cubic_cfg, 0.01, x)
+        one = tm.project(cubic_cfg, 0.01, x[0])
+    assert p[0] == pytest.approx([r / math.sqrt(2.0)] * 2, rel=1e-15)
+    assert p[1] == pytest.approx([0.6 * r, -0.8 * r], rel=1e-15)
+    assert np.all(row_norm(p) <= r) and row_norm(p[:2]) == pytest.approx([r, r], rel=1e-15)
+    assert np.array_equal(one, p[0])
+    # the rows whose squared norm is finite are projected as without them
+    assert np.array_equal(p[2:], tm.project(cubic_cfg, 0.01, x[2:]))
+
+
 def test_project_scalar_batch_matches_project(cubic_cfg):
     rng = np.random.default_rng(11)
     ys = rng.normal(scale=5.0, size=200)
