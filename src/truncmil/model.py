@@ -283,11 +283,9 @@ def scalar_l_op(model: SdeModel, z: np.ndarray) -> np.ndarray:
     """Elementwise L^1 sigma_1 for scalar models; z may have any shape."""
     if model.l_op is not None:
         return np.asarray(model.l_op(z, 1, 1), dtype=float)
-    delta = np.maximum(1e-6, 1e-6 * np.abs(z))
-    sig = np.asarray(model.diffusion_col(z, 1), dtype=float)
-    hi = np.asarray(model.diffusion_col(z + delta, 1), dtype=float)
-    lo = np.asarray(model.diffusion_col(z - delta, 1), dtype=float)
-    return sig * (hi - lo) / (2.0 * delta)
+    col = np.reshape(z, (-1, 1))
+    sig = _evaluate(model, model.diffusion_col, col, 1)
+    return l_op_terms(model, col, sig, what=None).reshape(np.shape(z))
 
 
 # ---------------------------------------------------------------------------

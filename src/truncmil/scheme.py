@@ -17,17 +17,19 @@ row at a time.  All other arithmetic is a few whole-batch operations: the
 terms of the increment are batched products, added up term by term in the
 per-point order.
 
-One batched driver, `_simulate_batch`, steps every ensemble under one
-`np.errstate` that lets overflow and invalid values through as blow-ups.  It
-reads one row of increments per step by plain slicing while every path is
-alive, and does blow-up bookkeeping only after a step that produced a
-non-finite value: a path that blew up is dropped from the batch, with its
-step and radius when each path has its own.  A scalar model's batch may mix
-step sizes, one per path, so a whole step ladder runs as one batch; the radii
-are looked up once per call, not per step, for every model, and the scalar
-step's work arrays are allocated once per call too.  With `record`, the
-states of every path are kept step-major, one row per step, as a transposed
-(paths, n_steps + 1, d) view.  `simulate` is its one-path view.
+One batched driver, `_simulate_batch`, is the only caller of the steppers:
+every ensemble goes through it, `simulate` is its one-path view and `step` its
+one-step view.  It alone owns the truncation radii and the scalar step's work
+arrays, both set up once per call, the one `np.errstate` that lets overflow
+and invalid values through as blow-ups, and the blow-up bookkeeping.  It reads
+one row of increments per step by plain slicing while every path is alive,
+and does the bookkeeping only after a step that produced a non-finite value:
+a path that blew up is dropped from the batch, with its step and radius when
+each path has its own, and once no path is left the loop ends.  A scalar
+model's batch may mix step sizes, one per path, so a whole step ladder runs
+as one batch.  With `record`, the states of every path are kept step-major,
+one row per step, as a transposed (paths, n_steps + 1, d) view, NaN after a
+blow-up.
 """
 
 from __future__ import annotations
@@ -88,27 +90,19 @@ def _radii(cfg, delta):
     return np.repeat(radii, np.diff(np.r_[starts, flat.size])).reshape(np.shape(delta))
 
 
-def _scalar_step(scheme: SchemeId, model: SdeModel, cfg, delta, y: np.ndarray,
-                 dB: np.ndarray, radius=None, neg_radius=None, work=None) -> np.ndarray:
+def _scalar_step(scheme: SchemeId, model: SdeModel, delta, y: np.ndarray, dB: np.ndarray,
+                 radius, neg_radius, work) -> np.ndarray:
     """One step for scalar models; y and dB may be whole ensembles, and delta
     one step or an array of steps broadcasting against them.
 
-    A truncated scheme clamps y to [-radius, radius], with radius the radius
-    of delta, looked up here when not given, and `neg_radius` its negation,
-    worked out here when not given.  Per element it computes
+    A truncated scheme clamps y to [-radius, radius], `neg_radius` being its
+    negation.  Per element it computes
     mu*delta + sigma*dB + (0.5*L sigma)*(dB*dB - delta) in that order, then
     y + incr.  `work` is four arrays of the broadcast shape of y and dB: the
-    clamped state, two temporaries and the result, which must not be y; they
-    are allocated here when not given.
+    clamped state, two temporaries and the result, which must not be y.
     """
-    if work is None:
-        shape = np.broadcast(y, dB).shape
-        work = [np.empty(shape) for _ in range(4)]
     z, incr, term, out = work
-    if scheme.truncates:
-        z = _clamp(y, _radii(cfg, delta) if radius is None else radius, neg_radius, out=z)
-    else:
-        z = y
+    z = _clamp(y, radius, neg_radius, out=z) if scheme.truncates else y
     np.multiply(np.asarray(model.drift(z), dtype=float), delta, out=incr)
     np.multiply(np.asarray(model.diffusion_col(z, 1), dtype=float), dB, out=term)
     incr += term
@@ -121,28 +115,27 @@ def _scalar_step(scheme: SchemeId, model: SdeModel, cfg, delta, y: np.ndarray,
     return np.add(y, incr, out=out)
 
 
-def _general_step(scheme: SchemeId, model: SdeModel, cfg, delta: float,
-                  y: np.ndarray, dB: np.ndarray, radius=None) -> np.ndarray:
+def _general_step(scheme: SchemeId, model: SdeModel, delta: float, y: np.ndarray,
+                  dB: np.ndarray, radius) -> np.ndarray:
     """One step for an (n_paths, d) batch of states y with (n_paths, m) increments dB.
 
-    A truncated scheme projects y onto the ball of `radius`, the radius of
-    delta, looked up here when not given.  Every coefficient is evaluated in
-    one pass over one list of rows: the n (projected) states and, under a
-    Milstein scheme without an analytic L-operator, their 2 d central-
-    difference neighbours each, whose step comes from the projection's row
-    norms.  The drift is taken at the n states and each diffusion column at
+    A truncated scheme projects y onto the ball of `radius`.  Every
+    coefficient is evaluated in one pass over one list of rows: the n
+    (projected) states and, under a Milstein scheme without an analytic
+    L-operator, their 2 d central-difference neighbours each, whose step comes
+    from the projection's row norms.  The drift is taken at the n states and each diffusion column at
     every row; `l_op_terms` differences the neighbours' values.  The terms of
     the increment are whole-batch products, added up in the per-point order:
     drift * delta, each sigma_j * dB_j, then each 0.5 L^{j1} sigma_{j2} *
     w_{j1 j2} in `product` order.  Under a classical scheme a row whose
     L-operator is not finite comes back non-finite, a blow-up; a truncated
-    scheme raises `EvaluationError`.  The caller silences the overflow and
-    invalid-value warnings of the arithmetic, as the driver and `step` do.
+    scheme raises `EvaluationError`.  The driver silences the overflow and
+    invalid-value warnings of the arithmetic.
     """
     n, d, m = len(y), model.d, model.m
     truncates, milstein = scheme.truncates, scheme.has_milstein_term
     if truncates:
-        z, norm = _project_rows(cfg.radius(delta) if radius is None else radius, y)
+        z, norm = _project_rows(radius, y)
     else:
         z, norm = y, None
     stencil = milstein and model.l_op is None
@@ -176,13 +169,13 @@ def _general_step(scheme: SchemeId, model: SdeModel, cfg, delta: float,
 
 
 def step(scheme: SchemeId, model: SdeModel, cfg, delta: float, y, dB) -> np.ndarray:
-    """Advance one step of the chosen scheme.
+    """Advance one step of the chosen scheme: the driver's one-step view.
 
     y is one state of shape (d,) and dB one increment per driver, (m,).
-    Classical variants may return non-finite values for super-linear models;
-    callers treat that as a blow-up signal, not an error.
+    Classical variants may blow up on super-linear models; the step then
+    returns NaN, as a blown-up ensemble row does, and callers treat that as
+    a blow-up signal, not an error.
     """
-    scheme = SchemeId(scheme)
     _check_delta(delta)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     dB = np.atleast_1d(np.asarray(dB, dtype=float))
@@ -190,10 +183,7 @@ def step(scheme: SchemeId, model: SdeModel, cfg, delta: float, y, dB) -> np.ndar
         raise ValueError(f"need a state of shape ({model.d},), got shape {y.shape}")
     if dB.shape != (model.m,):
         raise ValueError(f"need {model.m} Brownian increments, got shape {dB.shape}")
-    if model.is_scalar:
-        return _scalar_step(scheme, model, cfg, delta, y[None], dB[None])[0]
-    with np.errstate(over="ignore", invalid="ignore"):      # as in the driver
-        return _general_step(scheme, model, cfg, delta, y[None], dB[None])[0]
+    return _simulate_batch(scheme, model, cfg, dB[None, None], delta, y, record=True).states[0, 1]
 
 
 def simulate(scheme: SchemeId, model: SdeModel, cfg, grid: BrownianGrid,
@@ -237,7 +227,7 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
     `increments[:, k]` is contiguous, is the fast layout.  `delta` is one step
     for every path or, for a scalar model, an (n_paths,) array of each path's
     step.  A path that goes non-finite is marked dead at that step and is not
-    stepped again.  Scalar models take `_scalar_step` on (n_paths, 1) columns,
+    stepped again; once every path is dead, the loop ends.  Scalar models take `_scalar_step` on (n_paths, 1) columns,
     general ones `_general_step`, both with the truncation radii looked up
     once per call.  With `record` every path's states are kept; without it,
     none.
@@ -271,16 +261,18 @@ def _simulate_batch(scheme: SchemeId, model: SdeModel, cfg, increments: np.ndarr
         for k in range(n_steps):
             dB = increments[live, k]
             if scalar:
-                y, work[3] = (_scalar_step(scheme, model, cfg, delta, y, dB, radius,
-                                           neg_radius, work), y)
+                y, work[3] = _scalar_step(scheme, model, delta, y, dB, radius, neg_radius,
+                                          work), y
             else:
-                y = _general_step(scheme, model, cfg, delta, y, dB, radius)
+                y = _general_step(scheme, model, delta, y, dB, radius)
             # a finite sum means every entry is finite
             if not np.isfinite(np.add.reduce(y, axis=None)):
                 ok = np.isfinite(y).all(axis=1)
                 live = np.arange(n_paths)[live]
                 blowup_step[live[~ok]] = k
                 live, y = live[ok], y[ok]
+                if not len(live):
+                    break
                 # per-path steps and radii leave with their paths
                 delta, radius, neg_radius = (c if np.ndim(c) == 0 else c[ok]
                                              for c in (delta, radius, neg_radius))

@@ -1116,8 +1116,10 @@ def _per_rung_gaps(model, cfg, deltas, n_paths, t_final, seed):
                               block_sums(inc, 2, axis=1)[:, :, None], delta,
                               float(model.initial_value[0]), record=True)
         knots = res.states[:, :n, 0]
-        stepped = _scalar_step(tm.SchemeId.truncated_milstein, model, cfg, delta / 2.0,
-                               knots, inc[:, 0::2])
+        radius = cfg.radius(delta / 2.0)
+        stepped = _scalar_step(tm.SchemeId.truncated_milstein, model, delta / 2.0, knots,
+                               inc[:, 0::2], radius, -radius,
+                               [np.empty_like(knots) for _ in range(4)])
         out.append(float(np.mean((stepped - knots) ** 2)))
     return np.array(out)
 

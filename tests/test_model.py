@@ -120,6 +120,22 @@ def test_scalar_l_op_batches():
     assert scalar_l_op(model, z) == pytest.approx(2.0 * z**3)
 
 
+def test_scalar_l_op_finite_difference_equals_eval_l_op_bitwise():
+    # a scalar model without an analytic L-operator: each value is the
+    # one-point central difference, sign bits included
+    model = tm.SdeModel(d=1, m=1, drift=lambda x: -x,
+                        diffusion_col=lambda x, j: np.sin(x) + 0.5 * x * x,
+                        initial_value=np.array([1.0]), polynomial_degree_r=2.0)
+    scales = 10.0 ** np.arange(-8, 4)
+    z = np.concatenate([scales, -scales, 0.3 * scales, [0.0, -0.0, 1e-6, -1e-6]])
+    want = np.array([eval_l_op(model, [v], 1, 1)[0] for v in z])
+    for shape in ((len(z),), (len(z), 1)):
+        got = scalar_l_op(model, z.reshape(shape))
+        assert got.shape == shape
+        assert np.array_equal(got.ravel(), want)
+        assert np.array_equal(np.signbit(got.ravel()), np.signbit(want))
+
+
 def test_l_op_index_validation():
     model = tm.builtin_model("cubic_quintic")
     with pytest.raises(ValueError, match="driver indices"):

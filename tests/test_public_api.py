@@ -5,6 +5,7 @@ resolves."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -90,3 +91,22 @@ def test_every_name_the_cli_imports_from_a_module_is_exported():
              if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
              for alias in node.names}
     assert names and names <= set(truncmil.__all__)
+
+
+def test_only_the_driver_calls_the_steppers():
+    # `step`, `simulate` and every ensemble reach the steppers through
+    # `_simulate_batch`, which alone owns radii, work buffers and blow-ups
+    callers = set()
+    for path in sorted((ROOT / "src" / "truncmil").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers |= {(path.name, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Name)
+                            and node.func.id in ("_scalar_step", "_general_step")}
+    assert callers == {("scheme.py", "_simulate_batch")}
+    # so the steppers take what the driver hands them, with no fallbacks
+    for stepper in (scheme._scalar_step, scheme._general_step):
+        params = inspect.signature(stepper).parameters.values()
+        assert all(p.default is p.empty and p.name != "cfg" for p in params)

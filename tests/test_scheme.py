@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import truncmil as tm
 from conftest import config_for, make_fd_models, total_increment
+from truncmil import scheme as scheme_module
 from truncmil.brownian import block_sums, coarsen, generate_batch
 from truncmil.model import EvaluationError, eval_l_op, row_norm, scalar_l_op
 from truncmil.scheme import _general_step, _simulate_batch, simulate
@@ -515,7 +516,7 @@ def test_general_step_batch_matches_reference_rows_bitwise(seed, n, scheme, whic
     rng = np.random.default_rng(seed)
     y = rng.normal(scale=1.5, size=(n, model.d))
     dB = rng.normal(scale=np.sqrt(delta), size=(n, model.m))
-    got = _general_step(scheme, model, cfg, delta, y, dB)
+    got = _general_step(scheme, model, delta, y, dB, cfg.radius(delta))
     assert got.shape == (n, model.d)
     for row in range(n):
         want = _reference_general_step(scheme, model, cfg, delta, y[row], dB[row])
@@ -539,7 +540,7 @@ def test_general_step_edge_rows_match_reference_rows_bitwise(scheme, which):
     assert model.d == 1 or np.any(row_norm(far * (r / row_norm(far))[:, None]) > r)
     y = np.vstack([np.zeros((1, model.d)), on, far])
     dB = rng.normal(scale=np.sqrt(delta), size=(len(y), model.m))
-    got = _general_step(scheme, model, cfg, delta, y, dB)
+    got = _general_step(scheme, model, delta, y, dB, cfg.radius(delta))
     for row in range(len(y)):
         want = _reference_general_step(scheme, model, cfg, delta, y[row], dB[row])
         assert np.array_equal(got[row], want)
@@ -554,8 +555,8 @@ _EDGE_DB = np.array([[0.1, -0.2], [0.05, 0.0], [-0.3, 0.1], [0.02, 0.3]])
 def test_classical_batch_marks_only_failing_rows_blown_up(wide_cfg):
     model = _edge_model()
     with np.errstate(invalid="ignore"):
-        got = _general_step(tm.SchemeId.classical_milstein, model, wide_cfg, 0.125,
-                            _EDGE_STATES, _EDGE_DB)
+        got = _general_step(tm.SchemeId.classical_milstein, model, 0.125, _EDGE_STATES,
+                            _EDGE_DB, None)
     assert np.all(np.isnan(got[1:3]))
     for row in (0, 3):
         one = _reference_general_step("classical_milstein", model, wide_cfg, 0.125,
@@ -567,8 +568,8 @@ def test_classical_batch_marks_only_failing_rows_blown_up(wide_cfg):
 def test_truncated_batch_raises_at_first_failing_rows_point(wide_cfg):
     model = _edge_model()
     with pytest.raises(EvaluationError) as batch, np.errstate(invalid="ignore"):
-        _general_step(tm.SchemeId.truncated_milstein, model, wide_cfg, 0.125,
-                      _EDGE_STATES, _EDGE_DB)
+        _general_step(tm.SchemeId.truncated_milstein, model, 0.125, _EDGE_STATES, _EDGE_DB,
+                      wide_cfg.radius(0.125))
     assert list(batch.value.rows) == [1, 2]
     # row 1's own step names the same point: its x + delta e_1 neighbour
     with pytest.raises(EvaluationError) as one, np.errstate(invalid="ignore"):
@@ -597,6 +598,31 @@ def test_classical_blowups_emit_no_warning(wide_cfg):
         res = _simulate_batch(tm.SchemeId.classical_milstein, model, wide_cfg,
                               generate_batch(0, range(8), 1, 4.0, 8), 0.5, 40.0)
         assert not np.any(res.alive)
+        # one scalar step whose powers overflow: NaN, as a blown-up ensemble row
+        got = tm.step(tm.SchemeId.classical_milstein, model, wide_cfg, 0.5, [1e80], [0.3])
+        assert np.all(np.isnan(got))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_driver_stops_stepping_once_every_path_is_dead(monkeypatch, cubic_cfg, d):
+    # classical paths from x0 = 40 all blow up within a few steps of 1000;
+    # the driver steps no empty batch after that
+    name = "_scalar_step" if d == 1 else "_general_step"
+    real, calls = getattr(scheme_module, name), []
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(scheme_module, name, spy)
+    model = tm.builtin_model("cubic_quintic") if d == 1 else _diagonal_quintic_2d()
+    n_paths = 8 if d == 1 else 4
+    res = _simulate_batch(tm.SchemeId.classical_milstein, model, cubic_cfg,
+                          generate_batch(0, range(n_paths), d, 4.0, 1000), 0.004,
+                          np.full(d, 40.0), record=True)
+    last = res.blowup_step.max()
+    assert not np.any(res.alive) and len(calls) == last + 1
+    assert np.all(np.isnan(res.states[:, last + 1:])) and np.all(np.isnan(res.finals))
 
 
 @pytest.mark.parametrize("scheme", ["classical_milstein", "classical_em"])
