@@ -23,7 +23,9 @@ class EvaluationError(RuntimeError):
     """A coefficient function returned a non-finite value.
 
     ``x`` is the offending point; for a batch of points, ``rows`` lists every
-    row that failed and ``x`` belongs to the first of them.
+    row that failed and ``x`` belongs to the first of them: by the one check
+    rule of `coefficients`, the row itself or its first finite-difference
+    neighbour whose diffusion is not finite.
     """
 
     def __init__(self, message: str, x, rows=None) -> None:
@@ -210,82 +212,88 @@ def eval_l_op(model: SdeModel, x, j1: int, j2: int) -> np.ndarray:
     return _finite(finite_difference_l_op(model, x, j1, j2), "L-operator", x)
 
 
-def l_op_terms(model: SdeModel, x, sig: np.ndarray, what: Optional[str] = "L-operator",
-               stencil=None) -> np.ndarray:
-    """L^{j1} sigma_{j2}(x) for every driver pair, shape (..., m, m, d), [..., j1-1, j2-1].
+def coefficients(model: SdeModel, x: np.ndarray, norm=None, milstein: bool = True,
+                 check: bool = True) -> tuple:
+    """mu, sigma and every L^{j1} sigma_{j2} at each row of the (n, d) batch x,
+    in one pass: (n, d), (n, d, m) and (n, m, m, d) [i, j1-1, j2-1], or None
+    without `milstein`.
 
-    ``x`` is one point (d,) or a batch of points (n, d), and ``sig`` the
-    diffusion matrices at them, (d, m) or (n, d, m).  The finite-difference
-    fallback differences each column once per coordinate, at the 2 d
-    neighbours of `_fd_stencil`, forms every term of the sum over coordinates
-    as one batched product and adds them up in order from zeros:
-    `finite_difference_l_op`'s operation order, so each slice equals its
-    value.  ``stencil``, when given, is that stencil already evaluated: the
-    diffusion values at the neighbours of every row in `_fd_stencil` order,
-    (2 n d, m, d), and the step of every row, (n,); its arithmetic then runs
-    under the caller's `np.errstate`.  Without it the fallback evaluates its
-    own (2 m d diffusion calls per point, one list of the neighbours serving
-    every column), ignoring overflow and invalid values.  One finiteness
-    check, on the result, covers the diffusion matrix and the neighbours too,
-    since any non-finite input reaches it.  The error lists the failing rows
-    and names the first one's culprit: the point itself, or its first
-    neighbour whose diffusion is not finite.  With `what=None` there is no
-    check, as in `_evaluate`: a non-finite value passes through (a classical
-    step's blow-up).
+    One list holds the n rows and, for a finite-difference L-operator, the
+    2 d central-difference neighbours of each row, whose step comes from
+    `norm`, the row norms of x, when given.  `_evaluate` takes the drift at
+    the n rows and each diffusion column at every entry of the list.  The
+    neighbours' values are differenced, every term of the sum over
+    coordinates formed as one batched product and the terms added up in order
+    from zeros: `finite_difference_l_op`'s operation order, so each slice
+    equals its value.  That arithmetic ignores overflow and invalid values; a
+    model with an analytic `l_op` has it evaluated at the rows instead.
+
+    With `check`, a non-finite drift, diffusion, neighbour diffusion or
+    L-term raises `EvaluationError`, which lists the failing rows and names
+    the first one's culprit in that order (the neighbours column by column).
+    Without it, a non-finite value passes through (a classical step's
+    blow-up).
     """
-    x = np.asarray(x, dtype=float)
-    d, m = model.d, model.m
-    pts = x.reshape(-1, d)
-    sig = np.asarray(sig, dtype=float).reshape(-1, d, m)
-    n = len(pts)
-    if model.l_op is None and stencil is None:
-        fd_step = _fd_step(pts)
-        nb_pts = _fd_stencil(pts, fd_step).reshape(-1, d)
-        nb_pts = nb_pts if model.is_scalar else list(nb_pts)     # one list for every column
-        nb = np.empty((n * d * 2, m, d))
-        for j in range(m):
-            _evaluate(model, model.diffusion_col, nb_pts, j + 1, out=nb[:, j])
-        with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows are handled below
-            return l_op_terms(model, x, sig, what, (nb, fd_step))
-    out = np.zeros((n, m, m, d))
-    if model.l_op is not None:
-        for j1, j2 in product(range(m), repeat=2):
-            _evaluate(model, model.l_op, pts, j1 + 1, j2 + 1, out=out[:, j1, j2])
+    n, d, m = len(x), model.d, model.m
+    stencil = milstein and model.l_op is None
+    if stencil:
+        fd_step = _fd_step(x, norm)
+        pts = np.empty((n * (1 + 2 * d), d))
+        pts[:n] = x
+        _fd_stencil(x, fd_step, out=pts[n:].reshape(n, d, 2, d))
     else:
-        nb, fd_step = stencil
+        pts = x
+    rows = pts if model.is_scalar else list(pts)     # one list for every coefficient
+    mu = _evaluate(model, model.drift, rows[:n])
+    # [i, j, k]: component k of sigma_{j+1} at row i, the n rows first
+    sig = np.empty((len(pts), m, d))
+    for j in range(m):
+        _evaluate(model, model.diffusion_col, rows, j + 1, out=sig[:, j])
+    # [i, l, j]: sigma at row i as one point's (d, m) matrix, contiguous so
+    # that a sum over a row's entries runs in one point's order
+    sigma = np.ascontiguousarray(sig[:n].transpose(0, 2, 1))
+    l_terms = np.zeros((n, m, m, d)) if milstein else None
+    if stencil:
         # nb[i, l, s, (j2, k)]: component k of sigma_{j2} at neighbour (l, s) of row i
-        nb = nb.reshape(n, d, 2, m * d)
-        # [i, l, j1, (j2, k)]: the l-th term of L^{j1} sigma_{j2}, component k
-        terms = (sig[..., None] * (nb[:, :, 0] - nb[:, :, 1])[:, :, None]
-                 / (2.0 * fd_step)[:, None, None, None])
-        flat = out.reshape(n, m, m * d)
-        for l in range(d):
-            flat += terms[:, l]
-    if what is not None and not np.isfinite(out).all():
-        rows = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2, 3)))
-        i = rows[0]
-        at = pts[i]
-        if model.l_op is None:
-            if not np.all(np.isfinite(sig[i])):
-                what = "diffusion"
-            else:
-                # [j2, l, s], so the first is in column order
-                bad = ~np.isfinite(nb[i].reshape(d, 2, m, d)).all(axis=-1)
-                nb_bad = np.argwhere(bad.transpose(2, 0, 1))
-                if len(nb_bad):
-                    l, s = nb_bad[0, 1:]
-                    what, at = "diffusion", _fd_stencil(pts[i:i + 1], fd_step[i:i + 1])[0, l, s]
-        raise EvaluationError(f"non-finite {what}", at, rows=rows)
-    return out[0] if x.ndim <= 1 else out
+        nb = sig[n:].reshape(n, d, 2, m * d)
+        with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows are checked below
+            # [i, l, j1, (j2, k)]: the l-th term of L^{j1} sigma_{j2}, component k
+            terms = (sigma[..., None] * (nb[:, :, 0] - nb[:, :, 1])[:, :, None]
+                     / (2.0 * fd_step)[:, None, None, None])
+            flat = l_terms.reshape(n, m, m * d)
+            for l in range(d):
+                flat += terms[:, l]
+    elif milstein:
+        for j1, j2 in product(range(m), repeat=2):
+            _evaluate(model, model.l_op, x, j1 + 1, j2 + 1, out=l_terms[:, j1, j2])
+    if check and not (np.isfinite(mu).all() and np.isfinite(sig).all()
+                      and (l_terms is None or np.isfinite(l_terms).all())):
+        # [i, c]: block c of row i is finite, c running over the drift, the
+        # diffusion, each neighbour's diffusion column by column ([j, l, s]),
+        # then the L-operator
+        parts = [mu[:, None], sig[:n, None]]
+        if stencil:
+            parts.append(sig[n:].reshape(n, d, 2, m, d).transpose(0, 3, 1, 2, 4).reshape(n, -1, d))
+        if milstein:
+            parts.append(l_terms[:, None])
+        ok = np.hstack([np.isfinite(p.reshape(n, p.shape[1], -1)).all(axis=2) for p in parts])
+        failed = np.flatnonzero(~ok.all(axis=1))
+        i = failed[0]
+        c = int(np.argmin(ok[i]))            # the first block of row i that failed
+        what, at = ("drift" if c == 0 else "diffusion"), x[i]
+        if milstein and c == ok.shape[1] - 1:
+            what = "L-operator"
+        elif c > 1:
+            at = pts[n + 2 * d * i + (c - 2) % (2 * d)]
+        raise EvaluationError(f"non-finite {what}", at, rows=failed)
+    return mu, sigma, l_terms
 
 
 def scalar_l_op(model: SdeModel, z: np.ndarray) -> np.ndarray:
     """Elementwise L^1 sigma_1 for scalar models; z may have any shape."""
     if model.l_op is not None:
         return np.asarray(model.l_op(z, 1, 1), dtype=float)
-    col = np.reshape(z, (-1, 1))
-    sig = _evaluate(model, model.diffusion_col, col, 1)
-    return l_op_terms(model, col, sig, what=None).reshape(np.shape(z))
+    return coefficients(model, np.reshape(z, (-1, 1)), check=False)[2].reshape(np.shape(z))
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +408,13 @@ def check_assumption(model: SdeModel, assumption: Assumption, spec: ProbeSpec) -
         pairs = _halton_ball(2 * d, spec.n_points, 1.0)
         xs = spec.radius * pairs[:, :d]
         ys = spec.radius * pairs[:, d:]
-        dmu = (_evaluate(model, model.drift, xs, what="drift")
-               - _evaluate(model, model.drift, ys, what="drift"))
-        sx, sy = sigma_matrix(model, xs), sigma_matrix(model, ys)
+        lipschitz = assumption is Assumption.A2_1_polyLipschitz
+        (mx, sx, lx), (my, sy, ly) = (coefficients(model, p, milstein=lipschitz) for p in (xs, ys))
+        dmu = mx - my
         dsig = row_norm((sx - sy).reshape(len(xs), -1))
-        if assumption is Assumption.A2_1_polyLipschitz:
+        if lipschitz:
             K1 = float(c.get("K1", 100.0))
-            dl = np.max(row_norm(l_op_terms(model, xs, sx) - l_op_terms(model, ys, sy)), axis=(1, 2))
+            dl = np.max(row_norm(lx - ly), axis=(1, 2))
             lhs = np.maximum(np.maximum(row_norm(dmu), dsig), dl)
             rhs = (K1 * (1.0 + np.float_power(row_norm(xs), r) + np.float_power(row_norm(ys), r))
                    * row_norm(xs - ys))
@@ -435,12 +443,11 @@ def check_assumption(model: SdeModel, assumption: Assumption, spec: ProbeSpec) -
         delta = float(c.get("delta", 0.0))
         if assumption is Assumption.Eq4_2_milsteinDissipative and "delta" not in c:
             raise ValueError("Eq4_2 check needs constants['delta']")
-        mu = _evaluate(model, model.drift, xs, what="drift")
-        sig = sigma_matrix(model, xs)
+        milstein = assumption is Assumption.Eq4_2_milsteinDissipative
+        mu, sig, terms = coefficients(model, xs, milstein=milstein)
         lhs = 2.0 * np.vecdot(xs, mu) + np.sum(sig ** 2, axis=(1, 2))
         used = {"k_c": spec.k_fn.c, "k_gamma": spec.k_fn.gamma}
-        if assumption is Assumption.Eq4_2_milsteinDissipative:
-            terms = l_op_terms(model, xs, sig)
+        if milstein:
             l_sum = sum(terms[:, j1, j2] for j1, j2 in product(range(m), repeat=2))
             lhs = lhs + 0.5 * np.vecdot(l_sum, l_sum) * delta
             used["delta"] = delta

@@ -9,13 +9,13 @@ and for commutative noise; Levy areas are not sampled.
 The steps advance an (n_paths, d) batch of states with (n_paths, m)
 increments at once.  Each row gets the per-point operations in the per-point
 order, so a row's result does not depend on the batch it is stepped in.  The
-scalar step runs elementwise on the whole batch.  The general step evaluates
-its coefficients in one pass: one list holds the projected rows and, for a
-finite-difference L-operator, their central-difference neighbours, and
-`model._evaluate` calls the drift and every diffusion column on it one (d,)
-row at a time.  All other arithmetic is a few whole-batch operations: the
-terms of the increment are batched products, added up term by term in the
-per-point order.
+scalar step runs elementwise on the whole batch.  The general step takes
+mu, sigma and every L^{j1} sigma_{j2} at the projected rows from
+`model.coefficients`, the one pass that evaluates a batch's coefficients
+and alone knows the finite-difference stencil; a truncated step raises at a
+non-finite coefficient by its one check rule.  All other arithmetic is a few
+whole-batch operations: the terms of the increment are batched products,
+added up term by term in the per-point order.
 
 One batched driver, `_simulate_batch`, is the only caller of the steppers:
 every ensemble goes through it, `simulate` is its one-path view and `step` its
@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .brownian import BrownianGrid, coarsen
-from .model import SdeModel, _evaluate, _fd_stencil, _fd_step, l_op_terms, scalar_l_op
+from .model import SdeModel, coefficients, scalar_l_op
 from .truncation import _check_delta, _clamp, _project_rows
 
 
@@ -119,50 +119,29 @@ def _general_step(scheme: SchemeId, model: SdeModel, delta: float, y: np.ndarray
                   dB: np.ndarray, radius) -> np.ndarray:
     """One step for an (n_paths, d) batch of states y with (n_paths, m) increments dB.
 
-    A truncated scheme projects y onto the ball of `radius`.  Every
-    coefficient is evaluated in one pass over one list of rows: the n
-    (projected) states and, under a Milstein scheme without an analytic
-    L-operator, their 2 d central-difference neighbours each, whose step comes
-    from the projection's row norms.  The drift is taken at the n states and each diffusion column at
-    every row; `l_op_terms` differences the neighbours' values.  The terms of
-    the increment are whole-batch products, added up in the per-point order:
-    drift * delta, each sigma_j * dB_j, then each 0.5 L^{j1} sigma_{j2} *
-    w_{j1 j2} in `product` order.  Under a classical scheme a row whose
-    L-operator is not finite comes back non-finite, a blow-up; a truncated
-    scheme raises `EvaluationError`.  The driver silences the overflow and
-    invalid-value warnings of the arithmetic.
+    A truncated scheme projects y onto the ball of `radius`, and
+    `model.coefficients` evaluates mu, sigma and, under a Milstein scheme,
+    every L^{j1} sigma_{j2} at the (projected) states in one pass, its
+    finite-difference step taken from the projection's row norms.  The terms
+    of the increment are whole-batch products, added up in the per-point
+    order: drift * delta, each sigma_j * dB_j, then each
+    0.5 L^{j1} sigma_{j2} * w_{j1 j2} in `product` order.  A truncated scheme
+    raises `EvaluationError` at a non-finite coefficient; under a classical
+    scheme the row comes back non-finite, a blow-up.  The driver silences the
+    overflow and invalid-value warnings of the arithmetic.
     """
-    n, d, m = len(y), model.d, model.m
+    n, m = len(y), model.m
     truncates, milstein = scheme.truncates, scheme.has_milstein_term
-    if truncates:
-        z, norm = _project_rows(radius, y)
-    else:
-        z, norm = y, None
-    stencil = milstein and model.l_op is None
-    if stencil:
-        fd_step = _fd_step(z, norm)
-        pts = np.empty((n * (1 + 2 * d), d))
-        pts[:n] = z
-        _fd_stencil(z, fd_step, out=pts[n:].reshape(n, d, 2, d))
-    else:
-        pts = z
-    rows = list(pts)
-    mu = _evaluate(model, model.drift, rows[:n])
-    # [i, j, k]: component k of sigma_{j+1} at row i, the n states first
-    sig = np.empty((len(rows), m, d))
-    for j in range(m):
-        _evaluate(model, model.diffusion_col, rows, j + 1, out=sig[:, j])
+    z, norm = _project_rows(radius, y) if truncates else (y, None)
+    mu, sig, l_terms = coefficients(model, z, norm, milstein, check=truncates)
     # [k] the k-th term of the increment
-    terms = np.empty((1 + m + (m * m if milstein else 0), n, d))
+    terms = np.empty((1 + m + (m * m if milstein else 0), n, model.d))
     np.multiply(mu, delta, out=terms[0])
-    np.multiply(sig[:n].transpose(1, 0, 2), dB.T[:, :, None], out=terms[1:m + 1])
+    np.multiply(sig.transpose(2, 0, 1), dB.T[:, :, None], out=terms[1:m + 1])
     if milstein:
-        l_terms = l_op_terms(model, z, sig[:n].transpose(0, 2, 1),
-                             what="L-operator" if truncates else None,
-                             stencil=(sig[n:], fd_step) if stencil else None)
         w = dB[:, :, None] * dB[:, None, :]
         w.reshape(n, m * m)[:, ::m + 1] -= delta        # dB_j^2 - delta
-        np.multiply(0.5 * l_terms.reshape(n, m * m, d).transpose(1, 0, 2),
+        np.multiply(0.5 * l_terms.reshape(n, m * m, model.d).transpose(1, 0, 2),
                     w.reshape(n, m * m).T[:, :, None], out=terms[m + 1:])
     # added in order from the first term on, as one point's sum
     return y + np.add.accumulate(terms, axis=0, out=terms)[-1]

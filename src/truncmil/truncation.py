@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import SdeModel, _evaluate, l_op_terms, row_norm, sigma_matrix
+from .model import SdeModel, coefficients, row_norm
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,10 @@ class TruncatedCoeffs:
 
 def truncated_coeffs(model: SdeModel, cfg, delta: float, x) -> TruncatedCoeffs:
     """Evaluate mu, sigma_j and L^{j1} sigma_{j2} at pi_delta(x), for one point
-    (d,) or a batch (n, d), every coefficient by `model._evaluate`."""
+    (d,) or a batch (n, d), in one `model.coefficients` pass."""
     x = np.asarray(x, dtype=float)
     z = project(cfg, delta, x.reshape(-1, model.d))
-    mu = _evaluate(model, model.drift, z, what="drift")
-    sigma = sigma_matrix(model, z)
-    blocks = (z, mu, sigma, l_op_terms(model, z, sigma))
+    blocks = (z, *coefficients(model, z))
     return TruncatedCoeffs(*(blocks if x.ndim > 1 else (b[0] for b in blocks)))
 
 
@@ -244,8 +242,8 @@ def preservation_margin(model: SdeModel, cfg, delta: float, p_bar: float,
                         lambda2: float, points: Sequence) -> float:
     """Worst margin of <x, mu~(x)> + (2 p_bar - 1) |sigma~(x)|^2 <= 2 lambda2 (1 + |x|^2)."""
     x = _points(model, points)
-    z = project(cfg, delta, x)
-    lhs = _growth_lhs(x, _evaluate(model, model.drift, z, what="drift"), sigma_matrix(model, z), p_bar)
+    mu, sigma, _ = coefficients(model, project(cfg, delta, x), milstein=False)
+    lhs = _growth_lhs(x, mu, sigma, p_bar)
     margins = lhs - 2.0 * lambda2 * (1.0 + np.vecdot(x, x))
     return float(np.max(margins, initial=-math.inf))
 
@@ -254,5 +252,6 @@ def fit_lambda2(model: SdeModel, p_bar: float, points: Sequence) -> float:
     """Smallest lambda2 making <x, mu> + (2 p_bar - 1)|sigma|^2 <= lambda2 (1+|x|^2)
     hold at the sampled points (floored at 1e-6)."""
     x = _points(model, points)
-    lhs = _growth_lhs(x, _evaluate(model, model.drift, x, what="drift"), sigma_matrix(model, x), p_bar)
+    mu, sigma, _ = coefficients(model, x, milstein=False)
+    lhs = _growth_lhs(x, mu, sigma, p_bar)
     return float(np.max(lhs / (1.0 + np.vecdot(x, x)), initial=1e-6))

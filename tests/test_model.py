@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import truncmil as tm
 from conftest import lipschitz_control_model
 from truncmil.model import (BUILTIN_MODEL_NAMES, EvaluationError, ProbeSpec, _halton_ball,
-                            eval_l_op, finite_difference_l_op, l_op_terms, register_model,
+                            coefficients, eval_l_op, finite_difference_l_op, register_model,
                             resolve_model, scalar_l_op, sigma_matrix)
 
 
@@ -84,11 +85,11 @@ def test_analytic_l_op_agrees_with_finite_difference():
             assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-9)
 
 
-def test_l_op_terms_equal_per_pair_finite_differences(fd_models):
+def test_coefficient_l_terms_equal_per_pair_finite_differences(fd_models):
     for model in fd_models:
         for scale in (0.3, 1.0, -2.5):
             x = scale * model.initial_value + 0.1
-            terms = l_op_terms(model, x, sigma_matrix(model, x))
+            terms = coefficients(model, x[None])[2][0]
             assert terms.shape == (model.m, model.m, model.d)
             for j1 in range(1, model.m + 1):
                 for j2 in range(1, model.m + 1):
@@ -96,7 +97,7 @@ def test_l_op_terms_equal_per_pair_finite_differences(fd_models):
                                           finite_difference_l_op(model, x, j1, j2))
 
 
-def test_l_op_terms_equal_analytic_l_op(fd_models):
+def test_coefficient_l_terms_equal_analytic_l_op(fd_models):
     # sigma_j = x_j^2 e_j gives L^{j1} sigma_{j2} = [j1 == j2] 2 x_j^3 e_j
     def l_op(x, j1, j2):
         out = np.zeros(2)
@@ -106,12 +107,11 @@ def test_l_op_terms_equal_analytic_l_op(fd_models):
     fd = fd_models[0]
     analytic = replace(fd, l_op=l_op)
     for x in (np.array([0.4, -1.3]), np.array([2.0, 0.7])):
-        sig = sigma_matrix(analytic, x)
-        terms = l_op_terms(analytic, x, sig)
+        terms = coefficients(analytic, x[None])[2][0]
         for j1 in (1, 2):
             for j2 in (1, 2):
                 assert np.array_equal(terms[j1 - 1, j2 - 1], eval_l_op(analytic, x, j1, j2))
-        assert l_op_terms(fd, x, sig) == pytest.approx(terms, rel=1e-6, abs=1e-9)
+        assert coefficients(fd, x[None])[2][0] == pytest.approx(terms, rel=1e-6, abs=1e-9)
 
 
 def test_scalar_l_op_batches():
@@ -298,6 +298,7 @@ def _per_point_check(model, assumption, spec):
     c = dict(spec.constants)
     r = float(c.get("r", model.polynomial_degree_r))
     d, m = model.d, model.m
+    driver_pairs = list(product(range(1, m + 1), repeat=2))
 
     def drift(x):
         return np.atleast_1d(np.asarray(model.drift(x), dtype=float))
@@ -309,8 +310,8 @@ def _per_point_check(model, assumption, spec):
             sx, sy = sigma_matrix(model, x), sigma_matrix(model, y)
             dsig = np.linalg.norm(sx - sy)
             if assumption is tm.Assumption.A2_1_polyLipschitz:
-                lx = l_op_terms(model, x, sx).reshape(-1, d)
-                ly = l_op_terms(model, y, sy).reshape(-1, d)
+                lx = [eval_l_op(model, x, j1, j2) for j1, j2 in driver_pairs]
+                ly = [eval_l_op(model, y, j1, j2) for j1, j2 in driver_pairs]
                 dl = max(float(np.linalg.norm(a - b)) for a, b in zip(lx, ly))
                 lhs = max(np.linalg.norm(drift(x) - drift(y)), dsig, dl)
                 rhs = (c.get("K1", 100.0) * (1.0 + np.linalg.norm(x) ** r + np.linalg.norm(y) ** r)
@@ -339,8 +340,8 @@ def _per_point_check(model, assumption, spec):
             lhs = 2.0 * float(np.dot(x, drift(x))) + float(np.sum(sig ** 2))
             if assumption is tm.Assumption.Eq4_2_milsteinDissipative:
                 l_sum = np.zeros(d)
-                for term in l_op_terms(model, x, sig).reshape(-1, d):
-                    l_sum += term
+                for j1, j2 in driver_pairs:
+                    l_sum += eval_l_op(model, x, j1, j2)
                 lhs += 0.5 * float(np.dot(l_sum, l_sum)) * c["delta"]
             margins.append(lhs + float(spec.k_fn(np.linalg.norm(x))))
     else:

@@ -110,3 +110,22 @@ def test_only_the_driver_calls_the_steppers():
     for stepper in (scheme._scalar_step, scheme._general_step):
         params = inspect.signature(stepper).parameters.values()
         assert all(p.default is p.empty and p.name != "cfg" for p in params)
+
+
+def test_only_the_model_knows_the_stencil():
+    # mu, sigma and the L-terms at a batch come from `model.coefficients`,
+    # the one pass that builds the finite-difference stencil
+    named = {}
+    for path in sorted((ROOT / "src" / "truncmil").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.alias, ast.FunctionDef)):
+                name = node.name
+            else:
+                continue
+            named.setdefault(name, set()).add(path.name)
+    assert named["_fd_stencil"] == named["_fd_step"] == {"model.py"}
+    assert "l_op_terms" not in named

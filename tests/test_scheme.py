@@ -583,6 +583,57 @@ def test_truncated_batch_raises_at_first_failing_rows_point(wide_cfg):
     assert np.array_equal(two.value.x, _EDGE_STATES[2])
 
 
+def test_truncated_coeffs_report_every_failing_row(wide_cfg):
+    # row 1 fails at a neighbour, row 2 at the state: both are listed, and
+    # the error is row 1's own
+    model = _edge_model()
+    with pytest.raises(EvaluationError) as batch:
+        truncated_coeffs(model, wide_cfg, 0.125, _EDGE_STATES)
+    assert list(batch.value.rows) == [1, 2]
+    with pytest.raises(EvaluationError) as one:
+        truncated_coeffs(model, wide_cfg, 0.125, _EDGE_STATES[1])
+    assert str(batch.value) == str(one.value)
+    assert np.array_equal(batch.value.x, one.value.x) and batch.value.x[0] > 1.0
+
+
+def test_non_finite_coefficients_raise_without_warnings(wide_cfg):
+    # the differencing of non-finite neighbours emits no RuntimeWarning
+    model = _edge_model()
+    spec = tm.ProbeSpec(n_points=64, radius=2.0, k_fn=tm.KFunction(1.0, 2.0),
+                        constants={"delta": 0.1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError):
+            truncated_coeffs(model, wide_cfg, 0.125, _EDGE_STATES)
+        for assumption in (tm.Assumption.A2_1_polyLipschitz,
+                           tm.Assumption.Eq4_2_milsteinDissipative):
+            with pytest.raises(EvaluationError):
+                tm.check_assumption(model, assumption, spec)
+
+
+def _drift_nan_beyond(x):
+    return np.full(2, np.nan) if x[0] > 0.7 else -x
+
+
+@pytest.mark.parametrize("scheme", list(tm.SchemeId))
+def test_step_checks_every_coefficient_when_truncating(wide_cfg, scheme):
+    # a non-finite drift is an error of a truncated step, as a non-finite
+    # L-operator is, and a classical step's blow-up
+    model = tm.SdeModel(d=2, m=2, drift=_drift_nan_beyond, diffusion_col=lambda x, j: 0.1 * j * x,
+                        initial_value=np.array([0.5, 0.5]), polynomial_degree_r=1.0)
+    x0 = np.array([[0.5, 0.5], [0.8, 0.1]])
+    inc = np.full((2, 1, 2), 0.1)
+    scheme = tm.SchemeId(scheme)
+    if scheme.truncates:
+        with pytest.raises(EvaluationError, match="non-finite drift") as exc:
+            _simulate_batch(scheme, model, wide_cfg, inc, 0.125, x0)
+        assert list(exc.value.rows) == [1]
+        assert np.array_equal(exc.value.x, x0[1])
+    else:
+        res = _simulate_batch(scheme, model, wide_cfg, inc, 0.125, x0)
+        assert list(res.alive) == [True, False] and list(res.blowup_step) == [-1, 0]
+
+
 def test_classical_blowups_emit_no_warning(wide_cfg):
     # a d > 1 path through a non-finite neighbour, one step of it, and a
     # scalar ensemble whose states overflow: blow-ups, not warnings

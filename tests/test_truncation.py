@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import truncmil as tm
 from conftest import _coupled_col, config_for
-from truncmil.model import BUILTIN_MODEL_NAMES, l_op_terms, row_norm, sigma_matrix
+from truncmil.model import BUILTIN_MODEL_NAMES, eval_l_op, row_norm, sigma_matrix
 from truncmil.scheme import simulate
 from truncmil.truncation import (coefficient_bound_margin, fit_lambda2,
                                  new_error_bound, old_condition_threshold,
@@ -274,11 +274,10 @@ def _per_point_probes(model, cfg, delta, p_bar, lambda2, points):
         z = project(cfg, delta, x)
         mu = np.broadcast_to(np.asarray(model.drift(z), dtype=float), (model.d,))
         sig = sigma_matrix(model, z)
-        terms = l_op_terms(model, z, sig)
         blocks = [float(np.linalg.norm(mu))]
         blocks += [float(np.linalg.norm(sig[:, j])) for j in range(model.m)]
-        blocks += [float(np.linalg.norm(terms[j1, j2]))
-                   for j1 in range(model.m) for j2 in range(model.m)]
+        blocks += [float(np.linalg.norm(eval_l_op(model, z, j1, j2)))
+                   for j1 in range(1, model.m + 1) for j2 in range(1, model.m + 1)]
         worst_bound = max(worst_bound, max(blocks) - cfg.h(delta))
         lhs = float(np.dot(x, mu)) + (2.0 * p_bar - 1.0) * float(np.sum(sig ** 2))
         worst_pres = max(worst_pres, lhs - 2.0 * lambda2 * (1.0 + float(np.dot(x, x))))
@@ -306,6 +305,23 @@ def test_probes_match_per_point_reference_bitwise(delta, fd_models):
     model, cfg = cases[0]
     pts = [0.3, -2.0, 7.5]      # a scalar model's points may be plain numbers
     assert probes(model, cfg, pts) == _per_point_probes(model, cfg, delta, 1.5, 0.7, pts)
+
+
+def _dense_col(x, j):
+    return np.array([0.3 * j * x[0] - x[1], x[1] * x[2] + 0.1 * j, np.sin(j * x[2]) + x[0]])
+
+
+def test_probes_sum_a_dense_diffusion_matrix_in_one_points_order():
+    # every entry of the 3 x 3 diffusion matrix is nonzero, so |sigma|^2
+    # summed in another order than one point's rounds differently
+    model = tm.SdeModel(d=3, m=3, drift=lambda x: -x - x**3, diffusion_col=_dense_col,
+                        initial_value=np.array([0.5, -0.3, 0.8]), polynomial_degree_r=2.0)
+    cfg = tm.TruncationConfig(4.0, 3.0, 2.0, 0.2, 2.0)
+    rng = np.random.default_rng(5)
+    for x in rng.standard_normal((100, 3)) * 10.0 ** rng.uniform(-2, 2, (100, 1)):
+        got = (coefficient_bound_margin(model, cfg, 0.25, [x]),
+               preservation_margin(model, cfg, 0.25, 1.5, 0.7, [x]), fit_lambda2(model, 1.5, [x]))
+        assert got == _per_point_probes(model, cfg, 0.25, 1.5, 0.7, [x])
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
