@@ -9,8 +9,11 @@ scheme reads as slope one regardless of the moment exponent.
 
 Path-level work runs through `_map_chunks` alone: one contiguous chunk of
 paths per worker, but never more chunks than paths, merged in path-index
-order.  Two or more chunks run in one process pool of exactly one worker per
-chunk; a single chunk runs in-process, with no pool.  The moment probe
+order.  Two or more chunks run on the process's one cached pool of exactly
+one worker per chunk, kept from call to call while the chunk count, the pool
+factory, the process and every function or class the chunks name stay the
+same, dropped on any error and joined at interpreter exit (`_map_chunks`);
+a single chunk runs in-process, with no pool.  The moment probe
 takes `n_workers=None` by default: one worker per usable CPU, but at most
 one per `_MIN_CHUNK_PATHS` paths, and in-process where a pool cannot take
 the chunk (arguments that do not pickle, a daemonic process) or would cost
@@ -31,10 +34,13 @@ probe chunk's step ladder as one batch and a stability chunk as one rung.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import multiprocessing
 import os
 import pickle
+import threading
+import types
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -259,7 +265,34 @@ def _rate_chunk(spec: RateExperimentSpec, model: SdeModel, lo: int, hi: int) -> 
     return np.stack([e ** p if model.is_scalar else np.float_power(e, p) for e in errs], axis=1)
 
 
-def _default_workers(fn, n_paths: int, args: tuple) -> int:
+class _Referencing(pickle.Pickler):
+    """Pickles to a scratch buffer, keeping every function and class it
+    pickles by reference (by module and name, which a worker resolves in its
+    own copy of the modules) in `refs`, by id."""
+
+    def __init__(self) -> None:
+        super().__init__(io.BytesIO())
+        self.refs = {}
+
+    def reducer_override(self, obj):
+        if isinstance(obj, (type, types.FunctionType, types.BuiltinFunctionType)):
+            self.refs[id(obj)] = obj
+        return NotImplemented
+
+
+def _references(fn, args: tuple) -> Optional[dict]:
+    """The functions and classes that the pickle of (fn, args) names, by id,
+    or None where it does not pickle (a lambda coefficient, a wrapped drift,
+    a lock)."""
+    pickler = _Referencing()
+    try:
+        pickler.dump((fn, args))
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None
+    return pickler.refs
+
+
+def _default_workers(fn, n_paths: int, args: tuple, refs=None) -> int:
     """Workers for `n_workers=None`: one per CPU this process may use, but at
     most one per `_MIN_CHUNK_PATHS` paths; 1 (in-process) where a pool
     cannot run the chunks, as `fn` or `args` do not pickle (a lambda
@@ -270,7 +303,9 @@ def _default_workers(fn, n_paths: int, args: tuple) -> int:
     paths under fork, 0.31 vs 0.96 s under forkserver and 0.33 vs 1.18 s
     under spawn (1.14 vs 1.40 s and 1.25 vs 1.70 s at 10 000 paths).  The
     start method is read without being fixed, so a later
-    `multiprocessing.set_start_method` still works."""
+    `multiprocessing.set_start_method` still works.  `refs`, when given,
+    returns `_references(fn, args)`, so that one pickle serves the caller
+    too."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:                      # not on every platform
@@ -280,37 +315,98 @@ def _default_workers(fn, n_paths: int, args: tuple) -> int:
             or (multiprocessing.get_start_method(allow_none=True)
                 or multiprocessing.get_all_start_methods()[0]) != "fork"):
         return 1
-    try:
-        pickle.dumps((fn, args))
-    except (pickle.PicklingError, AttributeError, TypeError):   # a lambda, a lock, ...
-        return 1
-    return k
+    return 1 if (refs or functools.partial(_references, fn, args))() is None else k
+
+
+# the process's one pool, (factory, workers, references known at its fork,
+# executor), or None; `_pool_lock` guards it and every call on it
+_pool = None
+_pool_lock = threading.RLock()
+
+
+def _forget_pool() -> None:
+    # a forked child (a worker, or a fork of the caller) neither reuses nor
+    # shuts down its parent's pool; its copy of the lock may be held, as a
+    # pool forks its workers within a call
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):             # not where there is no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _close_pool() -> None:
+    """Shut down the process's pool, if there is one, joining its workers."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            executor, _pool = _pool[-1], None
+            executor.shutdown()
+
+
+def _pool_for(k: int, refs: Optional[dict]):
+    """The process's pool, reused if it has k workers from the current
+    `ProcessPoolExecutor`, is not broken, and knew every object in `refs`
+    (None: unknown) when it forked; else a new one replaces it.  A worker
+    resolves a name in the modules as they were at its fork, so a function
+    or class rebound since then (a drift redefined in `__main__` or a
+    notebook) must not reach it by name.  Call with `_pool_lock` held."""
+    global _pool
+    factory = ProcessPoolExecutor           # read now: tests and the benchmark swap it
+    if _pool is not None:
+        cached, workers, known, executor = _pool
+        # `_broken` is set once a worker died, even while the pool was idle
+        if (cached is factory and workers == k and refs is not None
+                and refs.keys() <= known.keys() and not getattr(executor, "_broken", False)):
+            return executor
+        _close_pool()
+    executor = factory(max_workers=k)
+    _pool = (factory, k, refs or {}, executor)
+    return executor
 
 
 def _map_chunks(fn, n_paths: int, n_workers: Optional[int], *args,
                 meanwhile=lambda: None) -> tuple:
     """(meanwhile(), [fn(*args, lo, hi) for contiguous chunks [lo, hi) of the
     paths, in path order]): one chunk per worker but none empty, whose sizes
-    differ by at most one, in a process pool of one worker per chunk when
-    there are k > 1 chunks, else in-process.  `n_workers=None` takes
+    differ by at most one, on the process's pool of one worker per chunk
+    when there are k > 1 chunks, else in-process.  `n_workers=None` takes
     `_default_workers`; fewer than one worker is a ValueError.
+
+    The pool is made by the first call of k > 1 chunks and kept for the
+    next (`_pool_for`), so a run of ensembles forks its workers once: it is
+    replaced when k, the `ProcessPoolExecutor` factory or the process (a
+    fork) differs, or when a function or class the chunks' pickle names is
+    not one the pool knew when it forked.  Its workers are joined when the
+    interpreter exits, by `concurrent.futures`' own exit hook, or by
+    `_close_pool`.  A one-shot CLI run forks once either way and gains
+    nothing from it.
 
     `meanwhile()` is the caller's work in this process: it runs after every
     chunk is submitted and before any is awaited, or, with one chunk, before
     it.  Every worker starts its chunk at once, so if `meanwhile` raises, the
-    error propagates once the pool has finished them.
+    error propagates once the pool has finished them.  If anything raises
+    (a chunk, `meanwhile`, a broken pool, an interrupt), the pool is shut
+    down before the error propagates, so a failed call leaves no worker.
     """
+    refs = functools.cache(functools.partial(_references, fn, args))    # one pickle a call
     if n_workers is None:
-        n_workers = _default_workers(fn, n_paths, args)
+        n_workers = _default_workers(fn, n_paths, args, refs)
     elif n_workers < 1:
         raise ValueError(f"n_workers = {n_workers}: need at least one worker")
     k = max(1, min(n_workers, n_paths))
     calls = [(*args, i * n_paths // k, (i + 1) * n_paths // k) for i in range(k)]
     if k == 1:
         return meanwhile(), [fn(*calls[0])]
-    with ProcessPoolExecutor(max_workers=k) as pool:
-        results = pool.map(fn, *zip(*calls))       # submits every chunk
-        return meanwhile(), list(results)
+    with _pool_lock:
+        pool = _pool_for(k, refs())
+        try:
+            results = pool.map(fn, *zip(*calls))       # submits every chunk
+            return meanwhile(), list(results)
+        except BaseException:
+            _close_pool()
+            raise
 
 
 def _path_error_samples(spec: RateExperimentSpec, n_workers: int) -> np.ndarray:

@@ -3,7 +3,8 @@ vector models that take the finite-difference L-operator, the globally
 Lipschitz control model, registered as "lipschitz_control" for rate specs,
 and a stable quintic whose drift is NaN outside its radius-one ball.
 Property tests run under a derandomised hypothesis profile, so every run
-draws the same examples.  A test that leaves a child process alive fails."""
+draws the same examples.  A test that leaves a child process alive, once the
+experiments' cached process pool is closed, fails."""
 
 import multiprocessing
 from dataclasses import replace
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import settings
 
 import truncmil as tm
+from truncmil import experiments
 from truncmil.brownian import block_sums
 from truncmil.model import register_model
 
@@ -33,8 +35,10 @@ def config_for(name: str) -> tm.TruncationConfig:
 
 @pytest.fixture(autouse=True)
 def no_leaked_children():
-    """Fail a test that leaves a child process (a pool worker) running."""
+    """Fail a test that leaves a child process running once the cached pool
+    is closed: closing it must join every worker."""
     yield
+    experiments._close_pool()
     leaked = multiprocessing.active_children()
     for child in leaked:
         child.terminate()

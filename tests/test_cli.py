@@ -262,6 +262,32 @@ def test_stability_run(tmp_path):
         "fc895cd3ebf96a8e1155254aef572de89e5de02f4824550012bf2e0318d7462d")
 
 
+# the data rows pinned by test_rate_run_writes_artifacts and test_stability_run
+@pytest.mark.parametrize("text, seed, csv, digest", [
+    (RATE_CFG, 1, "rates.csv", "368817602cd7c9faeb168d2087711daf36c02c4d8fae33f6bc3ef48177514ecb"),
+    (STABILITY_CFG, 2, "stability.csv",
+     "c47f520f321c13f1a98c05d2e4b4f2b2c7e042710095534531dcb471bb933f5c")])
+def test_runs_on_a_reused_pool_write_the_rows_of_one_worker(tmp_path, monkeypatch, text, seed,
+                                                            csv, digest):
+    pools = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    path = write_config(tmp_path, text)
+    rows = []
+    for i, workers in enumerate((1, 2, 2)):
+        out = tmp_path / f"out{i}"
+        assert cli.run(path, seed=seed, workers=workers, out=str(out)) == 0
+        rows.append([ln for ln in (out / csv).read_text().splitlines()
+                     if not ln.startswith("#")])
+    assert len(pools) == 1                  # the second two-worker run reused the first's pool
+    assert rows[0] == rows[1] == rows[2]
+    assert hashlib.sha256("\n".join(rows[0]).encode()).hexdigest() == digest
+
+
 def test_run_dispatches_to_the_runner_the_module_holds(tmp_path, monkeypatch):
     # a runner swapped on the module (as a tracer wraps it) is the one `run`
     # calls; a table of the functions themselves kept calling the original

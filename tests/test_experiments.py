@@ -7,10 +7,13 @@ import inspect
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from unittest import mock
 
@@ -281,11 +284,8 @@ class _InProcessPool:
     def __init__(self, max_workers):
         type(self).created += 1
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True):
+        pass
 
     def map(self, fn, *iterables):
         return map(fn, *iterables)
@@ -1037,6 +1037,157 @@ def test_failing_meanwhile_propagates_once_the_chunks_end(monkeypatch):
     assert len(events) == 2
     assert all(future.done() and not future.cancelled() for future in events)
     assert multiprocessing.active_children() == []
+
+
+def _pid_chunk(mode, lo, hi):
+    """This worker's pid, or a chunk that fails: 'raise' in its first chunk,
+    'exit' by ending its worker."""
+    if mode == "raise" and lo == 0:
+        raise ValueError("chunk failed")
+    if mode == "exit":
+        os._exit(1)
+    return os.getpid()
+
+
+def _pool_pids():
+    return sorted(child.pid for child in multiprocessing.active_children())
+
+
+def test_calls_of_one_chunk_count_reuse_the_pool():
+    first = _map_chunks(_pid_chunk, 4, 2, "ok")[1]
+    pids = _pool_pids()
+    second = _map_chunks(_pid_chunk, 4, 2, "ok")[1]
+    assert len(pids) == 2 and set(first) | set(second) <= set(pids)
+    assert _pool_pids() == pids
+
+
+@pytest.mark.parametrize("change", ["chunk count", "factory"])
+def test_another_chunk_count_or_factory_replaces_the_pool(monkeypatch, change):
+    _map_chunks(_pid_chunk, 6, 2, "ok")
+    old = _pool_pids()
+    sizes = []
+    if change == "factory":
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _pool_spy(sizes))
+    k = 3 if change == "chunk count" else 2
+    got = _map_chunks(_pid_chunk, 6, k, "ok")[1]
+    new = _pool_pids()
+    assert len(new) == k and set(got) <= set(new) and not set(new) & set(old)
+    assert sizes == ([2] if change == "factory" else [])
+
+
+def _drift_of(scale):
+    quintic = tm.builtin_model("stable_quintic").drift
+
+    def drift(x):
+        return scale * quintic(x)
+    drift.__qualname__ = drift.__name__ = "_rebindable_drift"     # pickled by this name
+    return drift
+
+
+_rebindable_drift = _drift_of(1.0)
+
+
+def test_a_drift_rebound_between_pooled_runs_reaches_the_workers(monkeypatch, quintic_cfg):
+    # a worker resolves the drift by name in the modules as they were at its
+    # fork, so a rebound name must not reach a pool forked before it
+    module = sys.modules[__name__]
+
+    def run(n_workers):
+        model = replace(tm.builtin_model("stable_quintic"), drift=module._rebindable_drift)
+        return tm.run_stability_ensemble(model, quintic_cfg, delta=0.004, n_paths=16,
+                                         horizon_steps=40, tol_stab=1e-2, master_seed=3,
+                                         record_paths=16, n_workers=n_workers)
+    before = run(2)
+    monkeypatch.setattr(module, "_rebindable_drift", _drift_of(3.0))
+    after, one = run(2), run(1)
+    assert not np.array_equal(after.recorded_magnitudes, before.recorded_magnitudes)
+    assert np.array_equal(after.recorded_magnitudes, one.recorded_magnitudes)
+    assert np.array_equal(after.decay_flags, one.decay_flags)
+
+
+@pytest.mark.parametrize("mode, error", [("raise", ValueError), ("exit", BrokenProcessPool)])
+def test_a_failed_call_drops_the_pool_and_the_next_forks_a_new_one(mode, error):
+    old = set(_map_chunks(_pid_chunk, 4, 2, "ok")[1])
+    with pytest.raises(error):
+        _map_chunks(_pid_chunk, 4, 2, mode)
+    assert multiprocessing.active_children() == []
+    assert not set(_map_chunks(_pid_chunk, 4, 2, "ok")[1]) & old
+
+
+def test_a_worker_killed_while_idle_fails_no_call():
+    _map_chunks(_pid_chunk, 4, 2, "ok")
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=30)
+    # the pool's manager thread marks it broken once it sees the death
+    deadline = time.monotonic() + 30
+    while not experiments._pool[-1]._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert victim.pid not in _map_chunks(_pid_chunk, 4, 2, "ok")[1]
+
+
+def test_threads_share_the_pool_without_leaking_workers():
+    # more threads than cores, alternating chunk counts, so the pool is
+    # replaced under contention; a lost update would leave a pool unjoined
+    errors, interval = [], sys.getswitchinterval()
+
+    def run(i):
+        try:
+            for j in range(4):
+                k = 2 + (i + j) % 2
+                got = _map_chunks(_pid_chunk, 6, k, "ok")[1]
+                assert len(got) == k and os.getpid() not in got
+        except BaseException as exc:
+            errors.append(exc)
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert len(multiprocessing.active_children()) <= 3
+
+
+def _pids_in_a_fork(conn):
+    conn.send(_map_chunks(_pid_chunk, 4, 2, "ok")[1])
+    experiments._close_pool()               # the fork's own pool, joined before it exits
+
+
+def test_a_forked_child_neither_reuses_nor_shuts_down_the_parents_pool():
+    _map_chunks(_pid_chunk, 4, 2, "ok")
+    pids = _pool_pids()
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_pids_in_a_fork, args=(sender,))
+    child.start()
+    assert receiver.poll(60)
+    in_child = receiver.recv()
+    child.join(timeout=60)
+    assert child.exitcode == 0
+    assert len(in_child) == 2 and not set(in_child) & set(pids + [os.getpid()])
+    assert set(_map_chunks(_pid_chunk, 4, 2, "ok")[1]) <= set(pids)
+    assert _pool_pids() == pids
+
+
+def test_an_interpreter_exit_joins_the_pool_workers():
+    code = ("import multiprocessing, os\n"
+            "from truncmil import experiments\n"
+            "def pid(lo, hi):\n"
+            "    return os.getpid()\n"
+            "experiments._map_chunks(pid, 4, 2)\n"
+            "print(*[child.pid for child in multiprocessing.active_children()])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 # each tol_stab splits the 16 paths' tail maxima at that horizon
