@@ -11,8 +11,8 @@ Path-level work runs through `_map_chunks` alone: one contiguous chunk of
 paths per worker, but never more chunks than paths, merged in path-index
 order.  Two or more chunks run on the process's one cached pool of exactly
 one worker per chunk, kept from call to call while the chunk count, the pool
-factory, the process and every function or class the chunks name stay the
-same, dropped on any error and joined at interpreter exit (`_map_chunks`);
+factory, the process and every module-level name the chunks read stay as at
+its fork, dropped on any error and joined at interpreter exit (`_map_chunks`);
 a single chunk runs in-process, with no pool.  The moment probe
 takes `n_workers=None` by default: one worker per usable CPU, but at most
 one per `_MIN_CHUNK_PATHS` paths, and in-process where a pool cannot take
@@ -43,6 +43,7 @@ import threading
 import types
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -292,7 +293,62 @@ def _references(fn, args: tuple) -> Optional[dict]:
     return pickler.refs
 
 
-def _default_workers(fn, n_paths: int, args: tuple, refs=None) -> int:
+def _code_names(code: types.CodeType) -> set:
+    """The global and attribute names `code` and the functions it defines read."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _code_names(const)
+    return names
+
+
+def _reads(refs: dict) -> tuple:
+    """(every object reached, by id; every binding read, {(id of its owner,
+    name): (namespace, object)}) from the functions and classes in `refs`,
+    followed through what they run and call in turn: a class's methods, a
+    function's globals and closure cells, and the attributes of a module it
+    names (`brownian.standard_normals`, `np.linalg.norm`).  While every
+    binding holds the same object, a walk from any object reached reads the
+    same bindings, so reuse only checks them."""
+    reached, bindings, todo = {}, {}, list(refs.values())
+    while todo:
+        obj = todo.pop()
+        if id(obj) in reached:
+            continue
+        reached[id(obj)] = obj
+        if isinstance(obj, type):
+            for base in obj.__mro__:
+                for name, value in vars(base).items():
+                    if isinstance(value, (types.FunctionType, staticmethod, classmethod, property)):
+                        bindings[id(base), name] = vars(base), value
+                        todo.append(value)
+        elif isinstance(obj, (staticmethod, classmethod)):
+            todo.append(obj.__func__)
+        elif isinstance(obj, property):
+            todo.extend((obj.fget, obj.fset, obj.fdel))
+        elif isinstance(obj, types.FunctionType):
+            names = _code_names(obj.__code__)
+            spaces, visited = [obj.__globals__], set()
+            while spaces:
+                space = spaces.pop()
+                if id(space) in visited:        # `os.path.os`: modules name each other
+                    continue
+                visited.add(id(space))
+                for name in names & space.keys():
+                    value = space[name]
+                    bindings[id(space), name] = space, value
+                    if isinstance(value, types.ModuleType):
+                        spaces.append(vars(value))
+                    todo.append(value)
+            for cell in obj.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:              # a cell not yet bound
+                    pass
+    return reached, bindings
+
+
+def _default_workers(fn, n_paths: int, args: tuple) -> int:
     """Workers for `n_workers=None`: one per CPU this process may use, but at
     most one per `_MIN_CHUNK_PATHS` paths; 1 (in-process) where a pool
     cannot run the chunks, as `fn` or `args` do not pickle (a lambda
@@ -303,9 +359,7 @@ def _default_workers(fn, n_paths: int, args: tuple, refs=None) -> int:
     paths under fork, 0.31 vs 0.96 s under forkserver and 0.33 vs 1.18 s
     under spawn (1.14 vs 1.40 s and 1.25 vs 1.70 s at 10 000 paths).  The
     start method is read without being fixed, so a later
-    `multiprocessing.set_start_method` still works.  `refs`, when given,
-    returns `_references(fn, args)`, so that one pickle serves the caller
-    too."""
+    `multiprocessing.set_start_method` still works."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:                      # not on every platform
@@ -315,10 +369,10 @@ def _default_workers(fn, n_paths: int, args: tuple, refs=None) -> int:
             or (multiprocessing.get_start_method(allow_none=True)
                 or multiprocessing.get_all_start_methods()[0]) != "fork"):
         return 1
-    return 1 if (refs or functools.partial(_references, fn, args))() is None else k
+    return 1 if _references(fn, args) is None else k
 
 
-# the process's one pool, (factory, workers, references known at its fork,
+# the process's one pool, (factory, workers, `_reads` at its fork,
 # executor), or None; `_pool_lock` guards it and every call on it
 _pool = None
 _pool_lock = threading.RLock()
@@ -345,25 +399,28 @@ def _close_pool() -> None:
             executor.shutdown()
 
 
-def _pool_for(k: int, refs: Optional[dict]):
-    """The process's pool, reused if it has k workers from the current
-    `ProcessPoolExecutor`, is not broken, and knew every object in `refs`
-    (None: unknown) when it forked; else a new one replaces it.  A worker
-    resolves a name in the modules as they were at its fork, so a function
-    or class rebound since then (a drift redefined in `__main__` or a
-    notebook) must not reach it by name.  Call with `_pool_lock` held."""
+def _pool_for(k: int, refs: Optional[dict]) -> tuple:
+    """(the process's pool, whether it was reused): reused if it has k
+    workers from the current `ProcessPoolExecutor`, it reached every object
+    in `refs` (`_references`; None: unknown) when it forked, and every
+    binding read from them then holds the same object now; else a new one
+    replaces it.  A worker reads the modules as they were at its fork, so a
+    name rebound since then (a drift, a helper or a constant redefined in
+    `__main__` or a notebook) must not reach it.  Call with `_pool_lock`
+    held."""
     global _pool
     factory = ProcessPoolExecutor           # read now: tests and the benchmark swap it
     if _pool is not None:
-        cached, workers, known, executor = _pool
-        # `_broken` is set once a worker died, even while the pool was idle
+        cached, workers, (reached, bindings), executor = _pool
         if (cached is factory and workers == k and refs is not None
-                and refs.keys() <= known.keys() and not getattr(executor, "_broken", False)):
-            return executor
+                and refs.keys() <= reached.keys()
+                and all(name in space and space[name] is value
+                        for (_, name), (space, value) in bindings.items())):
+            return executor, True
         _close_pool()
     executor = factory(max_workers=k)
-    _pool = (factory, k, refs or {}, executor)
-    return executor
+    _pool = (factory, k, _reads(refs or {}), executor)
+    return executor, False
 
 
 def _map_chunks(fn, n_paths: int, n_workers: Optional[int], *args,
@@ -375,35 +432,48 @@ def _map_chunks(fn, n_paths: int, n_workers: Optional[int], *args,
     `_default_workers`; fewer than one worker is a ValueError.
 
     The pool is made by the first call of k > 1 chunks and kept for the
-    next (`_pool_for`), so a run of ensembles forks its workers once: it is
-    replaced when k, the `ProcessPoolExecutor` factory or the process (a
-    fork) differs, or when a function or class the chunks' pickle names is
-    not one the pool knew when it forked.  Its workers are joined when the
-    interpreter exits, by `concurrent.futures`' own exit hook, or by
-    `_close_pool`.  A one-shot CLI run forks once either way and gains
-    nothing from it.
+    next (`_pool_for`), so ensembles run back to back in one process fork
+    their workers once.  It is replaced when k, the `ProcessPoolExecutor`
+    factory or the process (a fork) differs, when the chunks' pickle names
+    a function or class that the walk at its fork did not reach (`_reads`),
+    and when a module-level name read on that walk is bound to another
+    object.  A worker sees the modules as of its fork, so an object changed
+    in place since then (an array's values, a dict's entry) is not seen.
+    The workers are joined when the interpreter exits, by
+    `concurrent.futures`' own exit hook, or by `_close_pool`.  A one-shot
+    CLI run forks once either way and gains nothing from it.
 
     `meanwhile()` is the caller's work in this process: it runs after every
     chunk is submitted and before any is awaited, or, with one chunk, before
     it.  Every worker starts its chunk at once, so if `meanwhile` raises, the
     error propagates once the pool has finished them.  If anything raises
     (a chunk, `meanwhile`, a broken pool, an interrupt), the pool is shut
-    down before the error propagates, so a failed call leaves no worker.
+    down before the error propagates, so a failed call leaves no worker.  A
+    reused pool that turns out broken (a worker died while it was idle) is
+    replaced and its chunks run once more on the new one, but `meanwhile`
+    runs once.
     """
-    refs = functools.cache(functools.partial(_references, fn, args))    # one pickle a call
     if n_workers is None:
-        n_workers = _default_workers(fn, n_paths, args, refs)
+        n_workers = _default_workers(fn, n_paths, args)
     elif n_workers < 1:
         raise ValueError(f"n_workers = {n_workers}: need at least one worker")
     k = max(1, min(n_workers, n_paths))
     calls = [(*args, i * n_paths // k, (i + 1) * n_paths // k) for i in range(k)]
     if k == 1:
         return meanwhile(), [fn(*calls[0])]
+    refs, done = _references(fn, args), []
     with _pool_lock:
-        pool = _pool_for(k, refs())
         try:
-            results = pool.map(fn, *zip(*calls))       # submits every chunk
-            return meanwhile(), list(results)
+            while True:
+                pool, reused = _pool_for(k, refs)
+                try:
+                    results = pool.map(fn, *zip(*calls))       # submits every chunk
+                    done = done or [meanwhile()]
+                    return done[0], list(results)
+                except BrokenProcessPool:
+                    if not reused:
+                        raise
+                    _close_pool()
         except BaseException:
             _close_pool()
             raise

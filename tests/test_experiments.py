@@ -1105,6 +1105,58 @@ def test_a_drift_rebound_between_pooled_runs_reaches_the_workers(monkeypatch, qu
     assert np.array_equal(after.decay_flags, one.decay_flags)
 
 
+_DRIFT_SCALE = 1.0
+_quintic_drift = tm.builtin_model("stable_quintic").drift
+
+
+def _scaled_drift(x):
+    return _DRIFT_SCALE * _quintic_drift(x)
+
+
+def _tripled_quintic_drift(x):
+    return 3.0 * tm.builtin_model("stable_quintic").drift(x)
+
+
+def _scaled_drift_run(cfg, n_workers):
+    model = replace(tm.builtin_model("stable_quintic"), drift=_scaled_drift)
+    return tm.run_stability_ensemble(model, cfg, delta=0.004, n_paths=16, horizon_steps=40,
+                                     tol_stab=1e-2, master_seed=3, record_paths=16,
+                                     n_workers=n_workers)
+
+
+@pytest.mark.parametrize("name, value", [("_DRIFT_SCALE", 3.0),
+                                         ("_quintic_drift", _tripled_quintic_drift)])
+def test_a_name_the_drift_reads_rebound_between_pooled_runs_reaches_the_workers(
+        monkeypatch, quintic_cfg, name, value):
+    # the drift itself stays the same object; what it reads is rebound
+    before = _scaled_drift_run(quintic_cfg, 2)
+    monkeypatch.setattr(sys.modules[__name__], name, value)
+    after, one = _scaled_drift_run(quintic_cfg, 2), _scaled_drift_run(quintic_cfg, 1)
+    assert not np.array_equal(after.recorded_magnitudes, before.recorded_magnitudes)
+    assert np.array_equal(after.recorded_magnitudes, one.recorded_magnitudes)
+    assert np.array_equal(after.decay_flags, one.decay_flags)
+
+
+_standard_normals = experiments.brownian.standard_normals
+
+
+def _standard_normals_again(*args, **kwargs):
+    return _standard_normals(*args, **kwargs)
+
+
+@pytest.mark.parametrize("module, name, value", [
+    (experiments, "_WINDOW_NORMALS", 1 << 10),
+    (experiments.brownian, "standard_normals", _standard_normals_again)])
+def test_a_package_name_a_chunk_reads_rebound_replaces_the_pool(monkeypatch, quintic_cfg,
+                                                                 module, name, value):
+    before = _scaled_drift_run(quintic_cfg, 2)
+    pids = _pool_pids()
+    monkeypatch.setattr(module, name, value)
+    after = _scaled_drift_run(quintic_cfg, 2)
+    assert len(_pool_pids()) == 2 and not set(_pool_pids()) & set(pids)
+    assert np.array_equal(after.recorded_magnitudes, before.recorded_magnitudes)
+
+
 @pytest.mark.parametrize("mode, error", [("raise", ValueError), ("exit", BrokenProcessPool)])
 def test_a_failed_call_drops_the_pool_and_the_next_forks_a_new_one(mode, error):
     old = set(_map_chunks(_pid_chunk, 4, 2, "ok")[1])
@@ -1114,14 +1166,16 @@ def test_a_failed_call_drops_the_pool_and_the_next_forks_a_new_one(mode, error):
     assert not set(_map_chunks(_pid_chunk, 4, 2, "ok")[1]) & old
 
 
-def test_a_worker_killed_while_idle_fails_no_call():
+@pytest.mark.parametrize("wait", [False, True])
+def test_a_worker_killed_while_idle_fails_no_call(wait):
+    # the next call comes at once, before the pool's manager thread has seen
+    # the death, or after it marked the pool broken
     _map_chunks(_pid_chunk, 4, 2, "ok")
     victim = multiprocessing.active_children()[0]
     os.kill(victim.pid, signal.SIGKILL)
     victim.join(timeout=30)
-    # the pool's manager thread marks it broken once it sees the death
     deadline = time.monotonic() + 30
-    while not experiments._pool[-1]._broken and time.monotonic() < deadline:
+    while wait and not experiments._pool[-1]._broken and time.monotonic() < deadline:
         time.sleep(0.01)
     assert victim.pid not in _map_chunks(_pid_chunk, 4, 2, "ok")[1]
 
