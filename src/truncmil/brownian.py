@@ -3,14 +3,14 @@
 Each (master_seed, path_index) pair keys an independent Philox counter-based
 stream, so ensemble members can be generated in any order, on any worker, and
 regenerate bit-exactly.  Gaussians come from the inverse normal CDF applied to
-64-bit uniforms: the sample count per coordinate is fixed, so streams never
-desynchronise.  A stream is one fixed sequence, so the n-step grid of a path
-is a prefix of every longer grid of the same path up to the sqrt(dt) scale.
-A stream is also resumable: any window of its steps can be drawn on its own,
-so step ladders draw the longest grid a bounded window at a time.  Coarse
-grids are exact block sums of the fine increments, which is what lets
-strong-error experiments couple coarse and fine solutions on the same
-underlying path.
+numpy's uniforms, one 64-bit word each, moved half a step of their 2^-53 grid
+off 0: the sample count per coordinate is fixed, so streams never desync.  A
+stream is one fixed sequence, so the n-step grid of a path is a prefix of
+every longer grid of the same path up to the sqrt(dt) scale.  A stream is
+also resumable: any window of its steps can be drawn on its own, so step
+ladders draw the longest grid a bounded window at a time.  Coarse grids are
+exact block sums of the fine increments, which is what lets strong-error
+experiments couple coarse and fine solutions on the same underlying path.
 Batches are step-major in memory: the draws of one step across all paths are
 contiguous, which is the row an ensemble step reads, and block sums keep that
 layout.
@@ -40,22 +40,19 @@ class BrownianGrid:
             raise ValueError("increment array shape does not match (n_fine, m)")
 
 
-# values per block of work: it bounds the uint64 scratch array of a block of
-# paths' raw draws, and the pairwise-halving scratch of one block-sum slab
+# values per block of work: it bounds the float scratch array of a block of
+# paths' draws, and the pairwise-halving scratch of one block-sum slab
 _BLOCK_DRAWS = 1 << 16
 
 
-def _open_unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Map uint64 words into `out` in the open interval (0, 1), consuming `bits`.
+def _open_unit(u: np.ndarray) -> np.ndarray:
+    """Move numpy's uniforms k 2^-53 in [0, 1) to (k + 1/2) 2^-53 in place.
 
-    A word's top 53 bits k give (k + 1/2) 2^-53.  That rounds to 1.0 for the
-    top word, k = 2^53 - 1, so the result is clamped to at most 1 - 2^-53.
+    That rounds to 1.0 for the top word, k = 2^53 - 1, so the result is
+    clamped to at most 1 - 2^-53 and lies in the open interval (0, 1).
     """
-    bits >>= np.uint64(11)
-    out[:] = bits
-    out += 0.5
-    out *= 2.0**-53
-    return np.minimum(out, 1.0 - 2.0**-53, out=out)
+    u += 2.0**-54
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
 
 def standard_normals(master_seed: int, path_indices, m: int, n: int, start: int = 0,
@@ -63,15 +60,14 @@ def standard_normals(master_seed: int, path_indices, m: int, n: int, start: int 
     """Steps [start, start + n) of each path's stream as N(0, scale^2) draws,
     shape (n_paths, n, m).
 
-    A path's stream is the one a fresh Philox(key=(master_seed mod 2^64,
-    path_index)) produces.  Philox is counter-based, so any window of it is
-    reached by setting the counter: one bit generator is reset for each path
-    to the path's key and to the 4-word block that holds word start * m, and
-    the words before that one are dropped.  The reset goes through a state of
-    plain lists, which the setter reads faster than numpy arrays.  A block
-    of paths is scaled while it is in cache, then copied into step-major
-    (n, n_paths, m) memory, and the result is a transposed view of it, so
-    `z[:, k]`, the draws of step k across paths, is contiguous.
+    A path's stream is the words of a fresh Philox(key=(master_seed mod 2^64,
+    path_index)), one per uniform.  Philox is counter-based: one bit generator
+    is reset for each path to its key and to the 4-word block holding word
+    start * m, and the words before that one are dropped.  The reset goes
+    through a state of plain lists, which the setter reads faster than numpy
+    arrays.  A block of paths is scaled while it is in cache, then copied into
+    step-major (n, n_paths, m) memory, and the result is a transposed view of
+    it, so `z[:, k]`, the draws of step k across paths, is contiguous.
     """
     if n < 1:
         raise ValueError("n_fine must be >= 1")
@@ -80,12 +76,13 @@ def standard_normals(master_seed: int, path_indices, m: int, n: int, start: int 
     if start < 0:
         raise ValueError("start must be nonnegative")
     paths = [int(p) for p in path_indices]
-    if any(p < 0 for p in paths):
-        raise ValueError("path_index must be nonnegative")
+    if any(not 0 <= p < 2**64 for p in paths):
+        raise ValueError("path_index must be nonnegative and below 2**64, a Philox key word")
     draws = n * m
     skip = start * m % 4
     z = np.empty((n, len(paths), m))
     bitgen = np.random.Philox(key=0)
+    uniforms = np.random.Generator(bitgen)
     key = [master_seed & (2**64 - 1), 0]
     # Philox steps its counter before each block it draws, so counter c with
     # an empty buffer draws words 4c, 4c + 1, ... of the stream next
@@ -93,20 +90,15 @@ def standard_normals(master_seed: int, path_indices, m: int, n: int, start: int 
              "has_uint32": 0, "uinteger": 0,
              "state": {"counter": [start * m // 4, 0, 0, 0], "key": key}}
     per_block = max(1, _BLOCK_DRAWS // draws)
-    raw = np.empty((min(per_block, len(paths)), skip + draws), dtype=np.uint64)
-    scratch = np.empty((len(raw), draws))
+    scratch = np.empty((min(per_block, len(paths)), skip + draws))
     for lo in range(0, len(paths), per_block):
         block = paths[lo:lo + per_block]
-        words = []
-        for p in block:
+        for p, row in zip(block, scratch):
             key[1] = p
             bitgen.state = state
-            words.append(bitgen.random_raw(skip + draws))
-        bits = raw[:len(block)]
-        np.concatenate(words, out=bits.reshape(-1))
-        bits = bits[:, skip:]
-        u = scratch[:len(block)]
-        ndtri(_open_unit(bits, u), out=u)
+            uniforms.random(out=row)
+        u = scratch[:len(block), skip:]
+        ndtri(_open_unit(u), out=u)
         if scale != 1.0:
             u *= scale      # while the block is in cache
         z[:, lo:lo + len(block)] = u.reshape(len(block), n, m).transpose(1, 0, 2)

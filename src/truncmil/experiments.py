@@ -175,8 +175,13 @@ def fit_rate(deltas: Sequence[float], errors: Sequence[float], q: float,
     """Unweighted log-log regression of the L^{2q}-norm errors on the steps."""
     deltas = np.asarray(deltas, dtype=float)
     errors = np.asarray(errors, dtype=float)
+    if not 0 < q < math.inf:
+        raise ValueError(f"q = {q}: the moment exponent must be positive and finite")
     if len(deltas) < 3:
         raise ValueError("rate fit needs at least 3 step sizes")
+    for d in deltas:
+        if not 0 < d < math.inf:
+            raise ValueError(f"test step = {d}: a step must be positive and finite")
     bad = ~np.isfinite(errors)
     if np.any(bad):
         raise ValueError("paths blew up, so no rate fit: non-finite error at step(s) "
@@ -591,6 +596,8 @@ def compute_stability_constants(model: SdeModel, cfg, k_fn: KFunction,
     With the stable_quintic builtin's drift the report also carries the paper's
     reference constants and flags any disagreement instead of adopting them.
     """
+    if n_grid < 1:
+        raise ValueError(f"n_grid = {n_grid}: the search grid needs at least one radius")
     radius1 = cfg.radius(1.0)
     dirs = _directions(model.d)
 
@@ -774,6 +781,10 @@ def terminal_moment_probe(model: SdeModel, cfg, deltas: Sequence[float],
         raise ValueError("moment probe is implemented for scalar models")
     if n_paths < 1:
         raise ValueError(f"paths = {n_paths}: a moment probe needs at least one path")
+    if not 0 < power < math.inf:
+        raise ValueError(f"power = {power}: the moment exponent must be positive and finite")
+    if len(deltas) == 0:
+        raise ValueError("a moment probe needs at least one step size")
     ns = _rung_steps(t_final, deltas)
     _, chunks = _map_chunks(_moment_chunk, n_paths, n_workers, model, cfg, deltas, ns,
                             t_final, master_seed)

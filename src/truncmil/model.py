@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 from itertools import product, repeat
 from typing import Callable, Mapping, Optional
@@ -46,10 +47,10 @@ class KFunction:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise ValueError(f"k-function coefficient must be positive, got {self.c}")
-        if not self.gamma >= 1:
-            raise ValueError(f"k-function power must be >= 1, got {self.gamma}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"k-function coefficient must be positive and finite, got {self.c}")
+        if not 1 <= self.gamma < math.inf:
+            raise ValueError(f"k-function power must be >= 1 and finite, got {self.gamma}")
 
     def __call__(self, u):
         return self.c * np.asarray(u, dtype=float) ** self.gamma
@@ -327,8 +328,13 @@ class ProbeSpec:
     def __post_init__(self) -> None:
         if self.n_points < 1:
             raise ValueError(f"probe_points = {self.n_points}: need at least one probe point")
-        if not self.radius > 0:
-            raise ValueError(f"probe_radius = {self.radius}: the probe radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"probe_radius = {self.radius}: the probe radius must be positive "
+                             "and finite")
+        # a NaN reaches every margin, and no check reads a NaN margin as a violation
+        for name, value in [("p_bar", self.p_bar), *self.constants.items()]:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value}: not a finite number")
 
 
 @dataclass(frozen=True)

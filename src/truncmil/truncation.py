@@ -35,16 +35,16 @@ class TruncationConfig:
     h_bar: float
 
     def __post_init__(self) -> None:
-        if not self.omega_coeff > 0:
-            raise ValueError("omega coefficient must be positive")
-        if not self.omega_power >= 1:
-            raise ValueError("omega power must be >= 1")
-        if not self.h_coeff > 0:
-            raise ValueError("h coefficient must be positive")
+        if not 0 < self.omega_coeff < math.inf:
+            raise ValueError("omega coefficient must be positive and finite")
+        if not 1 <= self.omega_power < math.inf:
+            raise ValueError("omega power must be >= 1 and finite")
+        if not 0 < self.h_coeff < math.inf:
+            raise ValueError("h coefficient must be positive and finite")
         if not 0 < self.h_power <= 0.25:
             raise ValueError("h power must lie in (0, 1/4]")
-        if not self.h_bar >= 1:
-            raise ValueError("h_bar must be >= 1")
+        if not 1 <= self.h_bar < math.inf:
+            raise ValueError("h_bar must be >= 1 and finite")
         if self.h_coeff > self.h_bar:
             raise ValueError("h coefficient must not exceed h_bar "
                              "(otherwise delta^(1/4) h(delta) > h_bar at delta = 1)")

@@ -249,6 +249,17 @@ def test_normals_start_must_be_nonnegative():
         standard_normals(1, [0], 1, 4, start=-1)
 
 
+@pytest.mark.parametrize("path", [2**64, 2**70])
+def test_path_indices_must_fit_a_philox_key_word(path):
+    # a path index is the second Philox key word; 2**64 made the state setter
+    # raise OverflowError
+    assert np.isfinite(tm.generate(0, 2**64 - 1, 1, 1.0, 4).increments).all()
+    with pytest.raises(ValueError, match=r"path_index must be nonnegative and below 2\*\*64"):
+        tm.generate(0, path, 1, 1.0, 4)
+    with pytest.raises(ValueError, match=r"below 2\*\*64"):
+        standard_normals(0, [0, path], 2, 4, start=1)
+
+
 @pytest.mark.parametrize("m", [0, -1])
 def test_normals_need_a_driver(m):
     # m = 0 divided by zero in the block planner, m = -1 made a negative shape
@@ -291,14 +302,15 @@ def test_standard_normals_are_step_major():
 
 
 def test_open_unit_map_clamps_only_the_top_word():
-    # (k + 1/2) 2^-53 for k = word >> 11 rounds to 1.0 only for the top word,
-    # where ndtri would return +inf; every other word keeps its value
+    # numpy's uniform of a word is k 2^-53 for k = word >> 11; (k + 1/2) 2^-53
+    # rounds to 1.0 only for the top word, where ndtri would return +inf;
+    # every other word keeps its value
     top_k = np.uint64(2**53 - 1)
     words = np.array([0, 2**11 - 1, 2**63 + 0x5A5A5A5A5A5, (2**53 - 2) << 11, 2**64 - 1],
                      dtype=np.uint64)
     unclamped = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     assert words[-1] >> np.uint64(11) == top_k and unclamped[-1] == 1.0
-    u = _open_unit(words.copy(), np.empty(len(words)))
+    u = _open_unit((words >> np.uint64(11)).astype(np.float64) * 2.0**-53)
     assert np.array_equal(u[:-1], unclamped[:-1])
     assert u[-1] == 1.0 - 2.0**-53
     assert np.all((0.0 < u) & (u < 1.0))

@@ -61,6 +61,14 @@ def test_fit_rate_validation():
         fit_rate([0.1, 0.2, 0.4], [1.0, math.nan, math.inf], q=1.0)
     with pytest.raises(ValueError, match="two distinct steps"):
         fit_rate([0.1, 0.1, 0.1], [1.0, 2.0, 3.0], q=1.0)
+    # q = 0 divided by zero and q = nan gave a NaN slope; so did a negative
+    # step, through log2
+    for q in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"q = {q}: the moment exponent must be positive"):
+            fit_rate([0.1, 0.2, 0.4], [1.0, 2.0, 3.0], q=q)
+    for step in (-0.2, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"test step = {step}: a step must be positive"):
+            fit_rate([0.1, step, 0.4], [1.0, 2.0, 3.0], q=1.0)
 
 
 def test_spec_validation(cubic_cfg):
@@ -556,6 +564,15 @@ def test_stability_ratio_cap_violation():
     cfg = tm.TruncationConfig(1.0, 1.0, 1.0, 0.1, 1.0)
     with pytest.raises(ValueError, match="cap"):
         tm.compute_stability_constants(model, cfg, tm.KFunction(1.0, 2.0), n_grid=2000)
+
+
+@pytest.mark.parametrize("n_grid", [0, -5])
+def test_stability_constants_need_a_grid_radius(quintic_cfg, n_grid):
+    # 0 indexed an empty grid, -5 reached numpy's logspace
+    model, k_fn = tm.builtin_model("stable_quintic"), tm.KFunction(2.0, 2.0)
+    with pytest.raises(ValueError, match=f"n_grid = {n_grid}: the search grid needs at least one"):
+        tm.compute_stability_constants(model, quintic_cfg, k_fn, n_grid=n_grid)
+    assert tm.compute_stability_constants(model, quintic_cfg, k_fn, n_grid=1).radius_at_one == 1.0
 
 
 def _per_point_constants(model, cfg, k_fn, n_grid):
@@ -1485,8 +1502,19 @@ def test_probes_refuse_a_horizon_that_is_not_finite(monkeypatch, cubic_cfg, prob
               t_final=t_final)
 
 
-@pytest.mark.parametrize("deltas", [[0.0], [0.25, 0.0]])
+@pytest.mark.parametrize("deltas", [[0.0], [0.25, 0.0], []])
 @pytest.mark.parametrize("probe", [tm.terminal_moment_probe])
 def test_probes_reject_zero_step(cubic_cfg, probe, deltas):
+    # an empty ladder returned an empty array of moments
     with pytest.raises(ValueError, match="step size"):
         probe(tm.builtin_model("cubic_quintic"), cubic_cfg, deltas, n_paths=4)
+
+
+@pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("probe", [tm.terminal_moment_probe])
+def test_probes_refuse_a_power_that_is_not_positive_and_finite(monkeypatch, cubic_cfg, probe,
+                                                                power):
+    # nan returned NaN moments and -1.0 finite ones
+    monkeypatch.setattr(experiments.brownian, "standard_normals", None)
+    with pytest.raises(ValueError, match=f"power = {power}: the moment exponent must be positive"):
+        probe(tm.builtin_model("cubic_quintic"), cubic_cfg, [0.25, 0.125], n_paths=4, power=power)

@@ -1,5 +1,6 @@
 """Model definitions, the diffusion operator, and the assumption falsifiers."""
 
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +52,9 @@ def test_k_function_validation():
         tm.KFunction(-1.0, 2.0)
     with pytest.raises(ValueError):
         tm.KFunction(1.0, 0.5)
+    for c, gamma in [(math.inf, 2.0), (math.nan, 2.0), (1.0, math.inf), (1.0, math.nan)]:
+        with pytest.raises(ValueError, match="must be .* finite"):
+            tm.KFunction(c, gamma)
 
 
 def test_l_op_product_rule_at_one():
@@ -258,6 +262,14 @@ def test_probe_spec_validation():
         ProbeSpec(n_points=0)
     with pytest.raises(ValueError):
         ProbeSpec(radius=-1.0)
+    with pytest.raises(ValueError, match="probe_radius = inf"):
+        ProbeSpec(radius=math.inf)
+    # a NaN margin reads as no violation, so a NaN constant is refused up front
+    for kwargs, name in [({"p_bar": math.nan}, "p_bar"), ({"p_bar": -math.inf}, "p_bar"),
+                         ({"constants": {"K1": math.nan}}, "K1"),
+                         ({"constants": {"K2": 1.0, "cap": math.inf}}, "cap")]:
+        with pytest.raises(ValueError, match=f"{name} = .*: not a finite number"):
+            ProbeSpec(**kwargs)
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -29,6 +29,12 @@ def test_config_validation():
         tm.TruncationConfig(1.0, 3.0, 2.0, 0.1, 1.0)     # h coeff above h_bar
     with pytest.raises(ValueError):
         tm.TruncationConfig(1.0, 3.0, 0.5, 0.1, 0.9)     # h_bar below 1
+    # an infinite omega coefficient built and gave radius 0.0
+    fields = (4.0, 5.0, 4.0, 0.1, 4.0)
+    for i in range(5):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                tm.TruncationConfig(*fields[:i], bad, *fields[i + 1:])
 
 
 def test_radius_closed_form(quintic_cfg, damped_cfg):
