@@ -9,19 +9,17 @@ scheme reads as slope one regardless of the moment exponent.
 
 Path-level work runs through `_map_chunks` alone: one contiguous chunk of
 paths per worker, but never more chunks than paths, merged in path-index
-order.  Two or more chunks run on the process's one cached pool of exactly
-one worker per chunk, kept from call to call while the chunk count, the pool
-factory, the process and every module-level name the chunks read stay as at
-its fork, dropped on any error and joined at interpreter exit (`_map_chunks`);
-a single chunk runs in-process, with no pool.  The moment probe
-takes `n_workers=None` by default: one worker per usable CPU, but at most
-one per `_MIN_CHUNK_PATHS` paths, and in-process where a pool cannot take
-the chunk (arguments that do not pickle, a daemonic process) or would cost
-more than it saves (a start method other than fork); the rate ladder and the
-decay ensemble default to one worker.  A chunk
-takes the model itself, so it depends on its arguments alone and no worker
-reads the model registry.  Every ensemble holds memory by one rule: it draws
-its normals a bounded window of the resumable streams at a time
+order.  Two or more chunks run in a pool made for the call, of exactly one
+worker per chunk, forked from the caller's state at the call and joined
+before it returns; a single chunk runs in-process, with no pool.  The moment
+probe takes `n_workers=None` by default: one worker per usable CPU, but at
+most one per `_MIN_CHUNK_PATHS` paths, and in-process where a pool cannot
+take the chunk (arguments that do not pickle, a daemonic process) or would
+cost more than it saves (a start method other than fork); the rate ladder
+and the decay ensemble default to one worker.  A chunk takes the model
+itself, so it depends on its arguments alone and no worker reads the model
+registry.  Every ensemble holds memory by one rule: it draws its normals a
+bounded window of the resumable streams at a time
 (`_step_windows`) and steps each window from the last one's finals.
 Per-path results depend only on the (seed, path) stream, and every reduction
 over paths runs in the parent on the joined chunks, so output is identical
@@ -34,16 +32,13 @@ probe chunk's step ladder as one batch and a stability chunk as one rung.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import multiprocessing
+import numbers
 import os
 import pickle
-import threading
-import types
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -103,6 +98,8 @@ class RateExperimentSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "test_deltas", tuple(float(d) for d in self.test_deltas))
         object.__setattr__(self, "scheme", SchemeId(self.scheme))
+        if not isinstance(self.n_paths, numbers.Integral):
+            raise ValueError(f"paths = {self.n_paths}: the number of paths must be an integer")
         if self.n_paths < 2:
             raise ValueError(f"paths = {self.n_paths}: a standard error needs two paths")
         if not 0 < self.q < math.inf:
@@ -182,6 +179,12 @@ def fit_rate(deltas: Sequence[float], errors: Sequence[float], q: float,
     for d in deltas:
         if not 0 < d < math.inf:
             raise ValueError(f"test step = {d}: a step must be positive and finite")
+    ses = (np.full_like(errors, np.nan) if standard_errors is None
+           else np.asarray(standard_errors, dtype=float))
+    for name, values in (("errors", errors), ("standard errors", ses)):
+        if len(values) != len(deltas):
+            raise ValueError(f"{len(values)} {name} for {len(deltas)} steps: "
+                             "need one per step")
     bad = ~np.isfinite(errors)
     if np.any(bad):
         raise ValueError("paths blew up, so no rate fit: non-finite error at step(s) "
@@ -190,12 +193,8 @@ def fit_rate(deltas: Sequence[float], errors: Sequence[float], q: float,
         raise ValueError("errors must be positive for a log-log fit")
     norm_errors = errors ** (1.0 / (2.0 * q))
     slope, slope_se = _log2_slope(deltas, norm_errors)
-    if standard_errors is None:
-        standard_errors = np.full_like(errors, np.nan)
-    return RateFit(deltas=deltas, errors=errors,
-                   standard_errors=np.asarray(standard_errors, dtype=float),
-                   norm_errors=norm_errors, slope=slope, slope_se=slope_se,
-                   q=q, n_paths=n_paths)
+    return RateFit(deltas=deltas, errors=errors, standard_errors=ses, norm_errors=norm_errors,
+                   slope=slope, slope_se=slope_se, q=q, n_paths=n_paths)
 
 
 def _is_pow2(k: int) -> bool:
@@ -271,88 +270,6 @@ def _rate_chunk(spec: RateExperimentSpec, model: SdeModel, lo: int, hi: int) -> 
     return np.stack([e ** p if model.is_scalar else np.float_power(e, p) for e in errs], axis=1)
 
 
-class _Referencing(pickle.Pickler):
-    """Pickles to a scratch buffer, keeping every function and class it
-    pickles by reference (by module and name, which a worker resolves in its
-    own copy of the modules) in `refs`, by id."""
-
-    def __init__(self) -> None:
-        super().__init__(io.BytesIO())
-        self.refs = {}
-
-    def reducer_override(self, obj):
-        if isinstance(obj, (type, types.FunctionType, types.BuiltinFunctionType)):
-            self.refs[id(obj)] = obj
-        return NotImplemented
-
-
-def _references(fn, args: tuple) -> Optional[dict]:
-    """The functions and classes that the pickle of (fn, args) names, by id,
-    or None where it does not pickle (a lambda coefficient, a wrapped drift,
-    a lock)."""
-    pickler = _Referencing()
-    try:
-        pickler.dump((fn, args))
-    except (pickle.PicklingError, AttributeError, TypeError):
-        return None
-    return pickler.refs
-
-
-def _code_names(code: types.CodeType) -> set:
-    """The global and attribute names `code` and the functions it defines read."""
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            names |= _code_names(const)
-    return names
-
-
-def _reads(refs: dict) -> tuple:
-    """(every object reached, by id; every binding read, {(id of its owner,
-    name): (namespace, object)}) from the functions and classes in `refs`,
-    followed through what they run and call in turn: a class's methods, a
-    function's globals and closure cells, and the attributes of a module it
-    names (`brownian.standard_normals`, `np.linalg.norm`).  While every
-    binding holds the same object, a walk from any object reached reads the
-    same bindings, so reuse only checks them."""
-    reached, bindings, todo = {}, {}, list(refs.values())
-    while todo:
-        obj = todo.pop()
-        if id(obj) in reached:
-            continue
-        reached[id(obj)] = obj
-        if isinstance(obj, type):
-            for base in obj.__mro__:
-                for name, value in vars(base).items():
-                    if isinstance(value, (types.FunctionType, staticmethod, classmethod, property)):
-                        bindings[id(base), name] = vars(base), value
-                        todo.append(value)
-        elif isinstance(obj, (staticmethod, classmethod)):
-            todo.append(obj.__func__)
-        elif isinstance(obj, property):
-            todo.extend((obj.fget, obj.fset, obj.fdel))
-        elif isinstance(obj, types.FunctionType):
-            names = _code_names(obj.__code__)
-            spaces, visited = [obj.__globals__], set()
-            while spaces:
-                space = spaces.pop()
-                if id(space) in visited:        # `os.path.os`: modules name each other
-                    continue
-                visited.add(id(space))
-                for name in names & space.keys():
-                    value = space[name]
-                    bindings[id(space), name] = space, value
-                    if isinstance(value, types.ModuleType):
-                        spaces.append(vars(value))
-                    todo.append(value)
-            for cell in obj.__closure__ or ():
-                try:
-                    todo.append(cell.cell_contents)
-                except ValueError:              # a cell not yet bound
-                    pass
-    return reached, bindings
-
-
 def _default_workers(fn, n_paths: int, args: tuple) -> int:
     """Workers for `n_workers=None`: one per CPU this process may use, but at
     most one per `_MIN_CHUNK_PATHS` paths; 1 (in-process) where a pool
@@ -374,89 +291,32 @@ def _default_workers(fn, n_paths: int, args: tuple) -> int:
             or (multiprocessing.get_start_method(allow_none=True)
                 or multiprocessing.get_all_start_methods()[0]) != "fork"):
         return 1
-    return 1 if _references(fn, args) is None else k
-
-
-# the process's one pool, (factory, workers, `_reads` at its fork,
-# executor), or None; `_pool_lock` guards it and every call on it
-_pool = None
-_pool_lock = threading.RLock()
-
-
-def _forget_pool() -> None:
-    # a forked child (a worker, or a fork of the caller) neither reuses nor
-    # shuts down its parent's pool; its copy of the lock may be held, as a
-    # pool forks its workers within a call
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.RLock()
-
-
-if hasattr(os, "register_at_fork"):             # not where there is no fork
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _close_pool() -> None:
-    """Shut down the process's pool, if there is one, joining its workers."""
-    global _pool
-    with _pool_lock:
-        if _pool is not None:
-            executor, _pool = _pool[-1], None
-            executor.shutdown()
-
-
-def _pool_for(k: int, refs: Optional[dict]) -> tuple:
-    """(the process's pool, whether it was reused): reused if it has k
-    workers from the current `ProcessPoolExecutor`, it reached every object
-    in `refs` (`_references`; None: unknown) when it forked, and every
-    binding read from them then holds the same object now; else a new one
-    replaces it.  A worker reads the modules as they were at its fork, so a
-    name rebound since then (a drift, a helper or a constant redefined in
-    `__main__` or a notebook) must not reach it.  Call with `_pool_lock`
-    held."""
-    global _pool
-    factory = ProcessPoolExecutor           # read now: tests and the benchmark swap it
-    if _pool is not None:
-        cached, workers, (reached, bindings), executor = _pool
-        if (cached is factory and workers == k and refs is not None
-                and refs.keys() <= reached.keys()
-                and all(name in space and space[name] is value
-                        for (_, name), (space, value) in bindings.items())):
-            return executor, True
-        _close_pool()
-    executor = factory(max_workers=k)
-    _pool = (factory, k, _reads(refs or {}), executor)
-    return executor, False
+    try:
+        pickle.dumps((fn, args))
+    except (pickle.PicklingError, AttributeError, TypeError):   # a lambda, a lock, ...
+        return 1
+    return k
 
 
 def _map_chunks(fn, n_paths: int, n_workers: Optional[int], *args,
                 meanwhile=lambda: None) -> tuple:
     """(meanwhile(), [fn(*args, lo, hi) for contiguous chunks [lo, hi) of the
     paths, in path order]): one chunk per worker but none empty, whose sizes
-    differ by at most one, on the process's pool of one worker per chunk
-    when there are k > 1 chunks, else in-process.  `n_workers=None` takes
+    differ by at most one, in a process pool of one worker per chunk when
+    there are k > 1 chunks, else in-process.  `n_workers=None` takes
     `_default_workers`; fewer than one worker is a ValueError.
 
-    The pool is made by the first call of k > 1 chunks and kept for the
-    next (`_pool_for`), so ensembles run back to back in one process fork
-    their workers once.  It is replaced when k, the `ProcessPoolExecutor`
-    factory or the process (a fork) differs, when the chunks' pickle names
-    a function or class that the walk at its fork did not reach (`_reads`),
-    and when a module-level name read on that walk is bound to another
-    object.  A worker sees the modules as of its fork, so an object changed
-    in place since then (an array's values, a dict's entry) is not seen.
-    The workers are joined when the interpreter exits, by
-    `concurrent.futures`' own exit hook, or by `_close_pool`.  A one-shot
-    CLI run forks once either way and gains nothing from it.
+    The pool is made for the call, from the `ProcessPoolExecutor` the module
+    holds at the call (tests and the benchmark swap it), and shut down
+    before the call returns or raises, joining its workers.  So its workers
+    fork from the caller's state at the call, objects changed in place
+    included, and the rows equal those of one worker; no idle worker holds
+    memory between calls.
 
     `meanwhile()` is the caller's work in this process: it runs after every
     chunk is submitted and before any is awaited, or, with one chunk, before
     it.  Every worker starts its chunk at once, so if `meanwhile` raises, the
-    error propagates once the pool has finished them.  If anything raises
-    (a chunk, `meanwhile`, a broken pool, an interrupt), the pool is shut
-    down before the error propagates, so a failed call leaves no worker.  A
-    reused pool that turns out broken (a worker died while it was idle) is
-    replaced and its chunks run once more on the new one, but `meanwhile`
-    runs once.
+    error propagates once the pool has finished them.
     """
     if n_workers is None:
         n_workers = _default_workers(fn, n_paths, args)
@@ -466,22 +326,9 @@ def _map_chunks(fn, n_paths: int, n_workers: Optional[int], *args,
     calls = [(*args, i * n_paths // k, (i + 1) * n_paths // k) for i in range(k)]
     if k == 1:
         return meanwhile(), [fn(*calls[0])]
-    refs, done = _references(fn, args), []
-    with _pool_lock:
-        try:
-            while True:
-                pool, reused = _pool_for(k, refs)
-                try:
-                    results = pool.map(fn, *zip(*calls))       # submits every chunk
-                    done = done or [meanwhile()]
-                    return done[0], list(results)
-                except BrokenProcessPool:
-                    if not reused:
-                        raise
-                    _close_pool()
-        except BaseException:
-            _close_pool()
-            raise
+    with ProcessPoolExecutor(max_workers=k) as pool:
+        results = pool.map(fn, *zip(*calls))       # submits every chunk
+        return meanwhile(), list(results)
 
 
 def _path_error_samples(spec: RateExperimentSpec, n_workers: int) -> np.ndarray:

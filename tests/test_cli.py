@@ -267,8 +267,8 @@ def test_stability_run(tmp_path):
     (RATE_CFG, 1, "rates.csv", "368817602cd7c9faeb168d2087711daf36c02c4d8fae33f6bc3ef48177514ecb"),
     (STABILITY_CFG, 2, "stability.csv",
      "c47f520f321c13f1a98c05d2e4b4f2b2c7e042710095534531dcb471bb933f5c")])
-def test_runs_on_a_reused_pool_write_the_rows_of_one_worker(tmp_path, monkeypatch, text, seed,
-                                                            csv, digest):
+def test_runs_in_one_process_write_the_rows_of_one_worker(tmp_path, monkeypatch, text, seed,
+                                                          csv, digest):
     pools = []
 
     class CountingPool(experiments.ProcessPoolExecutor):
@@ -283,7 +283,7 @@ def test_runs_on_a_reused_pool_write_the_rows_of_one_worker(tmp_path, monkeypatc
         assert cli.run(path, seed=seed, workers=workers, out=str(out)) == 0
         rows.append([ln for ln in (out / csv).read_text().splitlines()
                      if not ln.startswith("#")])
-    assert len(pools) == 1                  # the second two-worker run reused the first's pool
+    assert len(pools) == 2                  # one pool per two-worker run
     assert rows[0] == rows[1] == rows[2]
     assert hashlib.sha256("\n".join(rows[0]).encode()).hexdigest() == digest
 

@@ -7,7 +7,6 @@ import inspect
 import math
 import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -69,6 +68,12 @@ def test_fit_rate_validation():
     for step in (-0.2, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"test step = {step}: a step must be positive"):
             fit_rate([0.1, step, 0.4], [1.0, 2.0, 3.0], q=1.0)
+    # one standard error for three steps made a RateFit; two errors failed in
+    # numpy's dot product
+    with pytest.raises(ValueError, match="^1 standard errors for 3 steps: need one per step$"):
+        fit_rate([0.1, 0.2, 0.4], [1.0, 2.0, 3.0], q=1.0, standard_errors=[1.0])
+    with pytest.raises(ValueError, match="^2 errors for 3 steps: need one per step$"):
+        fit_rate([0.1, 0.2, 0.4], [1.0, 2.0], q=1.0, standard_errors=[1.0, 1.0, 1.0])
 
 
 def test_spec_validation(cubic_cfg):
@@ -91,6 +96,12 @@ def test_spec_validation(cubic_cfg):
     # a standard error needs two samples
     with pytest.raises(ValueError, match="needs two paths"):
         replace(spec, n_paths=1)
+    # 2.5 paths made a spec that failed in the rate chunk with a TypeError
+    for n_paths in (2.5, 10.0, math.nan):
+        with pytest.raises(ValueError, match=f"paths = {n_paths}: the number of paths must be "
+                                             "an integer"):
+            replace(spec, n_paths=n_paths)
+    assert replace(spec, n_paths=np.int64(10)).n_paths == 10
     # the reference's own rung has error 0 by construction
     with pytest.raises(ValueError, match="test step 0.01 equals delta_ref"):
         replace(spec, test_deltas=(0.01, 0.02, 0.05))
@@ -292,8 +303,11 @@ class _InProcessPool:
     def __init__(self, max_workers):
         type(self).created += 1
 
-    def shutdown(self, wait=True):
-        pass
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
 
     def map(self, fn, *iterables):
         return map(fn, *iterables)
@@ -1066,30 +1080,16 @@ def _pid_chunk(mode, lo, hi):
     return os.getpid()
 
 
-def _pool_pids():
-    return sorted(child.pid for child in multiprocessing.active_children())
-
-
-def test_calls_of_one_chunk_count_reuse_the_pool():
-    first = _map_chunks(_pid_chunk, 4, 2, "ok")[1]
-    pids = _pool_pids()
-    second = _map_chunks(_pid_chunk, 4, 2, "ok")[1]
-    assert len(pids) == 2 and set(first) | set(second) <= set(pids)
-    assert _pool_pids() == pids
-
-
-@pytest.mark.parametrize("change", ["chunk count", "factory"])
-def test_another_chunk_count_or_factory_replaces_the_pool(monkeypatch, change):
-    _map_chunks(_pid_chunk, 6, 2, "ok")
-    old = _pool_pids()
-    sizes = []
-    if change == "factory":
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _pool_spy(sizes))
-    k = 3 if change == "chunk count" else 2
-    got = _map_chunks(_pid_chunk, 6, k, "ok")[1]
-    new = _pool_pids()
-    assert len(new) == k and set(got) <= set(new) and not set(new) & set(old)
-    assert sizes == ([2] if change == "factory" else [])
+@pytest.mark.parametrize("k", [2, 3])
+def test_each_pooled_call_forks_k_fresh_workers_and_leaves_no_child(monkeypatch, k):
+    sizes, seen = [], {os.getpid()}
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _pool_spy(sizes))
+    for _ in range(2):
+        got = set(_map_chunks(_pid_chunk, 6, k, "ok")[1])
+        assert multiprocessing.active_children() == []
+        assert got and not got & seen
+        seen |= got
+    assert sizes == [k, k]
 
 
 def _drift_of(scale):
@@ -1164,14 +1164,37 @@ def _standard_normals_again(*args, **kwargs):
 @pytest.mark.parametrize("module, name, value", [
     (experiments, "_WINDOW_NORMALS", 1 << 10),
     (experiments.brownian, "standard_normals", _standard_normals_again)])
-def test_a_package_name_a_chunk_reads_rebound_replaces_the_pool(monkeypatch, quintic_cfg,
-                                                                 module, name, value):
+def test_a_package_name_a_chunk_reads_rebound_keeps_the_rows(monkeypatch, quintic_cfg,
+                                                               module, name, value):
     before = _scaled_drift_run(quintic_cfg, 2)
-    pids = _pool_pids()
     monkeypatch.setattr(module, name, value)
     after = _scaled_drift_run(quintic_cfg, 2)
-    assert len(_pool_pids()) == 2 and not set(_pool_pids()) & set(pids)
     assert np.array_equal(after.recorded_magnitudes, before.recorded_magnitudes)
+
+
+_SCALE = np.ones(1)
+
+
+def _array_scaled_drift(x):
+    return _SCALE[0] * _quintic_drift(x)
+
+
+def test_an_array_the_drift_reads_changed_in_place_reaches_the_workers(quintic_cfg):
+    # the name still holds the same object, so only workers forked after the
+    # change see it; workers kept from the first run would step the old scale
+    model = replace(tm.builtin_model("stable_quintic"), drift=_array_scaled_drift)
+    run = functools.partial(tm.run_stability_ensemble, model, quintic_cfg, delta=0.004,
+                            n_paths=16, horizon_steps=40, tol_stab=1e-2, master_seed=3,
+                            record_paths=16)
+    before = run(n_workers=2)
+    _SCALE[0] = 3.0
+    try:
+        after, one = run(n_workers=2), run(n_workers=1)
+    finally:
+        _SCALE[0] = 1.0
+    assert not np.array_equal(after.recorded_magnitudes, before.recorded_magnitudes)
+    assert np.array_equal(after.recorded_magnitudes, one.recorded_magnitudes)
+    assert np.array_equal(after.decay_flags, one.decay_flags)
 
 
 @pytest.mark.parametrize("mode, error", [("raise", ValueError), ("exit", BrokenProcessPool)])
@@ -1183,23 +1206,9 @@ def test_a_failed_call_drops_the_pool_and_the_next_forks_a_new_one(mode, error):
     assert not set(_map_chunks(_pid_chunk, 4, 2, "ok")[1]) & old
 
 
-@pytest.mark.parametrize("wait", [False, True])
-def test_a_worker_killed_while_idle_fails_no_call(wait):
-    # the next call comes at once, before the pool's manager thread has seen
-    # the death, or after it marked the pool broken
-    _map_chunks(_pid_chunk, 4, 2, "ok")
-    victim = multiprocessing.active_children()[0]
-    os.kill(victim.pid, signal.SIGKILL)
-    victim.join(timeout=30)
-    deadline = time.monotonic() + 30
-    while wait and not experiments._pool[-1]._broken and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert victim.pid not in _map_chunks(_pid_chunk, 4, 2, "ok")[1]
-
-
 def test_threads_share_the_pool_without_leaking_workers():
-    # more threads than cores, alternating chunk counts, so the pool is
-    # replaced under contention; a lost update would leave a pool unjoined
+    # more threads than cores, alternating chunk counts: each call makes
+    # and joins its own pool, under contention too
     errors, interval = [], sys.getswitchinterval()
 
     def run(i):
@@ -1223,39 +1232,19 @@ def test_threads_share_the_pool_without_leaking_workers():
     assert len(multiprocessing.active_children()) <= 3
 
 
-def _pids_in_a_fork(conn):
-    conn.send(_map_chunks(_pid_chunk, 4, 2, "ok")[1])
-    experiments._close_pool()               # the fork's own pool, joined before it exits
-
-
-def test_a_forked_child_neither_reuses_nor_shuts_down_the_parents_pool():
-    _map_chunks(_pid_chunk, 4, 2, "ok")
-    pids = _pool_pids()
-    ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_pids_in_a_fork, args=(sender,))
-    child.start()
-    assert receiver.poll(60)
-    in_child = receiver.recv()
-    child.join(timeout=60)
-    assert child.exitcode == 0
-    assert len(in_child) == 2 and not set(in_child) & set(pids + [os.getpid()])
-    assert set(_map_chunks(_pid_chunk, 4, 2, "ok")[1]) <= set(pids)
-    assert _pool_pids() == pids
-
-
-def test_an_interpreter_exit_joins_the_pool_workers():
+def test_a_pooled_call_joins_its_workers_before_it_returns():
+    # in a fresh interpreter, with no fixture to clean up after it
     code = ("import multiprocessing, os\n"
             "from truncmil import experiments\n"
             "def pid(lo, hi):\n"
             "    return os.getpid()\n"
-            "experiments._map_chunks(pid, 4, 2)\n"
-            "print(*[child.pid for child in multiprocessing.active_children()])")
+            "pids = experiments._map_chunks(pid, 4, 2)[1]\n"
+            "print(len(multiprocessing.active_children()), *sorted(set(pids)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0, proc.stderr
-    pids = [int(pid) for pid in proc.stdout.split()]
-    assert len(pids) == 2
+    live, *pids = [int(pid) for pid in proc.stdout.split()]
+    assert live == 0 and pids
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
