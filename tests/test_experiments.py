@@ -1197,6 +1197,20 @@ def test_an_array_the_drift_reads_changed_in_place_reaches_the_workers(quintic_c
     assert np.array_equal(after.decay_flags, one.decay_flags)
 
 
+def test_an_array_a_moment_chunk_reads_changed_in_place_reaches_the_workers(quintic_cfg):
+    model = replace(tm.builtin_model("stable_quintic"), drift=_array_scaled_drift)
+    run = functools.partial(tm.terminal_moment_probe, model, quintic_cfg, [2.0 ** -6, 2.0 ** -5],
+                            n_paths=16, master_seed=3)
+    before = run(n_workers=2)
+    _SCALE[0] = 3.0
+    try:
+        after, one = run(n_workers=2), run(n_workers=1)
+    finally:
+        _SCALE[0] = 1.0
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, one)
+
+
 @pytest.mark.parametrize("mode, error", [("raise", ValueError), ("exit", BrokenProcessPool)])
 def test_a_failed_call_drops_the_pool_and_the_next_forks_a_new_one(mode, error):
     old = set(_map_chunks(_pid_chunk, 4, 2, "ok")[1])
@@ -1204,6 +1218,16 @@ def test_a_failed_call_drops_the_pool_and_the_next_forks_a_new_one(mode, error):
         _map_chunks(_pid_chunk, 4, 2, mode)
     assert multiprocessing.active_children() == []
     assert not set(_map_chunks(_pid_chunk, 4, 2, "ok")[1]) & old
+
+
+def test_an_interrupt_in_meanwhile_still_joins_the_workers():
+    # a BaseException, not an Exception: the pool is shut down all the same
+    def interrupt():
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        _map_chunks(_sleep_chunk, 20, 2, meanwhile=interrupt)
+    assert multiprocessing.active_children() == []
 
 
 def test_threads_share_the_pool_without_leaking_workers():
@@ -1230,6 +1254,26 @@ def test_threads_share_the_pool_without_leaking_workers():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and errors == []
     assert len(multiprocessing.active_children()) <= 3
+
+
+def _pids_in_a_fork(conn):
+    pids = _map_chunks(_pid_chunk, 4, 2, "ok")[1]
+    conn.send((pids, len(multiprocessing.active_children())))
+
+
+def test_a_forked_child_forks_and_joins_its_own_workers():
+    # the child's workers are its own, and gone before the child sends
+    parents = set(_map_chunks(_pid_chunk, 4, 2, "ok")[1])
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_pids_in_a_fork, args=(sender,))
+    child.start()
+    assert receiver.poll(60)
+    in_child, live = receiver.recv()
+    child.join(timeout=60)
+    assert child.exitcode == 0 and live == 0
+    assert len(in_child) == 2
+    assert not set(in_child) & (parents | {os.getpid(), child.pid})
 
 
 def test_a_pooled_call_joins_its_workers_before_it_returns():
