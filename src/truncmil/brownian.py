@@ -13,16 +13,54 @@ exact block sums of the fine increments, which is what lets strong-error
 experiments couple coarse and fine solutions on the same underlying path.
 Batches are step-major in memory: the draws of one step across all paths are
 contiguous, which is the row an ensemble step reads, and block sums keep that
-layout.
+layout.  `ndtri` is loaded from scipy's extension module alone, so importing
+this module does not run `scipy.special`'s package init.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+import scipy
+
+
+def _load_ndtri():
+    """scipy's `ndtri` ufunc, taken from the private extension module
+    `scipy.special._ufuncs` without running `scipy.special`'s `__init__`.
+
+    That init imports scipy's array-API layer, and with it `numpy.f2py`,
+    `numpy.testing` and `numpy.ma`: most of this package's import time.  A
+    bare placeholder package with the real `__path__` stands in for
+    `scipy.special` while the extension loads, and is removed again, so a
+    later `import scipy.special` runs the real init and its `ndtri` is this
+    same object.  Where `scipy.special` is already imported, or the private
+    import fails, this is `from scipy.special import ndtri`.  Another thread
+    that imports `scipy.special` during the one extension load could see the
+    placeholder.
+    """
+    if "scipy.special" not in sys.modules:
+        placeholder = types.ModuleType("scipy.special")
+        placeholder.__path__ = [os.path.join(os.path.dirname(scipy.__file__), "special")]
+        sys.modules["scipy.special"] = placeholder
+        try:
+            from scipy.special._ufuncs import ndtri
+            return ndtri
+        except ImportError:
+            pass
+        finally:
+            del sys.modules["scipy.special"]
+            # vars(), not getattr: scipy's module __getattr__ imports the subpackage
+            vars(scipy).pop("special", None)
+    from scipy.special import ndtri
+    return ndtri
+
+
+ndtri = _load_ndtri()
 
 
 @dataclass(frozen=True)

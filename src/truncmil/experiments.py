@@ -406,7 +406,7 @@ class DecayEnsemble:
 def _directions(d: int) -> np.ndarray:
     if d == 1:
         return np.array([[1.0], [-1.0]])
-    from scipy.stats import qmc
+    from scipy.stats import qmc   # lazily: scipy.stats loads all of scipy.special (~0.3 s)
     raw = qmc.Halton(d=d, scramble=False).random(2**10)
     vec = 2.0 * raw - 1.0
     vec = vec[np.linalg.norm(vec, axis=1) > 1e-12]

@@ -1,6 +1,10 @@
 """Deterministic Brownian grids: reproducibility, moments, exact coarsening."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -315,3 +319,60 @@ def test_open_unit_map_clamps_only_the_top_word():
     assert u[-1] == 1.0 - 2.0**-53
     assert np.all((0.0 < u) & (u < 1.0))
     assert np.all(np.isfinite(ndtri(u)))
+
+
+# ndtri's three load orders, each run in a fresh interpreter before the draws
+_NDTRI_LOADS = {
+    # the lean load; a later scipy.special and scipy.stats still work
+    "lean": """
+import sys, scipy, truncmil
+assert 'scipy.special' not in sys.modules and 'special' not in vars(scipy)
+import scipy.special, scipy.stats
+from truncmil import brownian
+assert brownian.ndtri is scipy.special.ndtri
+assert scipy.special.gamma(5.0) == 24.0
+assert scipy.stats.qmc.Halton(d=2, scramble=False).random(4).shape == (4, 2)
+""",
+    "scipy.special already imported": """
+import scipy.special, truncmil
+from truncmil import brownian
+assert brownian.ndtri is scipy.special.ndtri
+""",
+    # a finder refuses the private module once: brownian's own import of it
+    "private import fails": """
+import sys
+
+class Refuse:
+    refused = 0
+
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name == 'scipy.special._ufuncs' and not cls.refused:
+            cls.refused += 1
+            raise ImportError(name)
+
+sys.meta_path.insert(0, Refuse)
+import truncmil
+assert Refuse.refused == 1 and 'scipy.special' in sys.modules
+import scipy.special
+from truncmil import brownian
+assert brownian.ndtri is scipy.special.ndtri
+""",
+}
+
+
+_DRAWS_DIGEST = """
+import hashlib
+from truncmil.brownian import standard_normals
+print(hashlib.sha256(standard_normals(7, range(64), 2, 300).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("load", list(_NDTRI_LOADS))
+def test_every_load_order_of_ndtri_draws_the_same_normals(load):
+    proc = subprocess.run([sys.executable, "-c", _NDTRI_LOADS[load] + _DRAWS_DIGEST],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    expected = hashlib.sha256(standard_normals(7, range(64), 2, 300).tobytes()).hexdigest()
+    assert proc.stdout.split() == [expected]

@@ -5,6 +5,8 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -260,6 +262,24 @@ def test_stability_run(tmp_path):
     constants = json.dumps({key: payload[key] for key in keys}, sort_keys=True)
     assert hashlib.sha256(constants.encode()).hexdigest() == (
         "fc895cd3ebf96a8e1155254aef572de89e5de02f4824550012bf2e0318d7462d")
+
+
+def test_a_fresh_process_writes_the_pinned_rows_without_loading_scipy_special(tmp_path):
+    # pytest has imported scipy.special before the other pins run, so only a
+    # fresh interpreter draws through brownian's lean load of ndtri
+    path = write_config(tmp_path, STABILITY_CFG)
+    out = tmp_path / "out"
+    code = ("import sys\n"
+            "from truncmil import cli\n"
+            f"assert cli.run({path!r}, seed=2, workers=2, out={str(out)!r}) == 0\n"
+            "assert 'scipy.special' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    data = [ln for ln in (out / "stability.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert hashlib.sha256("\n".join(data).encode()).hexdigest() == (
+        "c47f520f321c13f1a98c05d2e4b4f2b2c7e042710095534531dcb471bb933f5c")
 
 
 # the data rows pinned by test_rate_run_writes_artifacts and test_stability_run

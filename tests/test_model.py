@@ -272,11 +272,15 @@ def test_probe_spec_validation():
             ProbeSpec(**kwargs)
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def test_import_leaves_the_heavy_scipy_and_numpy_modules_unloaded():
     # scipy.stats and scipy.optimize would be most of the import time; only
-    # the Halton falsifiers load scipy.stats, and nothing needs scipy.optimize
+    # the Halton falsifiers load scipy.stats, and nothing needs scipy.optimize.
+    # brownian loads ndtri without scipy.special's init, which would pull in
+    # numpy.f2py, numpy.testing and numpy.ma
     code = ("import sys, truncmil\n"
-            "for name in ('scipy.stats', 'scipy.optimize'):\n"
+            "from truncmil import cli\n"
+            "for name in ('scipy.stats', 'scipy.optimize', 'scipy.special', 'numpy.f2py',\n"
+            "             'numpy.testing', 'numpy.ma'):\n"
             "    assert name not in sys.modules, name + ' loaded'")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
