@@ -83,7 +83,7 @@ _REQUIRED = object()
 
 # each key a kind reads -> (type, default); a default of None leaves the field
 # unset.  The run keys come first, and every kind takes them.
-_RUN_FIELDS = {"kind": (str, _REQUIRED), "seed": (int, 0), "workers": (int, 1),
+_RUN_FIELDS = {"kind": (str, _REQUIRED), "seed": (int, 0), "workers": (int, None),
                "out": (str, "out")}
 _TRUNCATION_FIELDS = {key: (float, _REQUIRED)
                       for key in ("omega.coeff", "omega.power", "h.coeff", "h.power", "h_bar")}
@@ -308,7 +308,7 @@ def run(config_path: str, seed: Optional[int] = None, paths: Optional[int] = Non
         kind, out_dir = run_fields["kind"], run_fields["out"]
         if kind not in _FIELDS:
             raise ValidationError(f"field 'kind': unknown experiment kind {kind!r}")
-        if run_fields["workers"] < 1:
+        if run_fields["workers"] is not None and run_fields["workers"] < 1:
             raise ValidationError(f"field 'workers': need at least one worker, "
                                   f"got {run_fields['workers']}")
         try:
@@ -339,7 +339,9 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--paths", type=int, default=None, help="ensemble size override")
-    parser.add_argument("--workers", type=int, default=None, help="worker pool size")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker pool size (default: one per usable CPU, "
+                             "at most one per 1024 paths)")
     parser.add_argument("--out", default=None,
                         help=f"output directory (also via ${OUT_DIR_ENV})")
     args = parser.parse_args(argv)

@@ -11,15 +11,14 @@ Path-level work runs through `_map_chunks` alone: one contiguous chunk of
 paths per worker, but never more chunks than paths, merged in path-index
 order.  Two or more chunks run in a pool made for the call, of exactly one
 worker per chunk, forked from the caller's state at the call and joined
-before it returns; a single chunk runs in-process, with no pool.  The moment
-probe takes `n_workers=None` by default: one worker per usable CPU, but at
-most one per `_MIN_CHUNK_PATHS` paths, and in-process where a pool cannot
+before it returns; a single chunk runs in-process, with no pool.  Every
+ensemble takes `n_workers=None` by default: one worker per usable CPU, but
+at most one per `_MIN_CHUNK_PATHS` paths, and in-process where a pool cannot
 take the chunk (arguments that do not pickle, a daemonic process) or would
-cost more than it saves (a start method other than fork); the rate ladder
-and the decay ensemble default to one worker.  A chunk takes the model
-itself, so it depends on its arguments alone and no worker reads the model
-registry.  Every ensemble holds memory by one rule: it draws its normals a
-bounded window of the resumable streams at a time
+cost more than it saves (a start method other than fork).  A chunk takes
+the model itself, so it depends on its arguments alone and no worker reads
+the model registry.  Every ensemble holds memory by one rule: it draws
+its normals a bounded window of the resumable streams at a time
 (`_step_windows`) and steps each window from the last one's finals.
 Per-path results depend only on the (seed, path) stream, and every reduction
 over paths runs in the parent on the joined chunks, so output is identical
@@ -331,7 +330,7 @@ def _map_chunks(fn, n_paths: int, n_workers: Optional[int], *args,
         return meanwhile(), list(results)
 
 
-def _path_error_samples(spec: RateExperimentSpec, n_workers: int) -> np.ndarray:
+def _path_error_samples(spec: RateExperimentSpec, n_workers: Optional[int]) -> np.ndarray:
     model = resolve_model(spec.model_name)      # once, before any pool
     return np.vstack(_map_chunks(_rate_chunk, spec.n_paths, n_workers, spec, model)[1])
 
@@ -340,7 +339,7 @@ def _path_error_samples(spec: RateExperimentSpec, n_workers: int) -> np.ndarray:
 _path_error_samples_range = _path_error_samples
 
 
-def run_rate_experiment(spec: RateExperimentSpec, n_workers: int = 1) -> RateFit:
+def run_rate_experiment(spec: RateExperimentSpec, n_workers: Optional[int] = None) -> RateFit:
     """Couple every test step to the shared fine reference and fit the slope.
 
     The paths run in `n_workers` chunks (`_map_chunks`), with the same fit
@@ -503,7 +502,7 @@ def _stability_chunk(model: SdeModel, cfg, delta: float, horizon_steps: int,
 
 def run_stability_ensemble(model: SdeModel, cfg, delta: float, n_paths: int,
                            horizon_steps: int, tol_stab: float,
-                           master_seed: int = 0, n_workers: int = 1,
+                           master_seed: int = 0, n_workers: Optional[int] = None,
                            record_paths: int = 10,
                            k_fn: Optional[KFunction] = None) -> DecayEnsemble:
     """Simulate truncated-Milstein paths and report the threshold-tail decay

@@ -143,17 +143,6 @@ def _evaluate(model: SdeModel, fn: Callable, x, *args, what: Optional[str] = Non
     return out if what is None else _finite(out, what, x)
 
 
-def sigma_matrix(model: SdeModel, x) -> np.ndarray:
-    """The d x m diffusion matrix at one point (d,), or one per row of an (n, d)
-    batch as (n, d, m): `_evaluate` on each column."""
-    x = np.asarray(x, dtype=float)
-    pts = x.reshape(-1, model.d)
-    sig = np.empty(pts.shape + (model.m,))
-    for j in range(model.m):
-        _evaluate(model, model.diffusion_col, pts, j + 1, out=sig[:, :, j])
-    return _finite(sig, "diffusion", x).reshape(x.shape[:-1] + sig.shape[1:])
-
-
 def row_norm(x) -> np.ndarray:
     """Euclidean norm over the last axis, one per row.
 

@@ -129,26 +129,6 @@ def _clamp(y: np.ndarray, radius, neg_radius=None, out=None) -> np.ndarray:
     return np.minimum(np.maximum(y, lo, out=out), radius, out=out)
 
 
-@dataclass(frozen=True)
-class TruncatedCoeffs:
-    """Drift, diffusion and L-operator blocks evaluated at the projected point,
-    with a leading (n,) axis when evaluated at a batch of points."""
-
-    point: np.ndarray          # pi_delta(x), shape ([n,] d)
-    mu: np.ndarray             # shape ([n,] d)
-    sigma: np.ndarray          # shape ([n,] d, m)
-    l_terms: np.ndarray        # shape ([n,] m, m, d), [..., j1-1, j2-1] = L^{j1} sigma_{j2}
-
-
-def truncated_coeffs(model: SdeModel, cfg, delta: float, x) -> TruncatedCoeffs:
-    """Evaluate mu, sigma_j and L^{j1} sigma_{j2} at pi_delta(x), for one point
-    (d,) or a batch (n, d), in one `model.coefficients` pass."""
-    x = np.asarray(x, dtype=float)
-    z = project(cfg, delta, x.reshape(-1, model.d))
-    blocks = (z, *coefficients(model, z))
-    return TruncatedCoeffs(*(blocks if x.ndim > 1 else (b[0] for b in blocks)))
-
-
 # ---------------------------------------------------------------------------
 # step-size condition calculators
 
@@ -227,9 +207,9 @@ def _points(model: SdeModel, points: Sequence) -> np.ndarray:
 def coefficient_bound_margin(model: SdeModel, cfg, delta: float, points: Sequence) -> float:
     """Worst (block norm - h(delta)) over truncated-coefficient blocks at the
     given points; <= 0 confirms the boundedness guarantee."""
-    tc = truncated_coeffs(model, cfg, delta, _points(model, points))
+    mu, sigma, l_terms = coefficients(model, project(cfg, delta, _points(model, points)))
     # the norms of mu, of each diffusion column and of each L-operator pair
-    norms = [row_norm(b).ravel() for b in (tc.mu, tc.sigma.swapaxes(1, 2), tc.l_terms)]
+    norms = [row_norm(b).ravel() for b in (mu, sigma.swapaxes(1, 2), l_terms)]
     return float(np.max(np.concatenate(norms), initial=-math.inf) - cfg.h(delta))
 
 

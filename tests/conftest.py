@@ -1,9 +1,11 @@
 """Shared fixtures: the truncation configurations used by the builtin models,
 vector models that take the finite-difference L-operator, the globally
 Lipschitz control model, registered as "lipschitz_control" for rate specs,
-and a stable quintic whose drift is NaN outside its radius-one ball.
-Property tests run under a derandomised hypothesis profile, so every run
-draws the same examples.  A test that leaves a child process alive fails."""
+a stable quintic whose drift is NaN outside its radius-one ball, a spy on
+the pools the experiments make, and `sigma_matrix`, the diffusion-matrix
+reference of the model tests.  Property tests run under a derandomised
+hypothesis profile, so every run draws the same examples.  A test that
+leaves a child process alive fails."""
 
 import multiprocessing
 from dataclasses import replace
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import settings
 
 import truncmil as tm
+from truncmil import experiments
 from truncmil.brownian import block_sums
-from truncmil.model import register_model
+from truncmil.model import _evaluate, _finite, register_model
 
 settings.register_profile("truncmil", derandomize=True, deadline=None, database=None)
 settings.load_profile("truncmil")
@@ -41,6 +44,15 @@ def no_leaked_children():
         child.terminate()
         child.join()
     assert not leaked, f"child processes left running: {leaked}"
+
+
+def _pool_spy(sizes):
+    """The module's pool class, appending each pool's worker count to `sizes`."""
+    class SpyPool(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+    return SpyPool
 
 
 @pytest.fixture
@@ -95,6 +107,17 @@ def make_fd_models():
 @pytest.fixture
 def fd_models():
     return make_fd_models()
+
+
+def sigma_matrix(model, x):
+    """The d x m diffusion matrix at one point (d,), or one per row of an (n, d)
+    batch as (n, d, m): `_evaluate` on each column, each checked finite."""
+    x = np.asarray(x, dtype=float)
+    pts = x.reshape(-1, model.d)
+    sig = np.empty(pts.shape + (model.m,))
+    for j in range(model.m):
+        _evaluate(model, model.diffusion_col, pts, j + 1, out=sig[:, :, j])
+    return _finite(sig, "diffusion", x).reshape(x.shape[:-1] + sig.shape[1:])
 
 
 def total_increment(grid):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import quintic_nan_outside_model
+from conftest import _pool_spy, quintic_nan_outside_model
 from truncmil import cli, experiments
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -534,6 +534,24 @@ def test_rate_run_rejects_a_bad_moment_exponent_before_any_pool(tmp_path, capsys
     assert cli.main(["--config", path, "--out", str(out), "--workers", "2"]) == cli.EXIT_VALIDATION
     assert f"q = {float(q)}" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+# two usable CPUs and one default worker per 1024 paths: 2048 paths make one
+# two-worker pool, and the default 1000 run in-process
+@pytest.mark.parametrize("paths, pools", [("paths = 2048\n", [2]), ("", [])])
+def test_run_without_workers_takes_the_default_pool(tmp_path, monkeypatch, paths, pools):
+    path = write_config(tmp_path, RATE_CFG.replace("paths = 64\n", paths))
+
+    def data_rows(workers):
+        out = tmp_path / f"out{workers}"
+        assert cli.run(path, workers=workers, out=str(out)) == 0
+        return [ln for ln in (out / "rates.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+    one, sizes = data_rows(1), []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _pool_spy(sizes))
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert data_rows(None) == one
+    assert sizes == pools
 
 
 @pytest.mark.parametrize("workers", [0, -2])

@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import truncmil as tm
-from conftest import _diagonal_col, config_for, quintic_nan_outside_model
-from truncmil import experiments
+from conftest import _diagonal_col, _pool_spy, config_for, quintic_nan_outside_model
+from truncmil import cli, experiments
 from truncmil.brownian import block_sums, generate_batch
 from truncmil.experiments import (RateExperimentSpec, _directions,
                                   _golden_max, _map_chunks, _path_error_samples,
@@ -887,14 +887,6 @@ def test_stability_chunks_are_submitted_before_the_constants(monkeypatch, quinti
     assert rep.constants == tm.compute_stability_constants(quintic, quintic_cfg, k_fn)
 
 
-def _pool_spy(sizes):
-    class SpyPool(experiments.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-    return SpyPool
-
-
 # a worker with no chunk is a forked process that does nothing
 @pytest.mark.parametrize("n_paths, pools", [(1, []), (3, [3])])
 def test_a_pool_has_one_worker_per_chunk(monkeypatch, quintic_cfg, n_paths, pools):
@@ -1013,11 +1005,12 @@ def test_default_workers_leave_the_start_method_unset():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("entry", [tm.run_rate_experiment, tm.run_stability_ensemble])
-def test_rate_and_stability_ensembles_default_to_one_worker(entry):
-    # only the moment probe's default pool is measured; these two run
-    # in-process unless given a worker count
-    assert inspect.signature(entry).parameters["n_workers"].default == 1
+def test_every_ensemble_and_the_cli_default_to_the_one_worker_rule():
+    # no worker count leaves the pool to `_default_workers`; rows are the
+    # same for any count, so the default decides only speed
+    for entry in (tm.run_rate_experiment, tm.run_stability_ensemble, tm.terminal_moment_probe):
+        assert inspect.signature(entry).parameters["n_workers"].default is None
+    assert cli._RUN_FIELDS["workers"] == (int, None)
 
 
 def test_a_lambda_coefficient_model_runs_in_process_by_default(monkeypatch, cubic_cfg):

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import truncmil as tm
-from conftest import lipschitz_control_model
+from conftest import lipschitz_control_model, sigma_matrix
 from truncmil.model import (BUILTIN_MODEL_NAMES, EvaluationError, ProbeSpec, _halton_ball,
                             coefficients, eval_l_op, finite_difference_l_op, register_model,
-                            resolve_model, scalar_l_op, sigma_matrix)
+                            resolve_model, scalar_l_op)
 
 
 def test_builtin_names():

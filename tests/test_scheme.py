@@ -11,9 +11,9 @@ import truncmil as tm
 from conftest import config_for, make_fd_models, total_increment
 from truncmil import scheme as scheme_module
 from truncmil.brownian import block_sums, coarsen, generate_batch
-from truncmil.model import EvaluationError, eval_l_op, row_norm, scalar_l_op
+from truncmil.model import EvaluationError, coefficients, eval_l_op, row_norm, scalar_l_op
 from truncmil.scheme import _general_step, _simulate_batch, simulate
-from truncmil.truncation import project, truncated_coeffs
+from truncmil.truncation import project
 
 
 def _geometric_like_model():
@@ -61,9 +61,9 @@ def test_classical_equals_truncated_inside_ball(cubic_cfg):
 def test_step_outside_ball_uses_projected_coefficients(cubic_cfg):
     model = tm.builtin_model("cubic_quintic")
     delta, y, db = 0.01, 10.0, 0.05
-    tc = truncated_coeffs(model, cubic_cfg, delta, [y])
-    expected = (y + tc.mu[0] * delta + tc.sigma[0, 0] * db
-                + 0.5 * tc.l_terms[0, 0, 0] * (db * db - delta))
+    mu, sigma, l_terms = coefficients(model, project(cubic_cfg, delta, [[y]]))
+    expected = (y + mu[0, 0] * delta + sigma[0, 0, 0] * db
+                + 0.5 * l_terms[0, 0, 0, 0] * (db * db - delta))
     got = tm.step(tm.SchemeId.truncated_milstein, model, cubic_cfg, delta, [y], [db])
     assert got[0] == pytest.approx(expected, rel=1e-15)
 
@@ -588,10 +588,10 @@ def test_truncated_coeffs_report_every_failing_row(wide_cfg):
     # the error is row 1's own
     model = _edge_model()
     with pytest.raises(EvaluationError) as batch:
-        truncated_coeffs(model, wide_cfg, 0.125, _EDGE_STATES)
+        coefficients(model, project(wide_cfg, 0.125, _EDGE_STATES))
     assert list(batch.value.rows) == [1, 2]
     with pytest.raises(EvaluationError) as one:
-        truncated_coeffs(model, wide_cfg, 0.125, _EDGE_STATES[1])
+        coefficients(model, project(wide_cfg, 0.125, _EDGE_STATES[1:2]))
     assert str(batch.value) == str(one.value)
     assert np.array_equal(batch.value.x, one.value.x) and batch.value.x[0] > 1.0
 
@@ -604,7 +604,7 @@ def test_non_finite_coefficients_raise_without_warnings(wide_cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError):
-            truncated_coeffs(model, wide_cfg, 0.125, _EDGE_STATES)
+            coefficients(model, project(wide_cfg, 0.125, _EDGE_STATES))
         for assumption in (tm.Assumption.A2_1_polyLipschitz,
                            tm.Assumption.Eq4_2_milsteinDissipative):
             with pytest.raises(EvaluationError):

@@ -9,13 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import truncmil as tm
-from conftest import _coupled_col, config_for
-from truncmil.model import BUILTIN_MODEL_NAMES, eval_l_op, row_norm, sigma_matrix
+from conftest import _coupled_col, config_for, sigma_matrix
+from truncmil.model import BUILTIN_MODEL_NAMES, coefficients, eval_l_op, row_norm
 from truncmil.scheme import simulate
 from truncmil.truncation import (coefficient_bound_margin, fit_lambda2,
                                  new_error_bound, old_condition_threshold,
-                                 preservation_margin, project, project_scalar_batch,
-                                 truncated_coeffs)
+                                 preservation_margin, project, project_scalar_batch)
 
 
 def test_config_validation():
@@ -128,21 +127,22 @@ def test_project_multidimensional_ball(cubic_cfg):
 
 def test_truncated_coeffs_inside_ball(cubic_cfg):
     model = tm.builtin_model("cubic_quintic")
-    x = np.array([0.5])
-    tc = truncated_coeffs(model, cubic_cfg, 0.01, x)
-    assert tc.point[0] == 0.5
-    assert tc.mu[0] == model.drift(0.5)
-    assert tc.sigma[0, 0] == 0.25
-    assert tc.l_terms[0, 0, 0] == 2.0 * 0.5**3
+    z = project(cubic_cfg, 0.01, [[0.5]])
+    mu, sigma, l_terms = coefficients(model, z)
+    assert z[0, 0] == 0.5
+    assert mu[0, 0] == model.drift(0.5)
+    assert sigma[0, 0, 0] == 0.25
+    assert l_terms[0, 0, 0, 0] == 2.0 * 0.5**3
 
 
 def test_truncated_coeffs_outside_ball(cubic_cfg):
     model = tm.builtin_model("cubic_quintic")
     r = cubic_cfg.radius(0.01)
-    tc = truncated_coeffs(model, cubic_cfg, 0.01, np.array([10.0]))
-    assert tc.point[0] == pytest.approx(r)
-    assert tc.mu[0] == model.drift(tc.point[0])
-    assert tc.sigma[0, 0] == tc.point[0] ** 2
+    z = project(cubic_cfg, 0.01, [[10.0]])
+    mu, sigma, _ = coefficients(model, z)
+    assert z[0, 0] == pytest.approx(r)
+    assert mu[0, 0] == model.drift(z[0, 0])
+    assert sigma[0, 0, 0] == z[0, 0] ** 2
 
 
 # ---------------------------------------------------------------------------
