@@ -12,15 +12,12 @@ Exit codes: 2 config parse error (a malformed line or a key set twice),
 
 from __future__ import annotations
 
-import argparse
-import difflib
 import hashlib
 import itertools
 import json
 import math
 import os
 import sys
-import tempfile
 from typing import Optional
 
 from . import __version__
@@ -123,6 +120,7 @@ def _read(cfg: dict, table: dict, kind: Optional[str] = None) -> dict:
     a `kind`, a key that the table does not hold is refused first, naming the
     closest key it does."""
     for key in sorted(set(cfg) - set(table)) if kind else ():
+        import difflib                          # only a refused key needs it
         near = difflib.get_close_matches(key, table, n=1)
         raise ValidationError(f"field '{key}': unknown for kind '{kind}'"
                               + "".join(f"; did you mean '{k}'?" for k in near))
@@ -165,10 +163,18 @@ def _k_fn(fields: dict) -> KFunction:
 
 
 def _write_atomic(path: str, chunks) -> None:
-    """Write the strings of `chunks` in turn to a temporary file beside
-    `path`, then move it into place."""
+    """Write the strings of `chunks` in turn to a new temporary file beside
+    `path`, then move it into place.  The file is made with the mode that
+    `open(path, "w")` gives, 0o666 less the umask; `tempfile.mkstemp` would
+    make it 0o600, and the move keeps the mode."""
     d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    for i in itertools.count():
+        tmp = os.path.join(d, f".tmp-{os.getpid()}-{i}.part")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:                 # a name another writer holds
+            continue
     try:
         with os.fdopen(fd, "w") as f:
             f.writelines(chunks)
@@ -332,6 +338,7 @@ def run(config_path: str, seed: Optional[int] = None, paths: Optional[int] = Non
 
 
 def main(argv: Optional[list] = None) -> int:
+    import argparse                             # only the command line needs it
     parser = argparse.ArgumentParser(
         prog="truncmil",
         description="Truncated Milstein experiments: strong-error rates, "

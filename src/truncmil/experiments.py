@@ -15,7 +15,12 @@ before it returns; a single chunk runs in-process, with no pool.  Every
 ensemble takes `n_workers=None` by default: one worker per usable CPU, but
 at most one per `_MIN_CHUNK_PATHS` paths, and in-process where a pool cannot
 take the chunk (arguments that do not pickle, a daemonic process) or would
-cost more than it saves (a start method other than fork).  A chunk takes
+cost more than it saves (a start method other than fork).  So a default-size
+CLI run (1000 paths) runs in-process.  The pool machinery
+(`concurrent.futures`, `multiprocessing`) loads on a run's first pooled
+call, not with the package: `_default_workers` imports `multiprocessing`
+only once two workers could take the paths, and the module's `__getattr__`
+imports `ProcessPoolExecutor` on its first access.  A chunk takes
 the model itself, so it depends on its arguments alone and no worker reads
 the model registry.  Every ensemble holds memory by one rule: it draws
 its normals a bounded window of the resumable streams at a time
@@ -32,12 +37,11 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import numbers
 import os
 import pickle
+import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -286,7 +290,10 @@ def _default_workers(fn, n_paths: int, args: tuple) -> int:
     except AttributeError:                      # not on every platform
         cpus = os.cpu_count() or 1
     k = min(cpus, n_paths // _MIN_CHUNK_PATHS)
-    if (k < 2 or multiprocessing.current_process().daemon
+    if k < 2:
+        return 1
+    import multiprocessing                      # only a run that may pool loads it
+    if (multiprocessing.current_process().daemon
             or (multiprocessing.get_start_method(allow_none=True)
                 or multiprocessing.get_all_start_methods()[0]) != "fork"):
         return 1
@@ -295,6 +302,16 @@ def _default_workers(fn, n_paths: int, args: tuple) -> int:
     except (pickle.PicklingError, AttributeError, TypeError):   # a lambda, a lock, ...
         return 1
     return k
+
+
+def __getattr__(name: str):
+    # `ProcessPoolExecutor` is imported on its first access, so a run that
+    # never pools never loads concurrent.futures or multiprocessing
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _map_chunks(fn, n_paths: int, n_workers: Optional[int], *args,
@@ -306,11 +323,12 @@ def _map_chunks(fn, n_paths: int, n_workers: Optional[int], *args,
     `_default_workers`; fewer than one worker is a ValueError.
 
     The pool is made for the call, from the `ProcessPoolExecutor` the module
-    holds at the call (tests and the benchmark swap it), and shut down
-    before the call returns or raises, joining its workers.  So its workers
-    fork from the caller's state at the call, objects changed in place
-    included, and the rows equal those of one worker; no idle worker holds
-    memory between calls.
+    holds at the call, read as its attribute so that a class swapped on it
+    (tests and the benchmark swap it) or loaded by `__getattr__` runs, and
+    shut down before the call returns or raises, joining its workers.  So
+    its workers fork from the caller's state at the call, objects changed in
+    place included, and the rows equal those of one worker; no idle worker
+    holds memory between calls.
 
     `meanwhile()` is the caller's work in this process: it runs after every
     chunk is submitted and before any is awaited, or, with one chunk, before
@@ -325,7 +343,7 @@ def _map_chunks(fn, n_paths: int, n_workers: Optional[int], *args,
     calls = [(*args, i * n_paths // k, (i + 1) * n_paths // k) for i in range(k)]
     if k == 1:
         return meanwhile(), [fn(*calls[0])]
-    with ProcessPoolExecutor(max_workers=k) as pool:
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=k) as pool:
         results = pool.map(fn, *zip(*calls))       # submits every chunk
         return meanwhile(), list(results)
 

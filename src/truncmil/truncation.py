@@ -12,12 +12,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .model import SdeModel, coefficients, row_norm
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,7 @@ def new_error_bound(cfg, q: float, p: float, r: float, delta: float) -> float:
 
 
 def _frac(x: float) -> Fraction:
+    from fractions import Fraction              # only dominant_rate needs it
     return Fraction(x).limit_denominator(10**9)
 
 

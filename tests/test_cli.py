@@ -264,6 +264,44 @@ def test_stability_run(tmp_path):
         "fc895cd3ebf96a8e1155254aef572de89e5de02f4824550012bf2e0318d7462d")
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_artifacts_take_the_mode_a_plain_open_gives(tmp_path, umask):
+    path = write_config(tmp_path, STABILITY_CFG)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stability.csv").write_text("an earlier run's rows\n")
+    old = os.umask(umask)
+    try:
+        assert cli.run(path, seed=2, workers=1, out=str(out)) == 0
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in out.iterdir()) == ["fit.json", "stability.csv"]
+    for name in ("fit.json", "stability.csv"):
+        assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temporary(tmp_path):
+    target = tmp_path / "rates.csv"
+    target.write_text("old\n")
+
+    def chunks():
+        yield "new\n"
+        raise RuntimeError("the rows failed")
+    with pytest.raises(RuntimeError, match="the rows failed"):
+        cli._write_atomic(str(target), chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["rates.csv"]
+    assert target.read_text() == "old\n"
+
+
+def test_a_write_skips_a_temporary_name_another_file_holds(tmp_path):
+    held = tmp_path / f".tmp-{os.getpid()}-0.part"
+    held.write_text("another writer's rows\n")
+    cli._write_atomic(str(tmp_path / "rates.csv"), ["new\n"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([held.name, "rates.csv"])
+    assert (tmp_path / "rates.csv").read_text() == "new\n"
+    assert held.read_text() == "another writer's rows\n"
+
+
 def test_a_fresh_process_writes_the_pinned_rows_without_loading_scipy_special(tmp_path):
     # pytest has imported scipy.special before the other pins run, so only a
     # fresh interpreter draws through brownian's lean load of ndtri

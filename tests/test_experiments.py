@@ -982,11 +982,10 @@ def test_default_workers_stay_in_process_where_a_pool_cannot_run(monkeypatch):
     assert experiments._default_workers(lambda lo, hi: lo, 4096, ()) == 1
     assert experiments._default_workers(_sleep_chunk, 4096, (lambda x: x,)) == 1
     # a start method whose workers import the package afresh
-    with mock.patch.object(experiments.multiprocessing, "get_start_method",
-                           return_value="spawn"):
+    with mock.patch.object(multiprocessing, "get_start_method", return_value="spawn"):
         assert experiments._default_workers(_sleep_chunk, 4096, ()) == 1
     # a daemonic process may not have children
-    with mock.patch.object(experiments.multiprocessing, "current_process",
+    with mock.patch.object(multiprocessing, "current_process",
                            return_value=mock.Mock(daemon=True)):
         assert experiments._default_workers(_sleep_chunk, 4096, ()) == 1
 
@@ -1003,6 +1002,75 @@ def test_default_workers_leave_the_start_method_unset():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0, proc.stderr
+
+
+# modules only a pooled call or the command line needs; a fresh interpreter
+# runs each check below, as pytest has loaded them all
+_POOL_AND_CLI_MODULES = ("concurrent.futures", "multiprocessing", "argparse", "difflib",
+                         "fractions")
+_FRESH_RATE_RUN = (
+    "import sys\n"
+    "import truncmil as tm\n"
+    "from truncmil import cli, experiments\n"
+    "def loaded():\n"
+    f"    return [name for name in {_POOL_AND_CLI_MODULES!r} if name in sys.modules]\n"
+    "spec = tm.RateExperimentSpec(model_name='cubic_quintic',\n"
+    "    cfg=tm.TruncationConfig(4.0, 5.0, 4.0, 0.1, 4.0), scheme='truncated_milstein', q=1.0,\n"
+    "    t_final=0.16, delta_ref=0.005, test_deltas=(0.01, 0.02, 0.04), n_paths=24,\n"
+    "    master_seed=11)\n"
+    "def errors(n_workers):\n"
+    "    return tm.run_rate_experiment(spec, n_workers=n_workers).errors.tolist()\n")
+
+
+def _run_fresh(code):
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RATE_RUN + code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_runs_that_never_pool_leave_the_pool_and_cli_modules_unloaded(tmp_path):
+    # a default-size (1000-path) stability run stays in-process
+    config = tmp_path / "stability.cfg"
+    config.write_text("kind = stability\nmodel = stable_quintic\nomega.coeff = 4\n"
+                      "omega.power = 5\nh.coeff = 4\nh.power = 0.25\nh_bar = 4\nk.coeff = 2\n"
+                      "k.power = 2\ndelta = 0.004\nhorizon_steps = 50\n")
+    _run_fresh("assert loaded() == [], loaded()\n"
+               "errors(1)\n"
+               "assert loaded() == [], loaded()\n"
+               f"assert cli.run({str(config)!r}, out={str(tmp_path / 'out')!r}) == 0\n"
+               "assert loaded() == [], loaded()\n")
+
+
+def test_the_first_pooled_call_loads_the_pool_and_keeps_the_rows():
+    _run_fresh("one = errors(1)\n"
+               "assert 'concurrent.futures.process' not in sys.modules\n"
+               "assert errors(2) == one\n"
+               "assert 'concurrent.futures.process' in sys.modules\n")
+
+
+@pytest.mark.parametrize("stand_in", [
+    # the benchmark's pool counter: a subclass of the class the module loads
+    "class Pool(experiments.ProcessPoolExecutor):\n"
+    "    def __init__(self, max_workers):\n"
+    "        made.append(max_workers)\n"
+    "        super().__init__(max_workers)\n",
+    # a class that runs the chunks in this process, loading no pool
+    "class Pool:\n"
+    "    def __init__(self, max_workers):\n"
+    "        made.append(max_workers)\n"
+    "    def __enter__(self):\n"
+    "        return self\n"
+    "    def __exit__(self, *exc):\n"
+    "        return False\n"
+    "    def map(self, fn, *iterables):\n"
+    "        return map(fn, *iterables)\n"], ids=["subclass", "in-process"])
+def test_a_pool_class_set_before_the_first_pooled_call_is_the_one_that_runs(stand_in):
+    _run_fresh("made = []\n"
+               + stand_in
+               + "experiments.ProcessPoolExecutor = Pool\n"
+               "one = errors(1)\n"
+               "assert errors(2) == one and made == [2], made\n"
+               "assert experiments.ProcessPoolExecutor is Pool\n")
 
 
 def test_every_ensemble_and_the_cli_default_to_the_one_worker_rule():
